@@ -132,11 +132,21 @@ class SqrtRational:
             raise ValueError("sign is 0 exactly when the radicand is 0")
 
     @classmethod
+    def _trusted(cls, sign: int, radicand: Fraction) -> "SqrtRational":
+        """Build without validation.  The caller guarantees what
+        __post_init__ would check: sign in {-1, 0, 1}, radicand a
+        nonnegative Fraction, and sign == 0 exactly when radicand == 0."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "sign", sign)
+        object.__setattr__(obj, "radicand", radicand)
+        return obj
+
+    @classmethod
     def from_rational(cls, q: Rational) -> "SqrtRational":
         q = Fraction(q)
         if q == 0:
-            return cls(0, Fraction(0))
-        return cls(1 if q > 0 else -1, q * q)
+            return cls._trusted(0, q)
+        return cls._trusted(1 if q > 0 else -1, q * q)
 
     @classmethod
     def sqrt(cls, q: Rational) -> "SqrtRational":
@@ -168,13 +178,15 @@ class SqrtRational:
         return self.sign != 0
 
     def __neg__(self) -> "SqrtRational":
-        return SqrtRational(-self.sign, self.radicand)
+        return SqrtRational._trusted(-self.sign, self.radicand)
 
     def __mul__(self, other: object):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SqrtRational(self.sign * o.sign, self.radicand * o.radicand)
+        return SqrtRational._trusted(
+            self.sign * o.sign, self.radicand * o.radicand
+        )
 
     __rmul__ = __mul__
 
@@ -219,7 +231,9 @@ class SqrtRational:
             return NotImplemented
         if o.sign == 0:
             raise ZeroDivisionError("division by zero square root")
-        return SqrtRational(self.sign * o.sign, self.radicand / o.radicand)
+        return SqrtRational._trusted(
+            self.sign * o.sign, self.radicand / o.radicand
+        )
 
     def __rtruediv__(self, other: object):
         o = self._coerce(other)
@@ -246,6 +260,14 @@ class SqrtRational:
             return "0"
         prefix = "-" if self.sign < 0 else ""
         return f"{prefix}sqrt({self.radicand})"
+
+
+def surd_parts(c: Rational | SqrtRational) -> tuple:
+    """(sign, radicand numerator, radicand denominator) of a nonzero exact
+    scalar; a rational q reads as sign(q) sqrt(q^2), as in from_rational."""
+    if isinstance(c, SqrtRational):
+        return c.sign, c.radicand.numerator, c.radicand.denominator
+    return (1 if c > 0 else -1), c.numerator ** 2, c.denominator ** 2
 
 
 def sqrtq_mul(a: SqrtRational, b: SqrtRational) -> SqrtRational:

@@ -42,6 +42,18 @@ def max_dim() -> int:
     return int(os.environ.get(MAX_DIM_ENV, DEFAULT_MAX_DIM))
 
 
+def check_order(order: int) -> None:
+    """Reject an order that is not a positive int or exceeds max_dim().
+
+    Builders call this before they allocate, so an oversized request fails
+    with ResourceError instead of filling memory first."""
+    if not isinstance(order, int) or order < 1:
+        raise ValueError("order must be a positive integer")
+    cap = max_dim()
+    if order > cap:
+        raise ResourceError(f"order {order} exceeds {MAX_DIM_ENV}={cap}")
+
+
 def _as_scalar(c: object) -> Scalar:
     # numpy scalars leak in via from_dense; keep the coefficient tower pure
     if isinstance(c, np.generic):
@@ -81,13 +93,7 @@ class XSum:
         order: int,
         terms: Mapping[Tuple[int, int], Scalar] | Iterable | None = None,
     ) -> None:
-        if not isinstance(order, int) or order < 1:
-            raise ValueError("order must be a positive integer")
-        cap = max_dim()
-        if order > cap:
-            raise ResourceError(
-                f"order {order} exceeds {MAX_DIM_ENV}={cap}"
-            )
+        check_order(order)
         object.__setattr__(self, "order", order)
         store: dict = {}
         if terms:
@@ -108,6 +114,20 @@ class XSum:
                 store[(i, j)] = c
         object.__setattr__(self, "_terms", store)
 
+    @classmethod
+    def _trusted(cls, order: int, store: dict) -> "XSum":
+        """Wrap an already normalised term dict without copying it.
+
+        Only the order is checked.  The caller guarantees the invariants
+        __init__ would establish: every key (i, j) lies in [1, order]^2, no
+        coefficient is zero, and no one else keeps a reference to store.
+        """
+        check_order(order)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "order", order)
+        object.__setattr__(obj, "_terms", store)
+        return obj
+
     # frozen-ish: block accidental attribute writes
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("XSum is immutable")
@@ -119,6 +139,10 @@ class XSum:
         """Terms in (row, col) lexicographic order."""
         for key in sorted(self._terms):
             yield key, self._terms[key]
+
+    def values(self) -> Iterator[Scalar]:
+        """Coefficients in storage order, without sorting."""
+        return iter(self._terms.values())
 
     def term_map(self) -> dict:
         return dict(self._terms)
@@ -287,7 +311,7 @@ def dagger(a: XSum, mode: str = "adjoint") -> XSum:
     for (i, j), c in a._terms.items():
         key = (j, i) if mode in ("transpose", "adjoint") else (i, j)
         out[key] = scalar_conj(c) if mode in ("conjugate", "adjoint") else c
-    return XSum(a.order, out)
+    return XSum._trusted(a.order, out)
 
 
 def trace(a: XSum) -> Scalar:

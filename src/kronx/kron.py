@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .exactnum import (
     Scalar,
@@ -20,8 +20,9 @@ from .exactnum import (
     scalar_is_zero,
     scalar_mul,
     scalar_to_complex,
+    surd_parts,
 )
-from .hubbard import HubbardTerm, XSum, identity
+from .hubbard import HubbardTerm, XSum, check_order, identity
 
 
 def kron_term(a: HubbardTerm, b: HubbardTerm) -> HubbardTerm:
@@ -37,21 +38,86 @@ def kron_term(a: HubbardTerm, b: HubbardTerm) -> HubbardTerm:
 def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
     """Tensor product A (x) B of order a.order * b.order."""
     if path == "sparse":
-        n = b.order
-        terms = {}
-        for (i, j), ca in a.term_map().items():
-            for (k, l), cb in b.term_map().items():
-                terms[(n * (i - 1) + k, n * (j - 1) + l)] = scalar_mul(ca, cb)
-        return XSum(a.order * n, terms)
+        return _kron_sparse(a, b)
     if path == "closed":
         return _kron_closed(a, b)
     raise ValueError(f"unknown kron path {path!r}")
+
+
+# Coefficient kinds in promotion order: the product of a kind-p and a kind-q
+# coefficient has kind max(p, q), exactly as scalar_mul decides it.  Each kind
+# has a promoted form that its product loop multiplies without dispatch.
+_INT, _FRACTION, _SURD, _INEXACT = range(4)
+_KIND = {
+    int: _INT,
+    Fraction: _FRACTION,
+    SqrtRational: _SURD,
+    float: _INEXACT,
+    complex: _INEXACT,
+}
+_PROMOTE = (
+    lambda c: (c,),
+    lambda c: (c.numerator, c.denominator),
+    surd_parts,
+    lambda c: (scalar_to_complex(c),),
+)
+
+
+def _products(kind: int, left: Iterable, right: list) -> dict:
+    """Every left x right product of one kind.  Left entries are
+    (row offset, col offset, *promoted), right ones (row, col, *promoted).
+
+    Products of nonzero exact scalars are nonzero; Fraction(n, d) of the
+    integer products gives the same reduced value as Fraction * Fraction
+    at a fraction of its cost.  Float products can underflow to 0 and are
+    dropped, as XSum() drops them."""
+    if kind == _INT:
+        return {(i + k, j + l): x * y
+                for i, j, x in left for k, l, y in right}
+    if kind == _FRACTION:
+        return {(i + k, j + l): Fraction(xn * yn, xd * yd)
+                for i, j, xn, xd in left for k, l, yn, yd in right}
+    if kind == _SURD:
+        surd = SqrtRational._trusted
+        return {(i + k, j + l): surd(xs * ys, Fraction(xn * yn, xd * yd))
+                for i, j, xs, xn, xd in left for k, l, ys, yn, yd in right}
+    return {(i + k, j + l): z
+            for i, j, x in left for k, l, y in right if (z := x * y)}
+
+
+def _kron_sparse(a: XSum, b: XSum) -> XSum:
+    n = b.order
+    order = a.order * n
+    check_order(order)
+    kinds_a = {_KIND.get(type(c)) for c in a.values()}
+    kinds_b = {_KIND.get(type(c)) for c in b.values()}
+    kinds = kinds_a | kinds_b
+    if len(kinds_a) > 1 or len(kinds_b) > 1 or None in kinds:
+        # An operand mixes kinds (the Fourier butterflies mix int and
+        # complex) or holds another type: the term-by-term product.
+        terms_b = list(b.term_map().items())
+        return XSum(order, {
+            (n * (i - 1) + k, n * (j - 1) + l): scalar_mul(ca, cb)
+            for (i, j), ca in a.term_map().items()
+            for (k, l), cb in terms_b
+        })
+    # One kind per operand: promote each coefficient once, then one loop.
+    # The left side is read once, so it is not materialised.
+    kind = max(kinds, default=_INT)
+    promote = _PROMOTE[kind]
+    return XSum._trusted(order, _products(
+        kind,
+        ((n * (i - 1), n * (j - 1), *promote(c))
+         for (i, j), c in a.term_map().items()),
+        [(k, l, *promote(c)) for (k, l), c in b.term_map().items()],
+    ))
 
 
 def _kron_closed(a: XSum, b: XSum) -> XSum:
     # dense sweep over the product index space; m is the SECOND order
     m = b.order
     order = a.order * m
+    check_order(order)
     terms = {}
     for p in range(1, order + 1):
         pp = ceil_ratio(p, m)
@@ -121,6 +187,7 @@ def kron_many(factors, path: str = "fold") -> XSum:
     total = 1
     for n in orders:
         total *= n
+    check_order(total)
     terms = {}
     for p in range(1, total + 1):
         pidx = _factor_indices(p, orders)
@@ -178,6 +245,7 @@ def hadamard_power(t: int, form: str = "ceiling") -> XSum:
     if form not in ("ceiling", "binary"):
         raise ValueError(f"unknown hadamard form {form!r}")
     order = 2**t
+    check_order(order)
     scale = Fraction(1, 2**t)  # radicand of 2^(-t/2)
     terms = {}
     for p in range(1, order + 1):

@@ -21,15 +21,21 @@ import json
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .exactnum import DomainError, SqrtRational, scalar_to_complex
+from .exactnum import (
+    DomainError,
+    SqrtRational,
+    complex_float,
+    scalar_to_complex,
+    surd_parts,
+)
 from .hubbard import XSum
 
 KINDS = ("rational", "sqrt", "complex")
 
 
-def _pick_kind(x: XSum) -> str:
+def _pick_kind(values: Iterable) -> str:
     kind = "rational"
-    for _, c in x.items():
+    for c in values:
         if isinstance(c, (int, Fraction)):
             continue
         if isinstance(c, SqrtRational):
@@ -39,20 +45,27 @@ def _pick_kind(x: XSum) -> str:
     return kind
 
 
+def _finite(re: float, im: float, i: int, j: int) -> complex:
+    try:
+        return complex_float(re, im)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"complex term at ({i},{j}): {exc}") from exc
+
+
 def matrix_to_obj(x: XSum) -> dict:
-    kind = _pick_kind(x)
-    terms: List[list] = []
-    for (i, j), c in x.items():
-        if kind == "rational":
-            q = Fraction(c)
-            terms.append([i, j, q.numerator, q.denominator])
-        elif kind == "sqrt":
-            s = c if isinstance(c, SqrtRational) else SqrtRational.from_rational(c)
-            terms.append(
-                [i, j, s.sign, s.radicand.numerator, s.radicand.denominator]
-            )
-        else:
+    kind = _pick_kind(x.values())
+    if kind == "rational":
+        terms = [[i, j, c.numerator, c.denominator] for (i, j), c in x.items()]
+    elif kind == "sqrt":
+        terms = []
+        for (i, j), c in x.items():
+            sign, num, den = surd_parts(c)
+            terms.append([i, j, sign, num, den])
+    else:
+        terms = []
+        for (i, j), c in x.items():
             z = scalar_to_complex(c)
+            _finite(z.real, z.imag, i, j)
             terms.append([i, j, z.real, z.imag])
     return {"order": x.order, "kind": kind, "terms": terms}
 
@@ -79,43 +92,52 @@ def matrix_from_obj(obj: object) -> XSum:
     rows = obj["terms"]
     _require(isinstance(rows, list), "'terms' must be a list")
     width = {"rational": 4, "sqrt": 5, "complex": 4}[kind]
+    # Each row is checked here as XSum() would check it, so the matrix is
+    # built with XSum._trusted; error messages are formatted only on failure.
     terms = {}
     for row in rows:
-        _require(
-            isinstance(row, list) and len(row) == width,
-            f"{kind} term rows must have {width} entries",
-        )
+        if not (isinstance(row, list) and len(row) == width):
+            raise DomainError(f"{kind} term rows must have {width} entries")
         i, j = row[0], row[1]
-        _require(
+        if not (
             isinstance(i, int) and isinstance(j, int)
-            and 1 <= i <= order and 1 <= j <= order,
-            f"indices ({i},{j}) outside 1..{order}",
-        )
-        _require((i, j) not in terms, f"duplicate term at ({i},{j})")
+            and 1 <= i <= order and 1 <= j <= order
+        ):
+            raise DomainError(f"indices ({i},{j}) outside 1..{order}")
+        if (i, j) in terms:
+            raise DomainError(f"duplicate term at ({i},{j})")
         if kind == "rational":
             num, den = row[2], row[3]
-            _require(
-                isinstance(num, int) and isinstance(den, int) and den != 0,
-                "rational terms need integer num/den with den != 0",
-            )
+            if not (isinstance(num, int) and isinstance(den, int) and den):
+                raise DomainError(
+                    "rational terms need integer num/den with den != 0"
+                )
             terms[(i, j)] = Fraction(num, den)
         elif kind == "sqrt":
             sign, num, den = row[2], row[3], row[4]
-            _require(
-                sign in (-1, 0, 1)
-                and isinstance(num, int) and isinstance(den, int)
-                and den != 0 and Fraction(num, den) >= 0,
-                "sqrt terms need sign in {-1,0,1} and a nonnegative radicand",
-            )
-            terms[(i, j)] = SqrtRational(sign, Fraction(num, den))
+            if not (
+                isinstance(sign, int) and sign in (-1, 0, 1)
+                and isinstance(num, int) and isinstance(den, int) and den
+                and (num == 0 or (num > 0) == (den > 0))
+            ):
+                raise DomainError(
+                    "sqrt terms need sign in {-1,0,1} and a nonnegative "
+                    "radicand"
+                )
+            if (sign == 0) != (num == 0):
+                raise DomainError(
+                    f"sqrt term at ({i},{j}): sign {sign} disagrees with "
+                    f"radicand {num}/{den} (sign is 0 exactly when it is 0)"
+                )
+            terms[(i, j)] = SqrtRational._trusted(sign, Fraction(num, den))
         else:
             re, im = row[2], row[3]
-            _require(
-                isinstance(re, (int, float)) and isinstance(im, (int, float)),
-                "complex terms need numeric re/im",
-            )
-            terms[(i, j)] = complex(re, im)
-    return XSum(order, terms)
+            if not (
+                isinstance(re, (int, float)) and isinstance(im, (int, float))
+            ):
+                raise DomainError("complex terms need numeric re/im")
+            terms[(i, j)] = _finite(re, im, i, j)
+    return XSum._trusted(order, {key: c for key, c in terms.items() if c})
 
 
 def matrix_from_json(text: str) -> XSum:

@@ -238,6 +238,19 @@ class TestDiag:
         assert capcli("diag", path, "--unitary", "--format", "csv")[0] == 2
         assert capcli("kron", path, path, "--format", "csv")[0] == 2
 
+    def test_non_finite_input_is_2(self, capcli, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text('{"order":1,"kind":"complex","terms":[[1,1,NaN,0]]}')
+        code, out, err = capcli("diag", str(path))
+        assert code == 2 and out == "" and "(1,1)" in err
+        code, out, err = capcli("kron", str(path), str(path))
+        assert code == 2 and out == "" and "(1,1)" in err
+
+    def test_product_overflowing_to_infinity_is_2(self, capcli, tmp_path):
+        path = write_matrix(tmp_path, "big.json", XSum(1, {(1, 1): 1e300j}))
+        code, out, err = capcli("kron", path, path)
+        assert code == 2 and out == "" and "error:" in err
+
     def test_degenerate_multiplicity_merged(self, capcli, tmp_path):
         h = XSum(3, {(1, 1): 2, (2, 2): 2, (3, 3): 5})
         path = write_matrix(tmp_path, "h.json", h)

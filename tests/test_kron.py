@@ -3,10 +3,13 @@ block-replication oracle, plus the product/trace/determinant laws."""
 
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     dense_kron,
@@ -16,9 +19,10 @@ from _oracles import (
     random_complex_xsum,
     random_rational_xsum,
 )
-from kronx.exactnum import SqrtRational
+from kronx.exactnum import SqrtRational, scalar_mul
 from kronx.hubbard import (
     HubbardTerm,
+    ResourceError,
     XSum,
     allclose,
     dagger,
@@ -42,6 +46,10 @@ from kronx.kron import (
     kron_vec,
     trace_factorizes,
 )
+from kronx.serialize import matrix_to_json
+
+# the package re-exports the function kron under the submodule's name
+kron_module = importlib.import_module("kronx.kron")
 
 
 def test_single_term_rule():
@@ -285,3 +293,131 @@ def test_eigen_pair_check_diagonal_and_pauli():
 def test_kron_determinant_of_x_ops_vanishes():
     m = to_dense(kron(x_op(2, 1, 2), x_op(2, 2, 1)))
     assert det_dense(m) == 0
+
+
+# --- the sparse kernel against the term-by-term product ----------------------
+
+_INTS = st.integers(-9, 9).filter(bool)
+_FRACTIONS = st.fractions(-12, 12, max_denominator=12).filter(bool)
+
+
+def _surds(radicands):
+    return st.builds(
+        lambda q, r: SqrtRational(1 if q > 0 else -1, q * q * r),
+        _FRACTIONS,
+        st.sampled_from(radicands),
+    )
+
+
+_COEFFICIENTS = {
+    "int": _INTS,
+    "fraction": _FRACTIONS,
+    "surd": _surds((2,)),
+    "surds": _surds((2, 3, 5)),
+    "rational+surd": st.one_of(_INTS, _FRACTIONS, _surds((2, 3))),
+    "float": st.floats(-1e3, 1e3).filter(bool),
+    "complex": st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False
+    ).filter(bool),
+}
+_COEFFICIENTS["all"] = st.one_of(*_COEFFICIENTS.values())
+
+
+@st.composite
+def _operand(draw, kind):
+    n = draw(st.integers(1, 4))
+    cells = st.tuples(st.integers(1, n), st.integers(1, n))
+    keys = draw(st.lists(cells, max_size=n * n, unique=True))
+    return XSum(n, {key: draw(_COEFFICIENTS[kind]) for key in keys})
+
+
+def _per_term_kron(a, b):
+    n = b.order
+    return XSum(a.order * n, {
+        (n * (i - 1) + k, n * (j - 1) + l): scalar_mul(ca, cb)
+        for (i, j), ca in a.term_map().items()
+        for (k, l), cb in b.term_map().items()
+    })
+
+
+def _as_listed(x):
+    return [(key, type(c), repr(c)) for key, c in x.term_map().items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_COEFFICIENTS)),
+    st.sampled_from(sorted(_COEFFICIENTS)),
+    st.data(),
+)
+def test_sparse_kernel_matches_per_term_reference(kind_a, kind_b, data):
+    a = data.draw(_operand(kind_a))
+    b = data.draw(_operand(kind_b))
+    want = _per_term_kron(a, b)
+    got = kron(a, b)
+    assert got == want == kron(a, b, path="closed")
+    # same coefficient types, same radicands, same term order
+    assert _as_listed(got) == _as_listed(want)
+    assert matrix_to_json(got) == matrix_to_json(want)
+
+
+def test_float_products_that_underflow_are_pruned():
+    a = XSum(1, {(1, 1): 1e-200})
+    b = XSum(2, {(1, 1): 1e-200, (2, 2): 2.0})
+    got = kron(a, b)
+    assert got.nnz() == 1 and got.coeff(2, 2) == 2e-200
+    assert got == _per_term_kron(a, b) == kron(a, b, path="closed")
+
+
+def test_kernel_surds_compare_and_hash_like_validated_ones():
+    a = XSum(2, {(1, 1): SqrtRational(1, Fraction(2)), (2, 1): Fraction(-3, 2)})
+    b = XSum(1, {(1, 1): SqrtRational(-1, Fraction(8, 3))})
+    got = kron(a, b)
+    for c in got.term_map().values():
+        validated = SqrtRational(c.sign, c.radicand)
+        assert c == validated and hash(c) == hash(validated)
+    # sqrt(2) * -sqrt(8/3) = -4/sqrt(3); a perfect square hashes as its root
+    assert got.coeff(1, 1) == SqrtRational(-1, Fraction(16, 3))
+    square = SqrtRational._trusted(-1, Fraction(9, 4))
+    assert square == Fraction(-3, 2) and hash(square) == hash(Fraction(-3, 2))
+
+
+# --- the order cap is checked before any product is formed -------------------
+
+
+class _NoMul:
+    """A nonzero coefficient whose product fails the test."""
+
+    def __mul__(self, other):
+        raise AssertionError("multiplied past the order cap")
+
+    __rmul__ = __mul__
+
+
+def _refuse(*args):
+    raise AssertionError("multiplied past the order cap")
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    monkeypatch.setenv("KRONX_MAX_DIM", "8")
+    monkeypatch.setattr(kron_module, "scalar_mul", _refuse)
+
+
+@pytest.mark.parametrize("path", ["sparse", "closed"])
+def test_kron_over_cap_fails_before_multiplying(small_cap, path):
+    a = XSum(4, {(i, j): _NoMul() for i in range(1, 5) for j in range(1, 5)})
+    with pytest.raises(ResourceError):
+        kron(a, a, path=path)
+
+
+def test_kron_many_over_cap_fails_before_multiplying(small_cap):
+    f = XSum(2, {(1, 1): _NoMul(), (2, 2): _NoMul()})
+    with pytest.raises(ResourceError):
+        kron_many([f, f, f, f], path="closed")
+
+
+def test_hadamard_power_over_cap_fails_before_building(small_cap, monkeypatch):
+    monkeypatch.setattr(kron_module, "ceil_ratio", _refuse)
+    with pytest.raises(ResourceError):
+        hadamard_power(4)

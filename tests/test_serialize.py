@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,37 @@ class TestMatrixValidation:
     def test_non_integer_rational_parts(self):
         with pytest.raises(DomainError):
             matrix_from_obj({"order": 2, "terms": [[1, 1, 0.5, 1]]})
+
+    def test_float_sign_is_rejected(self):
+        # a sign of 1.0 would be written back as 1.0, not 1
+        with pytest.raises(DomainError):
+            matrix_from_obj(
+                {"order": 2, "kind": "sqrt", "terms": [[1, 1, 1.0, 2, 1]]}
+            )
+
+    @pytest.mark.parametrize("row", [[2, 1, 0, 5, 1], [2, 1, 1, 0, 1]])
+    def test_sign_disagreeing_with_radicand_names_the_row(self, row):
+        with pytest.raises(DomainError, match=r"\(2,1\)"):
+            matrix_from_obj({"order": 2, "kind": "sqrt", "terms": [row]})
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_complex_is_rejected_on_load(self, value):
+        for row in (f"[1,1,{value},0]", f"[1,1,0,{value}]"):
+            text = f'{{"order":1,"kind":"complex","terms":[{row}]}}'
+            with pytest.raises(DomainError, match=r"\(1,1\)"):
+                matrix_from_json(text)
+
+    def test_complex_part_beyond_float_range_is_rejected(self):
+        huge = {"order": 1, "kind": "complex", "terms": [[1, 1, 10**400, 0]]}
+        with pytest.raises(DomainError, match=r"\(1,1\)"):
+            matrix_from_obj(huge)
+
+    @pytest.mark.parametrize(
+        "c", [math.nan, math.inf, complex(0, -math.inf), complex(1, math.nan)]
+    )
+    def test_non_finite_complex_is_rejected_on_dump(self, c):
+        with pytest.raises(DomainError, match=r"\(1,2\)"):
+            matrix_to_json(XSum(2, {(1, 1): 1.0, (1, 2): c}))
 
 
 class TestSpectrumCsv:
