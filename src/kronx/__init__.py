@@ -8,6 +8,7 @@ are computed by closed-form index arithmetic on those terms.
 from .cg import (
     CGIndex,
     CGMatrix,
+    VerificationError,
     build_S,
     cg_coefficient,
     cg_table,
@@ -62,6 +63,7 @@ __all__ = [
     "ResourceError",
     "SpinChainParams",
     "SqrtRational",
+    "VerificationError",
     "XSum",
     "binomial",
     "block_gen",

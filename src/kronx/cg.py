@@ -5,10 +5,10 @@ three coupled generators.  Entries are built by pure index arithmetic,
 one square root per entry, through three nested closed forms: the first
 block (binomial ratios), the first column of each block (alternating
 signs), and the general entry (a terminating hypergeometric-type sum F
-against a factored radical Theta).  An independent ladder construction
-(extremal states plus repeated lowering) cross-checks the result, and
-build_S falls back to it should the closed forms ever miss; every
-matrix is verified against the intertwining law before it is returned.
+against a factored radical Theta).  Every matrix is verified against
+the intertwining law before it is returned; a miss raises
+VerificationError.  An independent ladder construction (extremal states
+plus repeated lowering) is kept as the cross-check the tests use.
 
 Sign conventions: each block's top entry at alpha = 0 is positive, the
 global phase is 1 (Condon-Shortley compatible).
@@ -17,6 +17,7 @@ global phase is 1 (Condon-Shortley compatible).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +39,10 @@ from .su2 import weight
 TWO_J_CAP = 64
 
 _ZERO = SqrtRational(0, Fraction(0))
+
+
+class VerificationError(RuntimeError):
+    """A built matrix failed its own verification; names the residual."""
 
 
 def _falling_ext(x: int, n: int) -> Fraction:
@@ -198,8 +203,8 @@ def _check_cap(two_j1: int, two_j2: int):
 def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     """Assemble S from the closed forms; columns indexed q = z_{k-1} + r.
 
-    The result is checked against the intertwining law; if any residual
-    exceeds 1e-8 the ladder construction takes over (float entries).
+    The result is checked against the intertwining law; a residual above
+    1e-8 or a weight mismatch raises VerificationError.
     """
     _check_cap(two_j1, two_j2)
     lay = layout(two_j1, two_j2)
@@ -216,7 +221,11 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     cand = CGMatrix(lay, XSum(lay.total, terms))
     report = verify_intertwining(cand)
     if report.max_residual > 1e-8 or not report.diagonal_exact:
-        return ladder_oracle_S(two_j1, two_j2)
+        raise VerificationError(
+            f"S({two_j1}/2 x {two_j2}/2) misses the intertwining law: "
+            f"max residual {report.max_residual:.3e}, weights "
+            f"{'match' if report.diagonal_exact else 'differ'}"
+        )
     return cand
 
 
@@ -233,9 +242,7 @@ def verify_intertwining(s: CGMatrix) -> IntertwiningReport:
     for ((p, q), _c) in s.matrix.items():
         pp = ceil_ratio(p, lay.n2)
         wp = weight(lay.twoJ1, pp) + weight(lay.twoJ2, p + lay.n2 - lay.n2 * pp)
-        k = next(
-            kk for kk in range(1, lay.n0 + 1) if q <= lay.z(kk)
-        )
+        k = bisect_left(lay.offsets, q) + 1  # first block with q <= z_k
         r = q - lay.z(k - 1)
         if wp != weight(lay.block_two_j(k), r):
             diag_ok = False

@@ -3,7 +3,8 @@
 One `kronx` entry point exposes the constructions behind a uniform I/O
 contract: matrices travel as the shared JSON schema (see serialize),
 spectra as ascending CSV. Exit codes: 0 success, 2 validation or domain
-error, 3 verification failure, 64 usage.
+error, 3 verification failure (a suite, or a built matrix failing its own
+check), 64 usage.
 """
 
 from __future__ import annotations
@@ -375,10 +376,6 @@ def build_parser() -> _Parser:
         help="write the artifact here instead of stdout",
     )
     common.add_argument(
-        "--threads", type=int, default=1, metavar="N",
-        help="worker threads for bulk operations (default 1, reproducible)",
-    )
-    common.add_argument(
         "--format", choices=("json", "csv", "pretty"), default=None,
         help="output form; defaults to json for matrices (byte-stable) "
              "and csv for spectra",
@@ -512,9 +509,6 @@ def run(argv=None) -> int:
         return EX_USAGE
     except SystemExit as exc:  # argparse --help
         return EX_OK if exc.code in (0, None) else EX_USAGE
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EX_INVALID
     try:
         return args.func(args)
     except (
@@ -529,6 +523,9 @@ def run(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INVALID
+    except cgmod.VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_VERIFY
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ cumulative offsets z_k the S-matrix column indexing relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from .exactnum import ceil_ratio
@@ -23,10 +23,22 @@ from .su2 import Irrep, j3, jpm, ladder_coeff, weight
 class CouplingLayout:
     twoJ1: int
     twoJ2: int
+    # computed once per layout: z() runs once per CG entry
+    dims: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    offsets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.twoJ1 < 0 or self.twoJ2 < 0:
             raise ValueError("twoJ must be nonnegative")
+        # d_k = n1 + n2 + 1 - 2k, stepping down by 2
+        dims = tuple(
+            self.n1 + self.n2 + 1 - 2 * k for k in range(1, self.n0 + 1)
+        )
+        object.__setattr__(self, "dims", dims)
+        # z_k = k (d_k + k - 1) for k = 1..n0
+        object.__setattr__(self, "offsets", tuple(
+            k * (d + k - 1) for k, d in enumerate(dims, start=1)
+        ))
 
     @property
     def n1(self) -> int:
@@ -43,21 +55,6 @@ class CouplingLayout:
     @property
     def total(self) -> int:
         return self.n1 * self.n2
-
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        # d_k = n1 + n2 + 1 - 2k, stepping down by 2
-        return tuple(
-            self.n1 + self.n2 + 1 - 2 * k for k in range(1, self.n0 + 1)
-        )
-
-    @property
-    def offsets(self) -> Tuple[int, ...]:
-        # z_k = k (d_k + k - 1) for k = 1..n0
-        dims = self.dims
-        return tuple(
-            k * (dims[k - 1] + k - 1) for k in range(1, self.n0 + 1)
-        )
 
     def z(self, k: int) -> int:
         if k == 0:

@@ -270,15 +270,6 @@ def surd_parts(c: Rational | SqrtRational) -> tuple:
     return (1 if c > 0 else -1), c.numerator ** 2, c.denominator ** 2
 
 
-def sqrtq_mul(a: SqrtRational, b: SqrtRational) -> SqrtRational:
-    return a * b
-
-
-def sqrtq_add_like(a: SqrtRational, b: SqrtRational) -> SqrtRational:
-    """Sum of two square-root scalars with compatible radicands."""
-    return a + b
-
-
 def complex_float(re: float, im: float = 0.0) -> complex:
     """Validated complex scalar: both components must be finite."""
     if not (math.isfinite(re) and math.isfinite(im)):
@@ -344,10 +335,6 @@ def scalar_add(a: Scalar, b: Scalar) -> Scalar:
             b = SqrtRational.from_rational(b)
         return a + b
     return a + b
-
-
-def scalar_neg(a: Scalar) -> Scalar:
-    return -a
 
 
 def scalar_conj(a: Scalar) -> Scalar:

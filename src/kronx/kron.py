@@ -9,7 +9,6 @@ formulas are the point of the library, the term path is the fast kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -133,24 +132,6 @@ def _kron_closed(a: XSum, b: XSum) -> XSum:
     return XSum(order, terms)
 
 
-@dataclass(frozen=True)
-class KronSpec:
-    """An ordered list of tensor factors."""
-
-    factors: Tuple[XSum, ...]
-    orders: Tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise ValueError("at least one factor required")
-        object.__setattr__(
-            self, "factors", tuple(self.factors)
-        )
-        object.__setattr__(
-            self, "orders", tuple(f.order for f in self.factors)
-        )
-
-
 def _factor_indices(p: int, orders: Sequence[int]) -> Tuple[int, ...]:
     """Split a flat product index into per-factor indices, last factor first
     stripped: i_r = u + n_r - n_r*ceil(u/n_r)."""
@@ -171,8 +152,6 @@ def kron_many(factors, path: str = "fold") -> XSum:
     multi-factor coefficient formula (every factor index recovered from the
     flat index by iterated ceilings).
     """
-    if isinstance(factors, KronSpec):
-        factors = factors.factors
     factors = list(factors)
     if not factors:
         raise ValueError("at least one factor required")

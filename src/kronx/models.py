@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
+import numpy as np
+
 from .exactnum import DomainError, scalar_to_complex
-from .hubbard import ResourceError, XSum, identity, x_op, xsum_mul
+from .hubbard import ResourceError, XSum, from_dense, identity, x_op, xsum_mul
 from .kron import kron, kron_many
 from .su2 import pauli
 
@@ -124,46 +126,49 @@ def givens_unitary(
     return XSum(n, terms)
 
 
+def _rotate(
+    a: np.ndarray, k: int, m: int, u: np.ndarray | None = None
+) -> complex:
+    """a <- G+ a G in place, G = givens_unitary(n, k + 1, m + 1, |alpha|,
+    arg alpha): only rows and columns k < m (0-based) of the Hermitian work
+    array change, a[k, m] becomes exactly 0, and u, if given, becomes u G.
+    Returns alpha; 0j, changing nothing, if a[k, m] is 0.  |alpha| in
+    (0, pi/4] splits the pair as (eps_k + eps_m)/2 -+ sqrt(delta^2/4 +
+    |V|^2), each level keeping its side of the crossing."""
+    vkm = complex(a[k, m])
+    if vkm == 0:
+        return 0j
+    ek, em = a[k, k].real, a[m, m].real
+    delta = em - ek
+    sigma = -1.0 if delta < 0 else 1.0
+    absalpha = math.atan2(2 * abs(vkm), abs(delta)) / 2
+    ph = cmath.exp(1j * cmath.phase(sigma * vkm))
+    c = math.cos(absalpha)
+    sp = math.sin(absalpha) * ph
+    a[k], a[m] = c * a[k] - sp * a[m], sp.conjugate() * a[k] + c * a[m]
+    a[:, k], a[:, m] = a[k].conj(), a[m].conj()
+    half = (ek + em) / 2
+    shift = math.sqrt(delta * delta / 4 + abs(vkm) ** 2)
+    a[k, k], a[m, m] = half - sigma * shift, half + sigma * shift
+    a[k, m] = a[m, k] = 0
+    if u is not None:
+        u[:, k], u[:, m] = (c * u[:, k] - sp.conjugate() * u[:, m],
+                            sp * u[:, k] + c * u[:, m])
+    return absalpha * ph
+
+
 def rotate_step(
     h: NLevelHamiltonian, k: int, m: int
 ) -> Tuple[NLevelHamiltonian, complex]:
-    """Zero the (k, m) coupling by one Givens rotation H' = U+ H U.
-
-    Returns the rotated Hamiltonian and the complex angle alpha; the
-    branch keeps |alpha| in (0, pi/4], pi/4 at exact degeneracy, so the
-    diagonal pair splits as (eps_k + eps_m)/2 -+ sqrt(delta^2/4 + |V|^2)
-    with each level staying on its own side of the crossing.
-    """
+    """Zero the (k, m) coupling by one Givens rotation H' = U+ H U (the
+    kernel diagonalize runs); returns H' and the complex angle alpha."""
     if not (1 <= k < m <= h.order):
         raise IndexError(f"need 1 <= k < m <= n, got ({k},{m})")
-    vkm = h.coupling(k, m)
-    if vkm == 0:
+    if h.coupling(k, m) == 0:
         return h, 0j
-    delta = h.eps[m - 1] - h.eps[k - 1]
-    sigma = -1.0 if delta < 0 else 1.0
-    theta = math.atan2(2 * abs(vkm), abs(delta))
-    absalpha = theta / 2
-    mu = cmath.phase(sigma * vkm)
-    c = math.cos(absalpha)
-    s = math.sin(absalpha)
-    ph = cmath.exp(1j * mu)
-    half = (h.eps[k - 1] + h.eps[m - 1]) / 2
-    shift = math.sqrt(delta * delta / 4 + abs(vkm) ** 2)
-    eps = list(h.eps)
-    eps[k - 1] = half - sigma * shift
-    eps[m - 1] = half + sigma * shift
-    v: Dict[Tuple[int, int], complex] = {}
-    for p in range(1, h.order + 1):
-        if p in (k, m):
-            continue
-        hkp = h.coupling(k, p)
-        hmp = h.coupling(m, p)
-        v[(k, p)] = c * hkp - s * ph * hmp
-        v[(m, p)] = s * ph.conjugate() * hkp + c * hmp
-    for (p, q), val in h.v.items():
-        if p not in (k, m) and q not in (k, m):
-            v[(p, q)] = val
-    return NLevelHamiltonian(tuple(eps), v), absalpha * ph
+    a = h.to_xsum().to_numpy()
+    alpha = _rotate(a, k - 1, m - 1)
+    return NLevelHamiltonian.from_xsum(from_dense(a.tolist())), alpha
 
 
 def diagonalize(
@@ -180,29 +185,23 @@ def diagonalize(
     the residual, reproducing the plain n-1 rotation construction.
     """
     n = h.order
-    u = identity(n)
-    work = h
+    a = h.to_xsum().to_numpy()
+    u = np.eye(n, dtype=complex)
     sweeps = 0
-    while work.max_offdiag() > tol:
+    while (residual := float(np.abs(a - np.diag(a.diagonal())).max())) > tol:
         if sweeps >= max_sweeps:
-            raise ConvergenceError(work.max_offdiag(), sweeps)
-        for k in range(1, n):
-            for m in range(k + 1, n + 1):
-                work, alpha = rotate_step(work, k, m)
-                if alpha:
-                    u = xsum_mul(
-                        u,
-                        givens_unitary(
-                            n, k, m, abs(alpha), cmath.phase(alpha)
-                        ),
-                    )
+            raise ConvergenceError(residual, sweeps)
+        for k in range(n - 1):
+            for m in range(k + 1, n):
+                _rotate(a, k, m, u)
         sweeps += 1
         if single_sweep:
             break
-    order = sorted(range(n), key=lambda i: work.eps[i])
-    eigenvalues = tuple(work.eps[i] for i in order)
-    shuffle = XSum(n, {(order[i] + 1, i + 1): 1 for i in range(n)})
-    return eigenvalues, xsum_mul(u, shuffle)
+    if not sweeps:  # nothing rotated: U is an exact permutation
+        u = np.eye(n, dtype=int)
+    eps = a.diagonal().real.tolist()
+    order = sorted(range(n), key=eps.__getitem__)
+    return tuple(eps[i] for i in order), from_dense(u[:, order].tolist())
 
 
 def site_embed(op: XSum, j: int, n: int) -> XSum:

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kronx.cg
 from kronx.cg import (
     CGIndex,
     CGMatrix,
+    VerificationError,
     admissible_indices,
     build_S,
     cg_coefficient,
@@ -16,6 +18,7 @@ from kronx.cg import (
     s_rone,
     verify_intertwining,
 )
+from kronx.cli import EX_VERIFY, run
 from kronx.coupling import layout
 from kronx.exactnum import DomainError, SqrtRational
 from kronx.hubbard import XSum
@@ -189,6 +192,15 @@ def test_intertwining_detects_perturbation():
     bad = s.matrix + XSum(4, {(2, 2): 1e-3})
     rep = verify_intertwining(CGMatrix(s.layout, bad))
     assert rep.max_residual > 1e-6
+
+
+def test_closed_form_miss_raises_instead_of_falling_back(monkeypatch, capsys):
+    monkeypatch.setattr(kronx.cg, "s_general", lambda *args: Fraction(1, 3))
+    with pytest.raises(VerificationError, match="max residual") as exc:
+        build_S(2, 2)
+    assert not isinstance(exc.value, ValueError)
+    assert run(["cg", "--twoj1", "2", "--twoj2", "2"]) == EX_VERIFY
+    assert "max residual" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("two_j1", range(0, 5))

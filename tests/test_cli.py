@@ -72,9 +72,6 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capcli):
         assert capcli("diag", "/nonexistent/h.json")[0] == 2
 
-    def test_bad_threads_is_2(self, capcli):
-        assert capcli("su2", "--twoj", "1", "--threads", "0")[0] == 2
-
     def test_nonpositive_tol_is_2(self, capcli, tmp_path):
         path = write_matrix(tmp_path, "h.json", XSum(2, {(1, 1): 1}))
         assert capcli("diag", path, "--tol", "-1")[0] == 2

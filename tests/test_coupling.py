@@ -34,6 +34,12 @@ def test_layout_examples():
     assert lay0.n0 == 1
 
 
+def test_layout_dims_and_offsets_are_computed_once():
+    lay = layout(6, 4)
+    assert lay.dims is lay.dims and lay.offsets is lay.offsets
+    assert lay == layout(6, 4) and hash(lay) == hash(layout(6, 4))
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         CouplingLayout(-1, 2)

@@ -23,8 +23,6 @@ from kronx.exactnum import (
     pochhammer,
     scalar_add,
     scalar_mul,
-    sqrtq_add_like,
-    sqrtq_mul,
 )
 
 
@@ -198,19 +196,19 @@ def test_hyp3f2_binomial_sum_identity():
 
 def test_sqrt_times_sqrt_keeps_radicand_as_square():
     two = SqrtRational.sqrt(2)
-    prod = sqrtq_mul(two, two)
+    prod = two * two
     assert prod.sign == 1
     assert prod.radicand == 4
     assert prod == 2
 
 
 def test_inverse_radicands_cancel():
-    assert sqrtq_mul(SqrtRational.sqrt(Fraction(1, 3)), SqrtRational.sqrt(3)) == 1
+    assert SqrtRational.sqrt(Fraction(1, 3)) * SqrtRational.sqrt(3) == 1
 
 
 def test_unlike_radicands_refuse_to_add():
     with pytest.raises(ClosureError):
-        sqrtq_add_like(SqrtRational.sqrt(2), SqrtRational.sqrt(3))
+        SqrtRational.sqrt(2) + SqrtRational.sqrt(3)
 
 
 def test_like_radicands_add_and_cancel():
@@ -270,7 +268,7 @@ def test_from_rational_float_roundtrip(q):
 )
 def test_square_has_perfect_square_radicand(q):
     a = SqrtRational.sqrt(q)
-    sq = sqrtq_mul(a, a)
+    sq = a * a
     assert sq.as_rational() == q
     assert sq.to_float() == pytest.approx(float(q), rel=1e-15, abs=1e-300)
 

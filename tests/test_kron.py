@@ -34,7 +34,6 @@ from kronx.hubbard import (
     xsum_mul,
 )
 from kronx.kron import (
-    KronSpec,
     basis_kron_index,
     eigen_pair_check,
     hadamard,
@@ -112,7 +111,7 @@ def test_kron_many_matches_iterated_oracle():
         assert kron_many(mats, path="closed") == want
     single = random_rational_xsum(rng, 3)
     assert kron_many([single]) == single
-    assert kron_many(KronSpec((single, single))) == kron(single, single)
+    assert kron_many((single, single)) == kron(single, single)
 
 
 def test_associativity():

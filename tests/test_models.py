@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import kronx.models
 from kronx.exactnum import DomainError
 from kronx.hubbard import ResourceError, XSum, bracket, identity, x_op, xsum_mul
 from kronx.kron import kron
@@ -233,6 +234,42 @@ class TestDiagonalize:
         assert work.max_offdiag() > 1e-12  # one pass did not finish
         un = u.to_numpy()
         assert np.allclose(un.conj().T @ un, np.eye(6), atol=1e-10)
+        # U is the product of the pass's Givens factors, column-permuted
+        work, g = h, np.eye(6)
+        for k in range(1, 6):
+            for m in range(k + 1, 7):
+                work, alpha = rotate_step(work, k, m)
+                if alpha:
+                    g = g @ givens_unitary(
+                        6, k, m, abs(alpha), cmath.phase(alpha)
+                    ).to_numpy()
+        order = sorted(range(6), key=lambda i: work.eps[i])
+        assert np.max(np.abs(g[:, order] - un)) < 1e-12
+
+    def test_nothing_is_built_per_rotation(self, monkeypatch):
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(XSum, "__init__", counted("init", XSum.__init__))
+        monkeypatch.setattr(XSum, "_trusted", classmethod(
+            counted("trusted", XSum._trusted.__func__)))
+        for name in ("xsum_mul", "givens_unitary"):
+            monkeypatch.setattr(kronx.models, name, counted(
+                name, getattr(kronx.models, name)))
+        rng = np.random.default_rng(9)
+        counts = []
+        for n in (4, 16):
+            h = random_hermitian(n, rng)
+            calls.clear()
+            ev, _ = diagonalize(h)
+            assert np.allclose(ev, np.linalg.eigvalsh(h.to_xsum().to_numpy()))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
 
 
 class TestSiteEmbed:
