@@ -1,14 +1,15 @@
 """The Clebsch-Gordan transformation in closed form.
 
 S maps the product basis to the direct-sum basis: J S = S Jtilde for all
-three coupled generators.  Entries are built by pure index arithmetic,
-one square root per entry, through three nested closed forms: the first
-block (binomial ratios), the first column of each block (alternating
-signs), and the general entry (a terminating hypergeometric-type sum F
-against a factored radical Theta).  Every matrix is verified against
-the intertwining law before it is returned; a miss raises
-VerificationError.  An independent ladder construction (extremal states
-plus repeated lowering) is kept as the cross-check the tests use.
+three coupled generators.  Entries are built by pure index arithmetic
+through three nested closed forms: the first block (binomial ratios),
+the first column of each block (alternating signs), and the general
+entry (a terminating alternating sum F against a factored radical
+Theta).  Each entry is computed in Python integers and becomes one
+Fraction, its radicand.  Every matrix is verified against the
+intertwining law, by sparse products, before it is returned; a miss
+raises VerificationError.  An independent ladder construction (extremal
+states plus repeated lowering) is kept as the cross-check the tests use.
 
 Sign conventions: each block's top entry at alpha = 0 is positive, the
 global phase is 1 (Condon-Shortley compatible).
@@ -26,15 +27,8 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from .coupling import CouplingLayout, block_gen, layout, product_gen
-from .exactnum import (
-    DomainError,
-    SqrtRational,
-    binomial,
-    ceil_ratio,
-    pochhammer,
-)
-from .hubbard import XSum
-from .su2 import weight
+from .exactnum import DomainError, SqrtRational, scalar_to_complex
+from .hubbard import XSum, check_order
 
 TWO_J_CAP = 64
 
@@ -43,14 +37,6 @@ _ZERO = SqrtRational(0, Fraction(0))
 
 class VerificationError(RuntimeError):
     """A built matrix failed its own verification; names the residual."""
-
-
-def _falling_ext(x: int, n: int) -> Fraction:
-    """Falling factorial extended to negative length:
-    (x)_falling(-n) = 1 / (x+1)_rising(n)."""
-    if n >= 0:
-        return Fraction(pochhammer(x, n, "falling"))
-    return 1 / Fraction(pochhammer(x + 1, -n, "rising"))
 
 
 @dataclass(frozen=True)
@@ -76,13 +62,34 @@ class CGIndex:
         return lay.z(self.k - 1) + self.r
 
 
+def _admissible(lay: CouplingLayout) -> Iterator[Tuple[int, int, int, int]]:
+    """(alpha, beta, k, r) of every cell S may fill: block k, row r, and
+    each alpha with 1 <= beta = k + r - 1 - alpha <= n2."""
+    two_j1, n2 = lay.twoJ1, lay.n2
+    for k, d in enumerate(lay.dims, start=1):
+        for r in range(1, d + 1):
+            top = k + r - 1
+            for alpha in range(max(0, top - n2), min(two_j1, top - 1) + 1):
+                yield alpha, top - alpha, k, r
+
+
 def admissible_indices(lay: CouplingLayout) -> Iterator[CGIndex]:
-    for k in range(1, lay.n0 + 1):
-        for r in range(1, lay.dims[k - 1] + 1):
-            for alpha in range(0, lay.twoJ1 + 1):
-                beta = k + r - 1 - alpha
-                if 1 <= beta <= lay.n2:
-                    yield CGIndex(alpha, beta, k, r)
+    for alpha, beta, k, r in _admissible(lay):
+        yield CGIndex(alpha, beta, k, r)
+
+
+def _falling(x: int, n: int) -> int:
+    """The falling factorial x(x-1)...(x-n+1) of an int x of either sign;
+    for x < 0 it is (-1)^n (-x)(-x+1)...(-x+n-1).  s_general's guard
+    admits k beyond the last block, where 2j - 2k + 2 is negative."""
+    if x >= 0:
+        return math.perm(x, n)
+    return (-1) ** n * math.perm(n - 1 - x, n)
+
+
+# The entries below are integer arithmetic: every rising factorial
+# (x)_n with x >= 1 is perm(x + n - 1, n), every falling one with x >= 0
+# is perm(x, n), and each entry builds a single Fraction, its radicand.
 
 
 def s_first_block(
@@ -91,9 +98,9 @@ def s_first_block(
     """S^{1,r} with r = alpha + beta: a positive binomial ratio."""
     if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
         return _ZERO
-    num = binomial(two_j1, alpha) * binomial(two_j2, beta - 1)
-    den = binomial(two_j1 + two_j2, alpha + beta - 1)
-    return SqrtRational.sqrt(Fraction(num, den))
+    num = math.comb(two_j1, alpha) * math.comb(two_j2, beta - 1)
+    den = math.comb(two_j1 + two_j2, alpha + beta - 1)
+    return SqrtRational._trusted(1, Fraction(num, den))
 
 
 def s_rone(
@@ -105,14 +112,17 @@ def s_rone(
     if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
         return _ZERO
     two_j = two_j1 + two_j2
-    num = (
-        Fraction(pochhammer(beta, alpha, "rising"), math.factorial(alpha))
-        * pochhammer(two_j2 - beta + 1, alpha, "falling")
-        * pochhammer(two_j1 - alpha, k - 1 - alpha, "falling")
+    # (beta)_alpha rising / alpha! * (2j2-beta+1)_alpha falling
+    #   * (2j1-alpha)_{k-1-alpha} falling / (2j-k+2)_{k-1} falling
+    radicand = Fraction(
+        math.comb(alpha + beta - 1, alpha)
+        * math.perm(two_j2 - beta + 1, alpha)
+        * math.perm(two_j1 - alpha, k - 1 - alpha),
+        math.perm(two_j - k + 2, k - 1),
     )
-    den = pochhammer(two_j - k + 2, k - 1, "falling")
-    mag = SqrtRational.sqrt(num / den)
-    return -mag if alpha % 2 else mag
+    if not radicand:
+        return _ZERO
+    return SqrtRational._trusted(-1 if alpha % 2 else 1, radicand)
 
 
 def s_general(
@@ -120,8 +130,9 @@ def s_general(
 ) -> SqrtRational:
     """S^{k,r} for any admissible index, via the F * Theta split.
 
-    F is the terminating alternating sum; Theta carries the radical.
-    Reduces to s_first_block at k = 1 and to s_rone at r = 1.
+    F is the terminating alternating sum, an integer; Theta^2 is one
+    integer ratio and carries the radical.  Reduces to s_first_block at
+    k = 1 and to s_rone at r = 1.
     """
     if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
         return _ZERO
@@ -129,35 +140,45 @@ def s_general(
         return _ZERO
     two_j = two_j1 + two_j2
     rr = r - 1  # the sum order; row r is built from r-1 lowering steps
-    f = Fraction(0)
-    for s in range(0, rr + 1):
-        term = (
-            Fraction(binomial(rr, s))
-            * pochhammer(alpha, s, "falling")
-            * pochhammer(beta - 1, rr - s, "falling")
-            * pochhammer(two_j1 - alpha + 1, s, "rising")
-            * pochhammer(two_j2 - beta + 2, rr - s, "rising")
-        )
-        f += -term if s % 2 else term
-    theta_sq = (
-        _falling_ext(two_j2 - beta + 1, alpha - rr)
-        * math.factorial(k - 1)
-        * pochhammer(two_j1, k - 1, "falling")
-        / (
-            Fraction(math.factorial(alpha))
-            * math.factorial(beta - 1)
-            * pochhammer(two_j1, alpha, "falling")
-            * math.factorial(rr)
-            * pochhammer(two_j - 2 * k + 2, rr, "falling")
-            * pochhammer(two_j - k + 2, k - 1, "falling")
-        )
+    # Theta^2 = (2j2-beta+1)_{alpha-rr} (k-1)! (2j1)_{k-1}
+    #   / (alpha! (beta-1)! (2j1)_alpha rr! (2j-2k+2)_rr (2j-k+2)_{k-1}),
+    # all falling; a negative length moves to the denominator as
+    # (x)_{-n} = 1 / (x+1)_n rising.
+    num = math.factorial(k - 1) * math.perm(two_j1, k - 1)
+    den = (
+        math.factorial(alpha)
+        * math.factorial(beta - 1)
+        * math.perm(two_j1, alpha)
+        * math.factorial(rr)
+        * _falling(two_j - 2 * k + 2, rr)
+        * math.perm(two_j - k + 2, k - 1)
     )
-    if theta_sq < 0:
+    if alpha >= rr:
+        num *= math.perm(two_j2 - beta + 1, alpha - rr)
+    else:
+        den *= math.perm(two_j2 - beta + 1 + rr - alpha, rr - alpha)
+    if num and den < 0:
         raise DomainError(
             f"negative radicand at k={k}, r={r}, alpha={alpha}, beta={beta}"
         )
-    value = SqrtRational.sqrt(theta_sq) * f
-    return -value if alpha % 2 else value
+    # F = sum_s (-1)^s C(rr,s) (alpha)_s (beta-1)_{rr-s} falling
+    #                   * (2j1-alpha+1)_s (2j2-beta+2)_{rr-s} rising;
+    # terms with s > alpha or rr - s > beta - 1 vanish.
+    f = 0
+    for s in range(max(0, rr - beta + 1), min(rr, alpha) + 1):
+        term = (
+            math.comb(rr, s)
+            * math.perm(alpha, s)
+            * math.perm(beta - 1, rr - s)
+            * math.perm(two_j1 - alpha + s, s)
+            * math.perm(two_j2 - beta + 1 + rr - s, rr - s)
+        )
+        f += -term if s % 2 else term
+    radicand = Fraction(num * f * f, den)
+    if not radicand:
+        return _ZERO
+    sign = 1 if f > 0 else -1
+    return SqrtRational._trusted(-sign if alpha % 2 else sign, radicand)
 
 
 @dataclass(frozen=True)
@@ -208,16 +229,19 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     """
     _check_cap(two_j1, two_j2)
     lay = layout(two_j1, two_j2)
+    check_order(lay.total)  # before any entry is computed
+    n2 = lay.n2
+    z = [lay.z(k) for k in range(lay.n0)]  # z[k - 1] = z_{k-1}
     terms = {}
-    for idx in admissible_indices(lay):
-        if idx.k == 1:
-            c = s_first_block(two_j1, two_j2, idx.alpha, idx.beta)
-        elif idx.r == 1:
-            c = s_rone(two_j1, two_j2, idx.k, idx.alpha, idx.beta)
+    for alpha, beta, k, r in _admissible(lay):
+        if k == 1:
+            c = s_first_block(two_j1, two_j2, alpha, beta)
+        elif r == 1:
+            c = s_rone(two_j1, two_j2, k, alpha, beta)
         else:
-            c = s_general(two_j1, two_j2, idx.k, idx.r, idx.alpha, idx.beta)
+            c = s_general(two_j1, two_j2, k, r, alpha, beta)
         if c:
-            terms[(idx.p(lay), idx.q(lay))] = c
+            terms[(alpha * n2 + beta, z[k - 1] + r)] = c
     cand = CGMatrix(lay, XSum(lay.total, terms))
     report = verify_intertwining(cand)
     if report.max_residual > 1e-8 or not report.diagonal_exact:
@@ -229,24 +253,50 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     return cand
 
 
+def _rows(x: XSum) -> dict:
+    """Row index -> [(column, complex coefficient)], each term converted once."""
+    rows: dict = {}
+    for (i, j), c in x.term_map().items():
+        rows.setdefault(i, []).append((j, scalar_to_complex(c)))
+    return rows
+
+
 def verify_intertwining(s: CGMatrix) -> IntertwiningReport:
-    """Residuals of J_a S - S Jtilde_a and the exact weight matching."""
+    """Residuals of J_a S - S Jtilde_a and the exact weight matching.
+
+    The products run over sparse rows: each generator has about 2n terms,
+    so no dense n x n matrix is formed.
+    """
     lay = s.layout
-    sm = s.matrix.to_numpy()
+    s_rows = _rows(s.matrix)
     residuals = {}
     for which in ("3", "plus", "minus"):
-        a = product_gen(lay.twoJ1, lay.twoJ2, which).to_numpy()
-        b = block_gen(lay.twoJ1, lay.twoJ2, which).flatten().to_numpy()
-        residuals[which] = float(np.abs(a @ sm - sm @ b).max())
-    diag_ok = True
-    for ((p, q), _c) in s.matrix.items():
-        pp = ceil_ratio(p, lay.n2)
-        wp = weight(lay.twoJ1, pp) + weight(lay.twoJ2, p + lay.n2 - lay.n2 * pp)
-        k = bisect_left(lay.offsets, q) + 1  # first block with q <= z_k
+        a_rows = _rows(product_gen(lay.twoJ1, lay.twoJ2, which))
+        b_rows = _rows(block_gen(lay.twoJ1, lay.twoJ2, which).flatten())
+        acc: dict = {}
+        for i, a_row in a_rows.items():  # J_a S
+            for p, ca in a_row:
+                for q, cs in s_rows.get(p, ()):
+                    acc[i, q] = acc.get((i, q), 0j) + ca * cs
+        for p, s_row in s_rows.items():  # - S Jtilde_a
+            for q, cs in s_row:
+                for j, cb in b_rows.get(q, ()):
+                    acc[p, j] = acc.get((p, j), 0j) - cs * cb
+        residuals[which] = max(map(abs, acc.values()), default=0.0)
+    two_j12, n2, offsets = lay.twoJ1 + lay.twoJ2, lay.n2, lay.offsets
+
+    def same_weight(p: int, q: int) -> bool:
+        # doubled weights: 2(m1 + m2) = 2j1 - 2 alpha + 2j2 - 2(beta - 1)
+        # of row p against 2M = 2J_k + 2 - 2r of column q
+        k = bisect_left(offsets, q) + 1  # first block with q <= z_k
         r = q - lay.z(k - 1)
-        if wp != weight(lay.block_two_j(k), r):
-            diag_ok = False
-            break
+        return two_j12 - 2 * sum(divmod(p - 1, n2)) == (
+            lay.block_two_j(k) + 2 - 2 * r
+        )
+
+    diag_ok = all(
+        same_weight(p, q) for p, s_row in s_rows.items() for q, _c in s_row
+    )
     return IntertwiningReport(
         residuals["3"], residuals["plus"], residuals["minus"], diag_ok
     )
@@ -336,18 +386,22 @@ def cg_coefficient(
 
 def cg_table(two_j1: int, two_j2: int):
     """All coefficients grouped by (2J, 2M), highest J first, as rows
-    (two_j, two_m, two_m1, two_m2, coefficient)."""
+    (two_j, two_m, two_m1, two_m2, coefficient).  Every entry is read
+    from one cached S by the index arithmetic of cg_coefficient."""
     _check_cap(two_j1, two_j2)
+    s = _cached_S(two_j1, two_j2)
+    lay = s.layout
     rows = []
-    for two_j in range(two_j1 + two_j2, abs(two_j1 - two_j2) - 2, -2):
-        for two_m in range(two_j, -two_j - 2, -2):
-            for two_m1 in range(two_j1, -two_j1 - 2, -2):
+    two_js = range(two_j1 + two_j2, abs(two_j1 - two_j2) - 2, -2)
+    for k, two_j in enumerate(two_js, start=1):
+        z = lay.z(k - 1)
+        for r, two_m in enumerate(range(two_j, -two_j - 2, -2), start=1):
+            for alpha, two_m1 in enumerate(range(two_j1, -two_j1 - 2, -2)):
                 two_m2 = two_m - two_m1
                 if abs(two_m2) > two_j2:
                     continue
-                c = cg_coefficient(
-                    two_j1, two_m1, two_j2, two_m2, two_j, two_m
-                )
+                beta = (two_j2 - two_m2) // 2 + 1
+                c = s.entry(alpha * lay.n2 + beta, z + r)
                 if c:
                     rows.append((two_j, two_m, two_m1, two_m2, c))
     return rows

@@ -71,3 +71,18 @@ def random_complex_xsum(rng: random.Random, n: int, density: float = 0.5) -> XSu
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (m + m.conj().T) / 2
+
+
+def dense_intertwining_residuals(s) -> dict:
+    """max |J_a S - S Jtilde_a| for a = 3, plus, minus, from dense numpy
+    products of the generators and S."""
+    from kronx.coupling import block_gen, product_gen
+
+    lay = s.layout
+    sm = s.matrix.to_numpy()
+    out = {}
+    for which in ("3", "plus", "minus"):
+        a = product_gen(lay.twoJ1, lay.twoJ2, which).to_numpy()
+        b = block_gen(lay.twoJ1, lay.twoJ2, which).flatten().to_numpy()
+        out[which] = float(np.abs(a @ sm - sm @ b).max())
+    return out

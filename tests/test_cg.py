@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from _oracles import dense_intertwining_residuals
 
 import kronx.cg
 from kronx.cg import (
@@ -21,7 +23,7 @@ from kronx.cg import (
 from kronx.cli import EX_VERIFY, run
 from kronx.coupling import layout
 from kronx.exactnum import DomainError, SqrtRational
-from kronx.hubbard import XSum
+from kronx.hubbard import ResourceError, XSum
 
 
 def H(x):
@@ -159,6 +161,17 @@ def test_build_S_printed_one_half():
     assert s.matrix == want
 
 
+def test_build_S_over_order_cap_fails_before_any_entry(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("entry computed")
+
+    monkeypatch.setenv("KRONX_MAX_DIM", "24")
+    for name in ("s_first_block", "s_rone", "s_general"):
+        monkeypatch.setattr(kronx.cg, name, refuse)
+    with pytest.raises(ResourceError):
+        build_S(4, 4)  # order 25
+
+
 def test_build_S_trivial_factor_is_identity():
     from kronx.hubbard import identity
 
@@ -192,6 +205,38 @@ def test_intertwining_detects_perturbation():
     bad = s.matrix + XSum(4, {(2, 2): 1e-3})
     rep = verify_intertwining(CGMatrix(s.layout, bad))
     assert rep.max_residual > 1e-6
+
+
+def test_intertwining_detects_perturbation_outside_support():
+    s = build_S(1, 1)
+    assert not s.entry(1, 2)  # (1, 2) lies outside S's support
+    bad = s.matrix + XSum(4, {(1, 2): 1e-3})
+    rep = verify_intertwining(CGMatrix(s.layout, bad))
+    assert rep.max_residual > 1e-6
+    assert not rep.diagonal_exact
+
+
+@pytest.mark.parametrize("two_j1", range(0, 7))
+@pytest.mark.parametrize("two_j2", range(0, 7))
+def test_sparse_residuals_match_dense_products(two_j1, two_j2):
+    s = build_S(two_j1, two_j2)
+    # a float perturbation makes every residual nonzero
+    s_bad = CGMatrix(s.layout, s.matrix + XSum(s.layout.total, {(1, 1): 1e-3}))
+    for m in (s, s_bad):
+        rep = verify_intertwining(m)
+        dense = dense_intertwining_residuals(m)
+        assert abs(rep.residual_3 - dense["3"]) < 1e-12
+        assert abs(rep.residual_plus - dense["plus"]) < 1e-12
+        assert abs(rep.residual_minus - dense["minus"]) < 1e-12
+
+
+def test_intertwining_builds_no_dense_matrix(monkeypatch):
+    def refuse(self, dtype=complex):
+        raise AssertionError("dense matrix formed")
+
+    monkeypatch.setattr(XSum, "to_numpy", refuse)
+    rep = verify_intertwining(build_S(4, 4))
+    assert rep.passed(1e-10)
 
 
 def test_closed_form_miss_raises_instead_of_falling_back(monkeypatch, capsys):
@@ -278,6 +323,58 @@ def test_cg_against_symbolic_reference():
                         ).doit()
                         got = ours.to_float() if ours else 0.0
                         assert abs(got - float(ref)) < 1e-12
+
+
+def test_cg_exact_against_symbolic_reference_at_bench_sizes():
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.quantum.cg import CG
+
+    half = sympy.Rational(1, 2)
+    rng = random.Random(20131)
+    for two_j1 in (10, 12, 14):
+        for two_j2 in (10, 12, 14):
+            for _ in range(40):
+                two_m1 = rng.randrange(-two_j1, two_j1 + 1, 2)
+                two_m2 = rng.randrange(-two_j2, two_j2 + 1, 2)
+                two_m = two_m1 + two_m2
+                lo = max(abs(two_j1 - two_j2), abs(two_m))
+                lo += (two_j1 + two_j2 - lo) % 2
+                two_j = rng.randrange(lo, two_j1 + two_j2 + 1, 2)
+                ours = cg_coefficient(
+                    two_j1, two_m1, two_j2, two_m2, two_j, two_m
+                )
+                ref = CG(
+                    two_j1 * half,
+                    two_m1 * half,
+                    two_j2 * half,
+                    two_m2 * half,
+                    two_j * half,
+                    two_m * half,
+                ).doit()
+                if ref == 0:
+                    assert not ours
+                    continue
+                assert ours.sign == (1 if ref > 0 else -1)
+                rad = ours.radicand
+                assert sympy.Rational(rad.numerator, rad.denominator) == ref**2
+
+
+@pytest.mark.parametrize("two_j1", range(0, 9))
+@pytest.mark.parametrize("two_j2", range(0, 9))
+def test_cg_table_matches_per_entry_coefficients(two_j1, two_j2):
+    want = []
+    for two_j in range(two_j1 + two_j2, abs(two_j1 - two_j2) - 2, -2):
+        for two_m in range(two_j, -two_j - 2, -2):
+            for two_m1 in range(two_j1, -two_j1 - 2, -2):
+                two_m2 = two_m - two_m1
+                if abs(two_m2) > two_j2:
+                    continue
+                c = cg_coefficient(
+                    two_j1, two_m1, two_j2, two_m2, two_j, two_m
+                )
+                if c:
+                    want.append((two_j, two_m, two_m1, two_m2, c))
+    assert cg_table(two_j1, two_j2) == want
 
 
 def test_cg_table_half_half():
