@@ -6,7 +6,6 @@ are computed by closed-form index arithmetic on those terms.
 """
 
 from .cg import (
-    CGIndex,
     CGMatrix,
     VerificationError,
     build_S,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockOp",
-    "CGIndex",
     "CGMatrix",
     "ClosureError",
     "ConvergenceError",

@@ -1,0 +1,6 @@
+"""``python -m kronx``: the kronx command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -30,36 +30,11 @@ from .coupling import CouplingLayout, block_gen, layout, product_gen
 from .exactnum import DomainError, SqrtRational, scalar_to_complex
 from .hubbard import XSum, check_order
 
-TWO_J_CAP = 64
-
 _ZERO = SqrtRational(0, Fraction(0))
 
 
 class VerificationError(RuntimeError):
     """A built matrix failed its own verification; names the residual."""
-
-
-@dataclass(frozen=True)
-class CGIndex:
-    """One admissible entry address: block k, in-block row r, and the
-    product-side exponents (alpha, beta)."""
-
-    alpha: int
-    beta: int
-    k: int
-    r: int
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 1 or self.k < 1 or self.r < 1:
-            raise ValueError("CGIndex components out of range")
-        if self.k + self.r != self.alpha + self.beta + 1:
-            raise ValueError("selection rule k + r = alpha + beta + 1 violated")
-
-    def p(self, lay: CouplingLayout) -> int:
-        return self.alpha * lay.n2 + self.beta
-
-    def q(self, lay: CouplingLayout) -> int:
-        return lay.z(self.k - 1) + self.r
 
 
 def _admissible(lay: CouplingLayout) -> Iterator[Tuple[int, int, int, int]]:
@@ -71,11 +46,6 @@ def _admissible(lay: CouplingLayout) -> Iterator[Tuple[int, int, int, int]]:
             top = k + r - 1
             for alpha in range(max(0, top - n2), min(two_j1, top - 1) + 1):
                 yield alpha, top - alpha, k, r
-
-
-def admissible_indices(lay: CouplingLayout) -> Iterator[CGIndex]:
-    for alpha, beta, k, r in _admissible(lay):
-        yield CGIndex(alpha, beta, k, r)
 
 
 def _falling(x: int, n: int) -> int:
@@ -214,11 +184,11 @@ class IntertwiningReport:
         return self.max_residual < tol and self.diagonal_exact
 
 
-def _check_cap(two_j1: int, two_j2: int):
+def _check_twoj(two_j1: int, two_j2: int):
+    # No cap on 2j itself: S is limited by the order cap (check_order),
+    # and a single entry costs integer arithmetic only.
     if two_j1 < 0 or two_j2 < 0:
         raise ValueError("twoJ must be nonnegative")
-    if two_j1 > TWO_J_CAP or two_j2 > TWO_J_CAP:
-        raise DomainError(f"twoJ above the cap {TWO_J_CAP}")
 
 
 def build_S(two_j1: int, two_j2: int) -> CGMatrix:
@@ -227,7 +197,7 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     The result is checked against the intertwining law; a residual above
     1e-8 or a weight mismatch raises VerificationError.
     """
-    _check_cap(two_j1, two_j2)
+    _check_twoj(two_j1, two_j2)
     lay = layout(two_j1, two_j2)
     check_order(lay.total)  # before any entry is computed
     n2 = lay.n2
@@ -307,9 +277,10 @@ def ladder_oracle_S(two_j1: int, two_j2: int) -> CGMatrix:
     vector orthogonal to every previously built column of that weight;
     the rest of the block is repeated normalized lowering.  Sign fixed
     by a positive alpha = 0 component of each top state."""
-    _check_cap(two_j1, two_j2)
+    _check_twoj(two_j1, two_j2)
     lay = layout(two_j1, two_j2)
     n = lay.total
+    check_order(n)  # before the dense n x n array
     jm = product_gen(two_j1, two_j2, "minus").to_numpy().real
     cols = np.zeros((n, n))
     for k in range(1, lay.n0 + 1):
@@ -362,7 +333,7 @@ def cg_coefficient(
     two_m: int,
 ):
     """<j1 m1; j2 m2 | J M> with all six arguments doubled."""
-    _check_cap(two_j1, two_j2)
+    _check_twoj(two_j1, two_j2)
     for tj, tm in ((two_j1, two_m1), (two_j2, two_m2), (two_j, two_m)):
         if (tj - tm) % 2:
             raise DomainError("m must differ from j by an integer")
@@ -388,7 +359,7 @@ def cg_table(two_j1: int, two_j2: int):
     """All coefficients grouped by (2J, 2M), highest J first, as rows
     (two_j, two_m, two_m1, two_m2, coefficient).  Every entry is read
     from one cached S by the index arithmetic of cg_coefficient."""
-    _check_cap(two_j1, two_j2)
+    _check_twoj(two_j1, two_j2)
     s = _cached_S(two_j1, two_j2)
     lay = s.layout
     rows = []

@@ -170,19 +170,3 @@ def _unit_conj(c) -> complex:
         raise DomainError("zero entry in a Hadamard matrix")
     return (z / abs(z)).conjugate()
 
-
-def verify_equivalence(
-    h1: XSum,
-    h2: XSum,
-    d1: XSum,
-    p1: Permutation,
-    p2: Permutation,
-    d2: XSum,
-    tol: float = 1e-10,
-) -> bool:
-    """Check H1 = D1 P1 H2 P2 D2 for caller-supplied witnesses; no search."""
-    rhs = xsum_mul(
-        xsum_mul(xsum_mul(d1, perm_matrix(p1)), h2),
-        xsum_mul(perm_matrix(p2), d2),
-    )
-    return allclose(h1, rhs, tol=tol)

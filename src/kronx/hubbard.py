@@ -10,8 +10,6 @@ subscripts without ever materializing dense arrays.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -61,29 +59,11 @@ def _as_scalar(c: object) -> Scalar:
     return c  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class HubbardTerm:
-    """Single elementary operator X_order^(row, col), 1-based."""
-
-    order: int
-    row: int
-    col: int
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be a positive integer")
-        if not (1 <= self.row <= self.order and 1 <= self.col <= self.order):
-            raise IndexError(
-                f"term ({self.row}, {self.col}) outside [1, {self.order}]^2"
-            )
-
-
 class XSum:
     """A square matrix as a weighted sum of Hubbard operators.
 
-    Immutable once built.  Exact zero coefficients are pruned eagerly;
-    float/complex coefficients below tolerance are only dropped by the
-    explicit cleanup() pass, never implicitly.
+    Immutable once built.  Zero coefficients are pruned eagerly; tiny
+    nonzero float/complex coefficients are kept, never dropped implicitly.
     """
 
     __slots__ = ("order", "_terms")
@@ -218,15 +198,6 @@ class XSum:
             out[i - 1, j - 1] = scalar_to_complex(c) if dtype is complex else c
         return out
 
-    def cleanup(self, tol: float = 1e-14) -> "XSum":
-        """Drop float/complex terms with |c| < tol; exact terms are kept."""
-        kept = {}
-        for key, c in self._terms.items():
-            if not scalar_is_exact(c) and abs(scalar_to_complex(c)) < tol:
-                continue
-            kept[key] = c
-        return XSum(self.order, kept)
-
     def __str__(self) -> str:
         if not self._terms:
             return f"0 (order {self.order})"
@@ -239,7 +210,6 @@ class XSum:
 
 def x_op(n: int, i: int, j: int) -> XSum:
     """The elementary operator X_n^(i,j) as a one-term sum."""
-    HubbardTerm(n, i, j)  # range check
     return XSum(n, {(i, j): 1})
 
 
@@ -372,30 +342,3 @@ def allclose(a: XSum, b: XSum, tol: float = 1e-10) -> bool:
         for (i, j) in keys
     )
 
-
-def det_dense(m) -> Fraction:
-    """Exact determinant of a rational matrix, fraction-free elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    for row in a:
-        if len(row) != n:
-            raise DimensionError("determinant input must be square")
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -21,17 +21,7 @@ from .exactnum import (
     scalar_to_complex,
     surd_parts,
 )
-from .hubbard import HubbardTerm, XSum, check_order, identity
-
-
-def kron_term(a: HubbardTerm, b: HubbardTerm) -> HubbardTerm:
-    """Tensor product of two elementary operators, closed form."""
-    n = b.order
-    return HubbardTerm(
-        a.order * n,
-        n * (a.row - 1) + b.row,
-        n * (a.col - 1) + b.col,
-    )
+from .hubbard import XSum, check_order
 
 
 def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
@@ -184,25 +174,15 @@ def kron_many(factors, path: str = "fold") -> XSum:
     return XSum(total, terms)
 
 
-def kron_power(a: XSum, t: int, path: str = "fold") -> XSum:
-    """t-fold tensor power of a single factor."""
+def kron_power(a: XSum, t: int) -> XSum:
+    """t-fold tensor power of a single factor, by repeated kron;
+    kron_many([a] * t, path="closed") is the closed-form cross-check."""
     if t < 1:
         raise ValueError("power must be >= 1")
-    if path == "fold":
-        out = a
-        for _ in range(t - 1):
-            out = kron(out, a)
-        return out
-    if path != "closed":
-        raise ValueError(f"unknown kron_power path {path!r}")
-    return kron_many([a] * t, path="closed")
-
-
-def basis_kron_index(i1: int, n1: int, i2: int, n2: int) -> int:
-    """Flat index of e_i1 (x) e_i2 in the product basis."""
-    if not (1 <= i1 <= n1 and 1 <= i2 <= n2):
-        raise IndexError(f"basis index ({i1}, {i2}) outside ranges")
-    return (i1 - 1) * n2 + i2
+    out = a
+    for _ in range(t - 1):
+        out = kron(out, a)
+    return out
 
 
 def kron_vec(x: Sequence[Scalar], y: Sequence[Scalar]) -> Tuple[Scalar, ...]:
@@ -240,43 +220,3 @@ def hadamard_power(t: int, form: str = "ceiling") -> XSum:
             terms[(p, q)] = SqrtRational(sign, scale)
     return XSum(order, terms)
 
-
-def eigen_pair_check(
-    a: XSum,
-    b: XSum,
-    pairs: Sequence[Tuple[Tuple[Scalar, Sequence[Scalar]], Tuple[Scalar, Sequence[Scalar]]]],
-    tol: float = 1e-10,
-) -> list:
-    """Check the eigenvalue product/sum laws for supplied eigenpairs.
-
-    For each ((alpha, x), (beta, y)): (A(x)B)(x(x)y) = alpha*beta (x(x)y)
-    and (A(x)I + I(x)B)(x(x)y) = (alpha+beta)(x(x)y).  Returns a list of
-    failure records; empty means every pair checked out.
-    """
-    prod = kron(a, b)
-    ksum = kron(a, identity(b.order)) + kron(identity(a.order), b)
-    failures = []
-    for idx, ((alpha, x), (beta, y)) in enumerate(pairs):
-        v = kron_vec(x, y)
-        za = scalar_to_complex(alpha)
-        zb = scalar_to_complex(beta)
-        got_p = prod.apply(v)
-        got_s = ksum.apply(v)
-        res_p = max(
-            abs(scalar_to_complex(g) - za * zb * scalar_to_complex(c))
-            for g, c in zip(got_p, v)
-        )
-        res_s = max(
-            abs(scalar_to_complex(g) - (za + zb) * scalar_to_complex(c))
-            for g, c in zip(got_s, v)
-        )
-        if res_p > tol:
-            failures.append({"pair": idx, "law": "product", "residual": res_p})
-        if res_s > tol:
-            failures.append({"pair": idx, "law": "sum", "residual": res_s})
-    return failures
-
-
-def trace_factorizes(a: XSum, b: XSum) -> bool:
-    """Tr(A(x)B) = Tr(A)Tr(B), exact for exact scalars."""
-    return kron(a, b).trace() == scalar_mul(a.trace(), b.trace())

@@ -71,9 +71,6 @@ class NLevelHamiltonian:
             return self.v.get((p, q), 0j)
         return self.v.get((q, p), 0j).conjugate()
 
-    def max_offdiag(self) -> float:
-        return max((abs(c) for c in self.v.values()), default=0.0)
-
     def to_xsum(self) -> XSum:
         terms: Dict[Tuple[int, int], complex] = {}
         for p, e in enumerate(self.eps, start=1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .exactnum import Scalar, ceil_ratio
+from .exactnum import ceil_ratio
 from .hubbard import DimensionError, XSum
 
 
@@ -79,14 +79,6 @@ class Permutation:
 
 def perm_matrix(pi: Permutation) -> XSum:
     return XSum(pi.degree, {(j, pi(j)): 1 for j in range(1, pi.degree + 1)})
-
-
-def apply_perm(pi: Permutation, x: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-    if len(x) != pi.degree:
-        raise DimensionError(
-            f"vector length {len(x)} does not match degree {pi.degree}"
-        )
-    return tuple(x[pi(j) - 1] for j in range(1, pi.degree + 1))
 
 
 def swap_perm(n: int) -> Permutation:

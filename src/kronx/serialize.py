@@ -153,12 +153,6 @@ def load_matrix(path: str) -> XSum:
         return matrix_from_json(fh.read())
 
 
-def dump_matrix(x: XSum, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_to_json(x))
-        fh.write("\n")
-
-
 def merge_spectrum(
     values: Iterable[float], tol: float = 1e-9
 ) -> List[Tuple[float, int]]:
@@ -180,7 +174,10 @@ def merge_spectrum(
 
 
 def spectrum_to_csv(values: Iterable[float], tol: float = 1e-9) -> str:
+    """One line per merged level.  Levels merge on the raw values, and each
+    prints rounded to 12 decimals (+ 0.0 turns -0.0 into 0.0), so round-off
+    noise far below the merge tolerance does not reach the output."""
     lines = ["eigenvalue,multiplicity"]
     for v, mult in merge_spectrum(values, tol):
-        lines.append(f"{v!r},{mult}")
+        lines.append(f"{round(v, 12) + 0.0!r},{mult}")
     return "\n".join(lines) + "\n"

@@ -11,29 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Union
 
-from .exactnum import Scalar, SqrtRational, pochhammer
+from .exactnum import SqrtRational, pochhammer
 from .hubbard import XSum
-
-
-@dataclass(frozen=True)
-class HalfInt:
-    """A half-integer stored as twice its value."""
-
-    twice: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise TypeError("twice must be an integer")
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
 
 
 @dataclass(frozen=True)
@@ -49,10 +30,6 @@ class Irrep:
     @property
     def dim(self) -> int:
         return self.twoJ + 1
-
-    @property
-    def j(self) -> HalfInt:
-        return HalfInt(self.twoJ)
 
 
 RepLike = Union[Irrep, int]
@@ -104,28 +81,6 @@ def ladder_norm(rep: RepLike, r: int) -> SqrtRational:
     return SqrtRational.sqrt(
         Fraction(math.factorial(r) * pochhammer(rep.twoJ, r, "falling"))
     )
-
-
-def act(rep: RepLike, which: str, k: int) -> Tuple[Scalar, int]:
-    """Single-term action on basis ket k: (coefficient, target level).
-
-    A zero coefficient (extremal annihilation) comes with target 0.
-    """
-    rep = _as_irrep(rep)
-    n = rep.dim
-    if not 1 <= k <= n:
-        raise IndexError(f"level {k} outside 1..{n}")
-    if which == "3":
-        return weight(rep, k), k
-    if which == "plus":
-        if k == 1:
-            return SqrtRational(0, Fraction(0)), 0
-        return SqrtRational.sqrt(Fraction((k - 1) * (rep.twoJ + 2 - k))), k - 1
-    if which == "minus":
-        if k == n:
-            return SqrtRational(0, Fraction(0)), 0
-        return ladder_coeff(rep, k), k + 1
-    raise ValueError("which must be '3', 'plus', or 'minus'")
 
 
 def casimir(rep: RepLike) -> XSum:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kronx.hubbard import XSum, from_dense, to_dense
+from kronx.hubbard import DimensionError, XSum, from_dense, to_dense
 
 
 def dense_kron(a: list, b: list) -> list:
@@ -42,6 +42,34 @@ def dense_mul(a: list, b: list) -> list:
         [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def det_dense(m) -> Fraction:
+    """Exact determinant of a rational matrix, fraction-free elimination."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    for row in a:
+        if len(row) != n:
+            raise DimensionError("determinant input must be square")
+    if n == 0:
+        return Fraction(1)
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def kron_oracle(a: XSum, b: XSum) -> XSum:

@@ -7,10 +7,9 @@ from _oracles import dense_intertwining_residuals
 
 import kronx.cg
 from kronx.cg import (
-    CGIndex,
     CGMatrix,
     VerificationError,
-    admissible_indices,
+    _admissible,
     build_S,
     cg_coefficient,
     cg_table,
@@ -30,27 +29,33 @@ def H(x):
     return SqrtRational.sqrt(Fraction(x))
 
 
+def _cell(lay, alpha, beta, k, r):
+    """(p, q) of an admissible address: p = alpha n2 + beta, q = z_{k-1} + r."""
+    return alpha * lay.n2 + beta, lay.z(k - 1) + r
+
+
 def test_cgindex_selection_rule():
-    CGIndex(1, 2, 2, 2)
-    with pytest.raises(ValueError):
-        CGIndex(1, 2, 2, 3)
-    with pytest.raises(ValueError):
-        CGIndex(-1, 2, 1, 1)
-    idx = CGIndex(1, 1, 2, 1)
+    for two_j1 in range(0, 6):
+        for two_j2 in range(0, 6):
+            lay = layout(two_j1, two_j2)
+            for alpha, beta, k, r in _admissible(lay):
+                assert k + r == alpha + beta + 1
+                assert 0 <= alpha <= two_j1 and 1 <= beta <= lay.n2
+                assert 1 <= k <= lay.n0 and 1 <= r <= lay.dims[k - 1]
     lay = layout(2, 1)
-    assert idx.p(lay) == 3
-    assert idx.q(lay) == 5
+    assert (1, 1, 2, 1) in set(_admissible(lay))
+    assert _cell(lay, 1, 1, 2, 1) == (3, 5)
 
 
 def test_admissible_indices_cover_distinct_cells():
     lay = layout(3, 2)
     seen = set()
-    for idx in admissible_indices(lay):
-        cell = (idx.p(lay), idx.q(lay))
+    for idx in _admissible(lay):
+        cell = _cell(lay, *idx)
         assert cell not in seen
         seen.add(cell)
-        assert 1 <= idx.p(lay) <= lay.total
-        assert 1 <= idx.q(lay) <= lay.total
+        assert 1 <= cell[0] <= lay.total
+        assert 1 <= cell[1] <= lay.total
 
 
 def test_s_first_block_examples():
@@ -93,12 +98,12 @@ def test_s_general_printed_values():
 @pytest.mark.parametrize("two_j2", range(0, 6))
 def test_s_general_consistency_chain(two_j1, two_j2):
     lay = layout(two_j1, two_j2)
-    for idx in admissible_indices(lay):
-        got = s_general(two_j1, two_j2, idx.k, idx.r, idx.alpha, idx.beta)
-        if idx.k == 1:
-            assert got == s_first_block(two_j1, two_j2, idx.alpha, idx.beta)
-        if idx.r == 1:
-            assert got == s_rone(two_j1, two_j2, idx.k, idx.alpha, idx.beta)
+    for alpha, beta, k, r in _admissible(lay):
+        got = s_general(two_j1, two_j2, k, r, alpha, beta)
+        if k == 1:
+            assert got == s_first_block(two_j1, two_j2, alpha, beta)
+        if r == 1:
+            assert got == s_rone(two_j1, two_j2, k, alpha, beta)
 
 
 @pytest.mark.parametrize("two_j1", range(0, 5))
@@ -110,10 +115,10 @@ def test_lowering_recurrence_exact(two_j1, two_j2):
     # exactly in SqrtRational (all three terms share one radicand).
     two_j = two_j1 + two_j2
     lay = layout(two_j1, two_j2)
-    for idx in admissible_indices(lay):
-        if idx.r == 1:
+    for a, b, k, row in _admissible(lay):
+        if row == 1:
             continue
-        k, r, a, b = idx.k, idx.r - 1, idx.alpha, idx.beta
+        r = row - 1
         lhs = H(r * (two_j - 2 * k - r + 3)) * s_general(
             two_j1, two_j2, k, r + 1, a, b
         )
@@ -292,8 +297,32 @@ def test_cg_coefficient_validation():
         cg_coefficient(1, 1, 1, 1, 4, 2)  # J beyond j1+j2
     with pytest.raises(DomainError):
         cg_coefficient(1, 1, 1, -1, 1, 0)  # J parity off
-    with pytest.raises(DomainError):
-        cg_coefficient(200, 0, 0, 0, 200, 0)  # above the cap
+    # no cap on 2j itself: this S has order 201
+    assert cg_coefficient(200, 0, 0, 0, 200, 0) == 1
+
+
+def test_build_S_at_large_twoj_verifies():
+    s = build_S(100, 2)
+    assert s.layout.total == 303
+    assert s.is_exact()
+    assert verify_intertwining(s).passed(1e-10)
+
+
+def test_cg_coefficient_limited_by_the_order_cap(monkeypatch):
+    monkeypatch.delenv("KRONX_MAX_DIM", raising=False)
+    with pytest.raises(ResourceError):
+        cg_coefficient(64, 64, 64, 64, 128, 128)  # S has order 65^2 = 4225
+
+
+def test_ladder_oracle_over_order_cap_fails_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the order check")
+
+    monkeypatch.setenv("KRONX_MAX_DIM", "24")
+    monkeypatch.setattr(kronx.cg, "product_gen", refuse)
+    monkeypatch.setattr(kronx.cg.np, "zeros", refuse)
+    with pytest.raises(ResourceError):
+        ladder_oracle_S(4, 4)  # order 25
 
 
 def test_cg_against_symbolic_reference():

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kronx
 from kronx.cli import run
 from kronx.coupling import product_gen
 from kronx.hubbard import XSum
@@ -263,6 +268,11 @@ class TestHeisenbergHubbardJc:
         assert code == 0
         assert out == "eigenvalue,multiplicity\n-1.0,3\n3.0,1\n"
 
+    def test_heisenberg_ring_levels_print_without_round_off(self, capcli):
+        code, out, _ = capcli("heisenberg", "--sites", "4", "--diag")
+        assert code == 0
+        assert out == "eigenvalue,multiplicity\n-2.0,5\n0.0,7\n2.0,3\n4.0,1\n"
+
     def test_heisenberg_matrix_round_trips_into_diag(self, capcli, tmp_path):
         code, out, _ = capcli("heisenberg", "--sites", "2", "--jz", "1",
                               "--jx", "0", "--jy", "0")
@@ -358,3 +368,25 @@ class TestByteStability:
             first = capcli(*argv)
             second = capcli(*argv)
             assert first == second and first[0] == 0
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def module(*argv):
+        src = str(Path(kronx.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_help_prints_usage(self):
+        for target in ("kronx", "kronx.cli"):
+            proc = self.module(target, "--help")
+            assert proc.returncode == 0
+            assert proc.stdout.startswith("usage: kronx")
+
+    def test_output_equals_run(self, capcli):
+        proc = self.module("kronx", "su2", "--twoj", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == capcli(
+            "su2", "--twoj", "1"
+        )

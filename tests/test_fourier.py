@@ -13,7 +13,6 @@ from kronx.fourier import (
     is_hadamard,
     odd_even_perm,
     omega_diag,
-    verify_equivalence,
 )
 from kronx.hubbard import XSum, allclose, dagger, identity, xsum_mul
 from kronx.kron import kron
@@ -198,19 +197,3 @@ def test_dephase_rejects_non_hadamard():
     with pytest.raises(DomainError):
         dephase(identity(3))
 
-
-def test_verify_equivalence_with_witnesses():
-    n = 4
-    h2 = fourier_matrix(n)
-    p1 = Permutation((2, 1, 4, 3))
-    p2 = Permutation((1, 3, 2, 4))
-    d1 = XSum(n, {(i, i): cmath.exp(0.7j * i) for i in range(1, n + 1)})
-    d2 = XSum(n, {(i, i): cmath.exp(-0.4j * i) for i in range(1, n + 1)})
-    h1 = xsum_mul(
-        xsum_mul(xsum_mul(d1, perm_matrix(p1)), h2),
-        xsum_mul(perm_matrix(p2), d2),
-    )
-    assert verify_equivalence(h1, h2, d1, p1, p2, d2)
-    assert not verify_equivalence(
-        h1.scale(-1), h2, d1, p1, p2, d2
-    )

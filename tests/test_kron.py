@@ -15,18 +15,17 @@ from _oracles import (
     dense_kron,
     dense_kron_many,
     dense_mul,
+    det_dense,
     kron_oracle,
     random_complex_xsum,
     random_rational_xsum,
 )
 from kronx.exactnum import SqrtRational, scalar_mul
 from kronx.hubbard import (
-    HubbardTerm,
     ResourceError,
     XSum,
     allclose,
     dagger,
-    det_dense,
     from_dense,
     identity,
     to_dense,
@@ -34,16 +33,12 @@ from kronx.hubbard import (
     xsum_mul,
 )
 from kronx.kron import (
-    basis_kron_index,
-    eigen_pair_check,
     hadamard,
     hadamard_power,
     kron,
     kron_many,
     kron_power,
-    kron_term,
     kron_vec,
-    trace_factorizes,
 )
 from kronx.serialize import matrix_to_json
 
@@ -52,8 +47,6 @@ kron_module = importlib.import_module("kronx.kron")
 
 
 def test_single_term_rule():
-    t = kron_term(HubbardTerm(2, 1, 2), HubbardTerm(3, 2, 3))
-    assert t == HubbardTerm(6, 2, 6)
     assert kron(x_op(2, 1, 2), x_op(3, 2, 3)) == x_op(6, 2, 6)
 
 
@@ -131,7 +124,7 @@ def test_kron_power_paths_agree():
                 continue
             a = random_rational_xsum(rng, n)
             fold = kron_power(a, t)
-            assert fold == kron_power(a, t, path="closed")
+            assert fold == kron_many([a] * t, path="closed")
             want = to_dense(a)
             for _ in range(t - 1):
                 want = dense_kron(want, to_dense(a))
@@ -141,18 +134,21 @@ def test_kron_power_paths_agree():
     assert kron_power(a, 2) == kron(a, a)
 
 
+def _basis(n: int, i: int) -> tuple:
+    return tuple(int(k == i) for k in range(1, n + 1))
+
+
 def test_basis_kron_index():
-    assert basis_kron_index(1, 5, 1, 7) == 1
-    assert basis_kron_index(2, 2, 1, 2) == 3  # |10> in two qubits
-    with pytest.raises(IndexError):
-        basis_kron_index(3, 2, 1, 2)
+    # e_i1 (x) e_i2 = e_p with p = (i1 - 1) n2 + i2, a bijection onto 1..n1 n2
+    assert kron_vec(_basis(2, 2), _basis(2, 1)) == _basis(4, 3)  # |10>
     for n1 in range(1, 9):
         for n2 in range(1, 9):
-            seen = {
-                basis_kron_index(i1, n1, i2, n2)
-                for i1 in range(1, n1 + 1)
-                for i2 in range(1, n2 + 1)
-            }
+            seen = set()
+            for i1 in range(1, n1 + 1):
+                for i2 in range(1, n2 + 1):
+                    v = kron_vec(_basis(n1, i1), _basis(n2, i2))
+                    assert v == _basis(n1 * n2, (i1 - 1) * n2 + i2)
+                    seen.add(v.index(1) + 1)
             assert seen == set(range(1, n1 * n2 + 1))
 
 
@@ -192,7 +188,7 @@ def test_trace_factorizes():
     for _ in range(80):
         a = random_rational_xsum(rng, rng.randint(1, 6))
         b = random_rational_xsum(rng, rng.randint(1, 6))
-        assert trace_factorizes(a, b)
+        assert kron(a, b).trace() == a.trace() * b.trace()
 
 
 def test_det_power_law_same_order_factors():
@@ -275,18 +271,30 @@ def test_hadamard_orthogonality_exact():
 
 
 def test_eigen_pair_check_diagonal_and_pauli():
+    # For A x = alpha x and B y = beta y: (A (x) B)(x (x) y) =
+    # alpha beta (x (x) y) and (A (x) I + I (x) B)(x (x) y) =
+    # (alpha + beta)(x (x) y), exactly.
     sz = XSum(2, {(1, 1): 1, (2, 2): -1})
-    pairs = [
-        ((1, (1, 0)), (1, (1, 0))),
-        ((1, (1, 0)), (-1, (0, 1))),
-        ((-1, (0, 1)), (1, (1, 0))),
-        ((-1, (0, 1)), (-1, (0, 1))),
-    ]
-    assert eigen_pair_check(sz, sz, pairs) == []
-    # deliberately wrong eigenvalue must be reported
-    bad = [((2, (1, 0)), (1, (1, 0)))]
-    report = eigen_pair_check(sz, sz, bad)
-    assert {r["law"] for r in report} == {"product", "sum"}
+    sx = XSum(2, {(1, 2): 1, (2, 1): 1})
+    h = Fraction(1, 2)
+    eig_sz = [(1, (1, 0)), (-1, (0, 1))]
+    eig_sx = [(1, (h, h)), (-1, (h, -h))]
+    for a, b, eigs_a, eigs_b in ((sz, sz, eig_sz, eig_sz),
+                                 (sz, sx, eig_sz, eig_sx),
+                                 (sx, sx, eig_sx, eig_sx)):
+        prod = kron(a, b)
+        ksum = kron(a, identity(2)) + kron(identity(2), b)
+        for alpha, x in eigs_a:
+            for beta, y in eigs_b:
+                v = kron_vec(x, y)
+                assert prod.apply(v) == tuple(alpha * beta * c for c in v)
+                assert ksum.apply(v) == tuple((alpha + beta) * c for c in v)
+    # a wrong eigenvalue breaks both laws
+    v = kron_vec((1, 0), (1, 0))
+    assert kron(sz, sz).apply(v) != tuple(2 * c for c in v)
+    assert (kron(sz, identity(2)) + kron(identity(2), sz)).apply(v) != tuple(
+        3 * c for c in v
+    )
 
 
 def test_kron_determinant_of_x_ops_vanishes():

@@ -14,7 +14,6 @@ from kronx.hubbard import XSum, dagger, identity, to_dense, x_op, xsum_mul
 from kronx.kron import kron, kron_vec
 from kronx.perm import (
     Permutation,
-    apply_perm,
     antisymmetrizer,
     commutation_perm,
     factor_perm,
@@ -86,13 +85,15 @@ def test_composition_law_of_matrices():
 
 
 def test_apply_perm_matches_matrix_action():
+    # P = sum_j X^(j, pi(j)) acts on vectors by y_j = x_pi(j)
     rng = random.Random(62)
-    assert apply_perm(Permutation((2, 1)), ("a", "b")) == ("b", "a")
+    assert perm_matrix(Permutation((2, 1))).apply((3, 5)) == (5, 3)
     for _ in range(100):
         n = rng.randint(1, 8)
         pi = _random_perm(rng, n)
         x = _random_vec(rng, n)
-        assert apply_perm(pi, x) == perm_matrix(pi).apply(x)
+        want = tuple(x[pi(j) - 1] for j in range(1, n + 1))
+        assert perm_matrix(pi).apply(x) == want
 
 
 def test_swap_perm_small_cases():
@@ -189,7 +190,7 @@ def test_factor_perm_action_permutes_kets():
         alpha = factor_perm(pi, 2)
         xs = [_random_vec(rng, 2) for _ in range(3)]
         flat = kron_vec(kron_vec(xs[0], xs[1]), xs[2])
-        got = apply_perm(alpha, flat)
+        got = perm_matrix(alpha).apply(flat)
         # the index map rearranges BASIS labels by pi, so the induced action
         # on product vectors places factor pi^-1(s) in slot s
         inv = pi.inverse()

@@ -6,7 +6,6 @@ import pytest
 from kronx.exactnum import DomainError, SqrtRational
 from kronx.hubbard import XSum, identity, x_op
 from kronx.serialize import (
-    dump_matrix,
     load_matrix,
     matrix_from_json,
     matrix_from_obj,
@@ -74,7 +73,7 @@ class TestMatrixJson:
     def test_file_round_trip(self, tmp_path):
         x = XSum(2, {(1, 1): Fraction(3, 5)})
         path = tmp_path / "m.json"
-        dump_matrix(x, str(path))
+        path.write_text(matrix_to_json(x) + "\n")
         assert load_matrix(str(path)) == x
         assert path.read_text().endswith("\n")
 
@@ -178,6 +177,19 @@ class TestSpectrumCsv:
     def test_header_and_rows(self):
         csv = spectrum_to_csv([2.0, 1.0, 1.0])
         assert csv == "eigenvalue,multiplicity\n1.0,2\n2.0,1\n"
+
+    def test_levels_print_rounded_but_merge_raw(self):
+        # round-off far below the merge tolerance does not reach the output
+        csv = spectrum_to_csv([-1.416676788411482e-17, 0.0, 3.999999999999999])
+        assert csv == "eigenvalue,multiplicity\n0.0,2\n4.0,1\n"
+        assert spectrum_to_csv([-0.0]) == "eigenvalue,multiplicity\n0.0,1\n"
+        assert spectrum_to_csv([0.1234567890123456]).endswith(
+            "\n0.123456789012,1\n"
+        )
+        # merging still anchors on the raw first member
+        assert spectrum_to_csv([0.0, 0.9e-9, 1.8e-9]) == (
+            "eigenvalue,multiplicity\n0.0,2\n1.8e-09,1\n"
+        )
 
     def test_ascending(self):
         rows = merge_spectrum([3.0, -1.0, 2.0, -1.0])

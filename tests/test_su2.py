@@ -5,28 +5,18 @@ import pytest
 from kronx.exactnum import SqrtRational
 from kronx.hubbard import XSum, apply, bracket, dagger, identity, xsum_mul
 from kronx.su2 import (
-    HalfInt,
     Irrep,
-    act,
     casimir,
     j3,
     jpm,
     ladder_coeff,
     ladder_norm,
     pauli,
-    weight,
 )
-
-
-def test_halfint_formatting():
-    assert str(HalfInt(3)) == "3/2"
-    assert str(HalfInt(4)) == "2"
-    assert HalfInt(3).as_fraction() == Fraction(3, 2)
 
 
 def test_irrep_validation():
     assert Irrep(5).dim == 6
-    assert Irrep(5).j == HalfInt(5)
     with pytest.raises(ValueError):
         Irrep(-1)
 
@@ -107,37 +97,6 @@ def test_ladder_norm_matches_iterated_lowering(two_j):
         want = ladder_norm(two_j, r)
         assert norm_sq == want * want
         vec = apply(jm, vec)
-
-
-def test_act_examples():
-    c, t = act(2, "plus", 1)
-    assert not c and t == 0
-    c, t = act(2, "minus", 3)
-    assert not c and t == 0
-    for k in (1, 2, 3):
-        c, t = act(2, "3", k)
-        assert (c, t) == (weight(2, k), k)
-    with pytest.raises(IndexError):
-        act(2, "plus", 4)
-    with pytest.raises(ValueError):
-        act(2, "raise", 1)
-
-
-@pytest.mark.parametrize("two_j", range(0, 7))
-@pytest.mark.parametrize("which,sign", [("plus", "plus"), ("minus", "minus")])
-def test_act_agrees_with_matrix_path(two_j, which, sign):
-    n = two_j + 1
-    mat = jpm(two_j, sign)
-    for k in range(1, n + 1):
-        basis = [0] * n
-        basis[k - 1] = 1
-        image = apply(mat, basis)
-        c, t = act(two_j, which, k)
-        if t == 0:
-            assert all(not v for v in image)
-        else:
-            assert image[t - 1] == c
-            assert all(not v for idx, v in enumerate(image) if idx != t - 1)
 
 
 def test_ladder_coeff_square():
