@@ -194,13 +194,16 @@ def cmd_diag(args) -> int:
     return _emit_spectrum(ev, args)
 
 
-def cmd_heisenberg(args) -> int:
-    params = SpinChainParams(args.sites, args.jx, args.jy, args.jz)
-    h = heisenberg_h(params, periodic=not args.open)
+def _emit_model(h: XSum, args) -> int:
     if args.diag:
         ev, _ = diagonalize(NLevelHamiltonian.from_xsum(h))
         return _emit_spectrum(ev, args)
     return _emit_matrix(h, args)
+
+
+def cmd_heisenberg(args) -> int:
+    params = SpinChainParams(args.sites, args.jx, args.jy, args.jz)
+    return _emit_model(heisenberg_h(params, periodic=not args.open), args)
 
 
 def cmd_hubbard(args) -> int:
@@ -208,11 +211,7 @@ def cmd_hubbard(args) -> int:
     params = HubbardParams.from_physical(
         args.sites, args.eps, args.mu, args.u, hops
     )
-    h = hubbard_h(params)
-    if args.diag:
-        ev, _ = diagonalize(NLevelHamiltonian.from_xsum(h))
-        return _emit_spectrum(ev, args)
-    return _emit_matrix(h, args)
+    return _emit_model(hubbard_h(params), args)
 
 
 def cmd_jc(args) -> int:
@@ -244,53 +243,43 @@ def _verify_intertwining(args) -> bool:
 
 
 def _verify_su2(args) -> bool:
-    from .hubbard import bracket
+    from .hubbard import bracket, identity
 
     ok = True
     for two_j in range(args.max_twoj + 1):
-        jp, jm, jz = (
-            su2.jpm(two_j, "plus"),
-            su2.jpm(two_j, "minus"),
-            su2.j3(two_j),
-        )
+        jp, jm = su2.jpm(two_j, "plus"), su2.jpm(two_j, "minus")
+        jz = su2.j3(two_j)
         laws = (
             bracket(jp, jm) == jz.scale(2)
             and bracket(jz, jp) == jp
             and bracket(jz, jm) == jm.scale(-1)
             and su2.casimir(two_j)
-            == XSum(
-                two_j + 1,
-                {
-                    (k, k): Fraction(two_j * (two_j + 2), 4)
-                    for k in range(1, two_j + 2)
-                },
-            )
+            == identity(two_j + 1).scale(Fraction(two_j * (two_j + 2), 4))
         )
         ok = ok and laws
         print(f"twoJ={two_j}: {'exact' if laws else 'FAIL'}")
     return ok
 
 
+def _rand_xsum(rng, n: int) -> XSum:
+    """A random sparse rational n x n sum for the verify suites."""
+    return XSum(n, {(rng.randint(1, n), rng.randint(1, n)):
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                    for _ in range(rng.randint(1, 2 * n))})
+
+
 def _verify_kron(args) -> bool:
     import random
 
-    rng = random.Random(7)
-
-    def rand_xsum(n):
-        terms = {}
-        for _ in range(rng.randint(1, 2 * n)):
-            terms[(rng.randint(1, n), rng.randint(1, n))] = Fraction(
-                rng.randint(-5, 5), rng.randint(1, 5)
-            )
-        return XSum(n, terms)
-
     from .hubbard import xsum_mul
+
+    rng = random.Random(7)
 
     ok = True
     for _ in range(50):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        a, c = rand_xsum(n), rand_xsum(n)
-        b, d = rand_xsum(m), rand_xsum(m)
+        a, c = _rand_xsum(rng, n), _rand_xsum(rng, n)
+        b, d = _rand_xsum(rng, m), _rand_xsum(rng, m)
         paths = kron(a, b, path="sparse") == kron(a, b, path="closed")
         mixed = xsum_mul(kron(a, b), kron(c, d)) == kron(
             xsum_mul(a, c), xsum_mul(b, d)
@@ -316,21 +305,10 @@ def _verify_perm(args) -> bool:
         swaps = swaps and swap.apply(kron_vec(x, y)) == kron_vec(y, x)
     print(f"swap on 50 vector pairs: {'exact' if swaps else 'FAIL'}")
 
-    def rand_xsum(n):
-        return XSum(
-            n,
-            {
-                (rng.randint(1, n), rng.randint(1, n)): Fraction(
-                    rng.randint(-5, 5)
-                )
-                for _ in range(2 * n)
-            },
-        )
-
     comm = True
     for _ in range(50):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
-        a, b = rand_xsum(n), rand_xsum(m)
+        a, b = _rand_xsum(rng, n), _rand_xsum(rng, m)
         p = perm.perm_matrix(perm.commutation_perm(n, m))
         lhs = xsum_mul(xsum_mul(dagger(p, "transpose"), kron(a, b)), p)
         comm = comm and lhs == kron(b, a)
@@ -468,7 +446,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_heisenberg)
 
     p = sub.add_parser("hubbard", parents=[common],
-                       help="Hubbard chain Hamiltonian (up to 4 sites)")
+                       help="fermionic Hubbard chain Hamiltonian "
+                            "(order 4^sites, capped by KRONX_MAX_DIM)")
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--eps", type=Fraction, default=Fraction(0))
     p.add_argument("--mu", type=Fraction, default=Fraction(0))

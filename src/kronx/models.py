@@ -1,4 +1,4 @@
-"""Physics payloads: n-level Jacobi diagonalization, spin chains, small
+"""Physics payloads: n-level Jacobi diagonalization, spin chains, fermionic
 Hubbard clusters, and Jaynes-Cummings evolution, all in X-operator form.
 
 A shared convention runs through the module: basis levels are ordered by
@@ -17,9 +17,12 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .exactnum import DomainError, scalar_to_complex
-from .hubbard import ResourceError, XSum, from_dense, identity, x_op, xsum_mul
-from .kron import kron, kron_many
+from .exactnum import (DomainError, scalar_add, scalar_is_zero, scalar_mul,
+                       scalar_to_complex)
+# unused here; perfbench/smoke.py checks that its tracer wraps xsum_mul here
+from .hubbard import XSum, check_order, from_dense, x_op, xsum_mul
+from .kron import kron
+from .perm import _digits
 from .su2 import pauli
 
 
@@ -201,13 +204,51 @@ def diagonalize(
     return tuple(eps[i] for i in order), from_dense(u[:, order].tolist())
 
 
-def site_embed(op: XSum, j: int, n: int) -> XSum:
-    """I x ... x op x ... x I with op in slot j of n."""
-    if not 1 <= j <= n:
-        raise IndexError(f"site {j} outside 1..{n}")
-    d = op.order
-    factors = [identity(d)] * (j - 1) + [op] + [identity(d)] * (n - j)
-    return kron_many(factors)
+def _site_sum(n: int, d: int, terms, parity=None) -> XSum:
+    """Sum of coef * op_1(site_1) ... op_m(site_m) over (coef, ((site, op),
+    ...)) terms on n sites of d levels; a local op has at most one entry
+    per column.
+
+    For each column q the site digits of q are read once, the factors'
+    columns are applied right to left, and every X^{p,q} goes straight into
+    one dict.  With a level parity, an entry that changes the parity at
+    site s picks up the Jordan-Wigner sign (-1)^(odd levels on sites < s)
+    of the state it acts on.  Entries are promoted as kron promotes them
+    beside an identity (1 * v), add in term order, and a sum that cancels
+    is dropped at once: spin sums equal the kron_many/xsum_mul composition
+    term for term."""
+    order = d**n
+    check_order(order)
+    plan = []
+    for coef, factors in terms:
+        steps = []
+        for site, op in reversed(factors):
+            col = {c: (r, scalar_mul(1, v)) for (r, c), v in op.items()}
+            if len(col) < op.nnz():
+                raise ValueError("a local op has two entries in one column")
+            steps.append((site - 1, d ** (n - site), col))
+        plan.append((coef, steps))
+    acc: dict = {}
+    for q in range(1, order + 1):
+        digits = _digits(q, d, n)
+        for coef, steps in plan:
+            state, p, amp = list(digits), q, None
+            for s, stride, col in steps:
+                if state[s] not in col:
+                    break
+                r, v = col[state[s]]
+                if (parity and parity[r - 1] != parity[state[s] - 1]
+                        and sum(parity[x - 1] for x in state[:s]) % 2):
+                    v = -v
+                amp = v if amp is None else scalar_mul(v, amp)
+                p += (r - state[s]) * stride
+                state[s] = r
+            else:
+                c = scalar_mul(coef, amp)
+                c = scalar_add(acc.pop((p, q)), c) if (p, q) in acc else c
+                if not scalar_is_zero(c):
+                    acc[p, q] = c
+    return XSum._trusted(order, acc)
 
 
 @dataclass(frozen=True)
@@ -230,22 +271,15 @@ def heisenberg_h(params: SpinChainParams, periodic: bool = True) -> XSum:
     """
     n = params.sites
     bonds = [(j, j % n + 1) for j in range(1, (n if periodic else n - 1) + 1)]
-    total = XSum(2**n, {})
-    for coupling, axis in ((params.jx, "x"), (params.jy, "y"), (params.jz, "z")):
-        if not coupling:
-            continue
-        s = pauli(axis)
-        for (a, b) in bonds:
-            term = xsum_mul(site_embed(s, a, n), site_embed(s, b, n))
-            total = total + term.scale(coupling)
-    return total.scale(Fraction(-1, 2))
+    terms = [(coupling, ((a, s), (b, s))) for coupling, s in
+             zip((params.jx, params.jy, params.jz), map(pauli, "xyz"))
+             if coupling for (a, b) in bonds]
+    return _site_sum(n, 2, terms).scale(Fraction(-1, 2))
 
 
 def total_sz(n: int) -> XSum:
-    out = XSum(2**n, {})
-    for j in range(1, n + 1):
-        out = out + site_embed(pauli("z"), j, n)
-    return out
+    sz = pauli("z")
+    return _site_sum(n, 2, [(1, ((j, sz),)) for j in range(1, n + 1)])
 
 
 def hubbard_site_ops() -> Dict[str, XSum]:
@@ -258,9 +292,6 @@ def hubbard_site_ops() -> Dict[str, XSum]:
         "c_up": cdag_up.dagger(),
         "c_dn": cdag_dn.dagger(),
     }
-
-
-HUBBARD_SITE_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -297,30 +328,18 @@ class HubbardParams:
 
 def hubbard_h(params: HubbardParams) -> XSum:
     """H0 + H1 on sites x (0,+,-,2): on-site energies plus the hopping
-    quadratic form sum t_ij c+_{i s} c_{j s}, embedded bosonically (no
-    sign strings, so N >= 3 fermionic phases are not faithful)."""
-    n = params.sites
-    if n > HUBBARD_SITE_CAP:
-        raise ResourceError(
-            f"{n} sites exceeds the {HUBBARD_SITE_CAP}-site cap"
-        )
+    sum t_ij (c+_{i s} c_{j s} + c+_{j s} c_{i s}) of a fermionic cluster,
+    Jordan-Wigner ordered 1 up, 1 down, 2 up, ... (levels + and - are odd);
+    hubbard_site_ops carries the sign within a site."""
     ops = hubbard_site_ops()
-    onsite = XSum(4, {})
-    for level, e in ((1, params.e0), (2, params.e1), (3, params.e1),
-                     (4, params.e2)):
-        if e:
-            onsite = onsite + x_op(4, level, level).scale(e)
-    h = XSum(4**n, {})
-    for i in range(1, n + 1):
-        h = h + site_embed(onsite, i, n)
+    onsite = XSum(4, {(1, 1): params.e0, (2, 2): params.e1,
+                      (3, 3): params.e1, (4, 4): params.e2})
+    terms = [(1, ((i, onsite),)) for i in range(1, params.sites + 1)]
     for (i, j), tij in params.t.items():
         for spin in ("up", "dn"):
-            hop = xsum_mul(
-                site_embed(ops[f"cdag_{spin}"], i, n),
-                site_embed(ops[f"c_{spin}"], j, n),
-            )
-            h = h + (hop + hop.dagger()).scale(tij)
-    return h
+            cdag, c = ops[f"cdag_{spin}"], ops[f"c_{spin}"]
+            terms += [(tij, ((i, cdag), (j, c))), (tij, ((j, cdag), (i, c)))]
+    return _site_sum(params.sites, 4, terms, parity=(0, 1, 1, 0))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from kronx.hubbard import DimensionError, XSum, from_dense, to_dense
+from kronx.hubbard import (
+    DimensionError,
+    XSum,
+    from_dense,
+    identity,
+    to_dense,
+    xsum_mul,
+)
+from kronx.kron import kron_many
+from kronx.su2 import pauli
 
 
 def dense_kron(a: list, b: list) -> list:
@@ -114,3 +123,53 @@ def dense_intertwining_residuals(s) -> dict:
         b = block_gen(lay.twoJ1, lay.twoJ2, which).flatten().to_numpy()
         out[which] = float(np.abs(a @ sm - sm @ b).max())
     return out
+
+
+def site_embed(op: XSum, j: int, n: int) -> XSum:
+    """I x ... x op x ... x I with op in slot j of n, by kron_many."""
+    if not 1 <= j <= n:
+        raise IndexError(f"site {j} outside 1..{n}")
+    d = op.order
+    factors = [identity(d)] * (j - 1) + [op] + [identity(d)] * (n - j)
+    return kron_many(factors)
+
+
+def heisenberg_by_site_embed(params, periodic: bool = True) -> XSum:
+    """heisenberg_h composed bond by bond from site_embed, xsum_mul and
+    sums: the spin cross-check of the models' digit kernel."""
+    n = params.sites
+    bonds = [(j, j % n + 1) for j in range(1, (n if periodic else n - 1) + 1)]
+    total = XSum(2**n, {})
+    for coupling, axis in zip((params.jx, params.jy, params.jz), "xyz"):
+        if not coupling:
+            continue
+        s = pauli(axis)
+        for a, b in bonds:
+            term = xsum_mul(site_embed(s, a, n), site_embed(s, b, n))
+            total = total + term.scale(coupling)
+    return total.scale(Fraction(-1, 2))
+
+
+def dense_hubbard_jw(sites: int, eps: float, u: float, hops: dict):
+    """Dense Hubbard Hamiltonian sum eps n_k + U n_up n_dn + t_ij (c+_is c_js
+    + h.c.) on 2*sites modes ordered 1 up, 1 down, 2 up, ..., with the
+    textbook Jordan-Wigner annihilators c_k = Z x ... x Z x a x I x ... x I
+    (a = |0><1|, Z = diag(1, -1) on (empty, occupied))."""
+    modes = 2 * sites
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    z = np.diag([1.0, -1.0])
+    c = []
+    for k in range(modes):
+        out = np.eye(1)
+        for slot in range(modes):
+            factor = z if slot < k else a if slot == k else np.eye(2)
+            out = np.kron(out, factor)
+        c.append(out)
+    num = [ck.T @ ck for ck in c]
+    h = eps * sum(num)
+    h = h + u * sum(num[2 * i] @ num[2 * i + 1] for i in range(sites))
+    for (i, j), t in hops.items():
+        for spin in (0, 1):
+            k, l = 2 * (i - 1) + spin, 2 * (j - 1) + spin
+            h = h + t * (c[k].T @ c[l] + c[l].T @ c[k])
+    return h

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kronx
@@ -13,8 +14,10 @@ from kronx.cli import run
 from kronx.coupling import product_gen
 from kronx.hubbard import XSum
 from kronx.kron import kron
-from kronx.serialize import matrix_from_json, matrix_to_json
+from kronx.serialize import matrix_from_json, matrix_to_json, spectrum_to_csv
 from kronx.su2 import jpm
+
+from _oracles import dense_hubbard_jw
 
 
 @pytest.fixture
@@ -298,7 +301,16 @@ class TestHeisenbergHubbardJc:
                        "0.0,1\n0.5,2\n5.0,1\n")
 
     def test_hubbard_cap_is_2(self, capcli):
-        assert capcli("hubbard", "--sites", "5")[0] == 2
+        # order 4^7 = 16384 is over the default KRONX_MAX_DIM of 4096
+        assert capcli("hubbard", "--sites", "7")[0] == 2
+
+    def test_hubbard_three_site_spectrum_is_fermionic(self, capcli):
+        code, out, _ = capcli("hubbard", "--sites", "3", "--t", "1",
+                              "--u", "4", "--eps", "3/10", "--diag")
+        assert code == 0
+        hops = {(1, 2): 1.0, (2, 3): 1.0}
+        oracle = np.linalg.eigvalsh(dense_hubbard_jw(3, 0.3, 4.0, hops))
+        assert out == spectrum_to_csv(oracle)
 
     def test_hubbard_matrix_is_rational(self, capcli):
         code, out, _ = capcli("hubbard", "--sites", "2", "--eps", "1",

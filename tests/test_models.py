@@ -25,11 +25,13 @@ from kronx.models import (
     jc_hamiltonian,
     jc_lowering,
     rotate_step,
-    site_embed,
     total_sz,
     two_cavity_evolution,
 )
+from kronx.serialize import matrix_to_json
 from kronx.su2 import pauli
+
+from _oracles import dense_hubbard_jw, heisenberg_by_site_embed, site_embed
 
 
 def random_hermitian(n, rng, real=False):
@@ -340,6 +342,36 @@ class TestHeisenberg:
             SpinChainParams(1, 1, 1, 1)
 
 
+COUPLINGS = {
+    "xxx": (1, 1, 1),
+    "xxz": (Fraction(1), Fraction(1), Fraction(3, 2)),
+    "jy0": (1, 0, 1),
+    "float": (0.7, -0.4, 1.1),
+}
+
+
+@pytest.mark.parametrize("periodic", (False, True), ids=("open", "ring"))
+@pytest.mark.parametrize("couplings", COUPLINGS.values(), ids=COUPLINGS)
+@pytest.mark.parametrize("sites", range(2, 9))
+def test_heisenberg_equals_site_embed_route(sites, couplings, periodic):
+    params = SpinChainParams(sites, *couplings)
+    built = heisenberg_h(params, periodic)
+    route = heisenberg_by_site_embed(params, periodic)
+    # repr also tells 0.0 from -0.0, which the JSON bytes would show
+    assert [(k, type(c), repr(c)) for k, c in built.items()] == [
+        (k, type(c), repr(c)) for k, c in route.items()
+    ]
+    assert matrix_to_json(built) == matrix_to_json(route)
+
+
+def test_total_sz_equals_site_embed_sum():
+    for n in (1, 2, 5):
+        route = XSum(2**n, {})
+        for j in range(1, n + 1):
+            route = route + site_embed(pauli("z"), j, n)
+        assert total_sz(n) == route
+
+
 class TestHubbardSiteOps:
     def test_creation_fixtures(self):
         ops = hubbard_site_ops()
@@ -376,6 +408,87 @@ class TestHubbardSiteOps:
         assert n_dn == x_op(4, 3, 3) + x_op(4, 4, 4)
 
 
+HUBBARD_PARITY = (0, 1, 1, 0)
+
+
+def kernel_mode_ops(sites):
+    """Every c_{i s} and c+_{i s} as a one-factor product term of the
+    models' digit kernel, modes ordered 1 up, 1 down, 2 up, ..."""
+    ops = hubbard_site_ops()
+    c, cdag = [], []
+    for i in range(1, sites + 1):
+        for spin in ("up", "dn"):
+            for out, name in ((c, f"c_{spin}"), (cdag, f"cdag_{spin}")):
+                out.append(kronx.models._site_sum(
+                    sites, 4, [(1, ((i, ops[name]),))], HUBBARD_PARITY))
+    return c, cdag
+
+
+class TestFermionKernel:
+    def test_canonical_anticommutation_relations_exactly(self):
+        c, cdag = kernel_mode_ops(3)
+        one, zero = identity(64), XSum(64, {})
+        for a in range(6):
+            assert cdag[a] == c[a].dagger()
+            for b in range(6):
+                expect = one if a == b else zero
+                assert bracket(c[a], cdag[b], "anticommutator") == expect
+                assert bracket(c[a], c[b], "anticommutator") == zero
+
+    def test_hubbard_h_is_the_mode_operator_form(self):
+        # H0 + H1 rebuilt from the anticommuting mode operators alone
+        c, cdag = kernel_mode_ops(3)
+        hops = {(1, 2): Fraction(1), (2, 3): Fraction(1), (1, 3): Fraction(1)}
+        p = HubbardParams.from_physical(3, Fraction(3, 10), 0, 4, hops)
+        num = [xsum_mul(cd, cc) for cd, cc in zip(cdag, c)]
+        want = XSum(64, {})
+        for i in range(3):
+            up, dn = num[2 * i], num[2 * i + 1]
+            want = want + (up + dn).scale(Fraction(3, 10))
+            want = want + xsum_mul(up, dn).scale(4)
+        for (i, j), t in hops.items():
+            for spin in (0, 1):
+                k, l = 2 * (i - 1) + spin, 2 * (j - 1) + spin
+                hop = xsum_mul(cdag[k], c[l]) + xsum_mul(cdag[l], c[k])
+                want = want + hop.scale(t)
+        assert hubbard_h(p) == want
+
+    def test_non_monomial_local_op_is_refused(self):
+        with pytest.raises(ValueError):
+            kronx.models._site_sum(
+                2, 2, [(1, ((1, pauli("x") + pauli("z")),))])
+
+
+OPEN3 = {(1, 2): 1.0, (2, 3): 1.0}
+RING3 = {(1, 2): 1.0, (2, 3): 1.0, (1, 3): 1.0}
+RING4 = {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0, (1, 4): 1.0}
+
+
+class TestHubbardJordanWigner:
+    @pytest.mark.parametrize(
+        "sites, hops", ((3, OPEN3), (3, RING3), (4, RING4)),
+        ids=("open3", "ring3", "ring4"))
+    def test_spectrum_matches_dense_jordan_wigner_oracle(self, sites, hops):
+        p = HubbardParams.from_physical(sites, 0.3, 0.0, 4.0, hops)
+        got = np.linalg.eigvalsh(hubbard_h(p).to_numpy())
+        want = np.linalg.eigvalsh(dense_hubbard_jw(sites, 0.3, 4.0, hops))
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_half_filled_dimer_closed_form(self):
+        eps, u, t = 0.3, 4.0, 1.0
+        h = hubbard_h(HubbardParams.from_physical(2, eps, 0.0, u, {(1, 2): t}))
+        electrons = (0, 1, 1, 2)  # per level of (0, +, -, 2)
+        half = [4 * (a - 1) + b for a in range(1, 5) for b in range(1, 5)
+                if electrons[a - 1] + electrons[b - 1] == 2]
+        rows = [k - 1 for k in half]
+        block = h.to_numpy()[np.ix_(rows, rows)]
+        root = math.sqrt(u * u / 4 + 4 * t * t)
+        # triplet, the doublon-odd singlet, and U/2 -+ sqrt(U^2/4 + 4 t^2)
+        want = sorted(2 * eps + e
+                      for e in (0, 0, 0, u, u / 2 - root, u / 2 + root))
+        assert np.allclose(np.linalg.eigvalsh(block), want, atol=1e-12)
+
+
 class TestHubbardH:
     def test_single_site_spectrum(self):
         p = HubbardParams.from_physical(1, 1.0, 0.5, 4.0)
@@ -409,9 +522,15 @@ class TestHubbardH:
         n_tot = site_embed(n_site, 1, 2) + site_embed(n_site, 2, 2)
         assert bracket(h, n_tot) == XSum(16, {})
 
-    def test_site_cap(self):
+    def test_order_cap_alone_limits_sites(self, monkeypatch):
+        assert hubbard_h(HubbardParams(5, 0, 1, 2)).order == 4**5
+
+        def no_digits(*args):
+            raise AssertionError("a term was emitted past the order cap")
+
+        monkeypatch.setattr(kronx.models, "_digits", no_digits)
         with pytest.raises(ResourceError):
-            hubbard_h(HubbardParams(5, 0, 1, 2))
+            hubbard_h(HubbardParams(7, 0, 1, 2, {(1, 2): 1}))
 
     def test_two_site_spectrum_landmarks(self):
         p = HubbardParams(2, 0.0, 0.0, 8.0, {(1, 2): 1.0})
