@@ -18,10 +18,10 @@ global phase is 1 (Condon-Shortley compatible).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -212,7 +212,8 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
             c = s_general(two_j1, two_j2, k, r, alpha, beta)
         if c:
             terms[(alpha * n2 + beta, z[k - 1] + r)] = c
-    cand = CGMatrix(lay, XSum(lay.total, terms))
+    # _admissible yields distinct in-range cells and zeros are skipped
+    cand = CGMatrix(lay, XSum._trusted(lay.total, terms))
     report = verify_intertwining(cand)
     if report.max_residual > 1e-8 or not report.diagonal_exact:
         raise VerificationError(
@@ -223,53 +224,108 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     return cand
 
 
-def _rows(x: XSum) -> dict:
-    """Row index -> [(column, complex coefficient)], each term converted once."""
-    rows: dict = {}
-    for (i, j), c in x.term_map().items():
-        rows.setdefault(i, []).append((j, scalar_to_complex(c)))
-    return rows
+_GENERATORS = ("3", "plus", "minus")
+
+# S terms per pass of verify_intertwining: a pass makes about eight
+# products per term, so this bounds its arrays to a few MB at any order.
+_TERMS_PER_PASS = 4096
+
+
+def _triplets(x: XSum):
+    """0-based rows, 0-based columns and complex values of x's terms, sorted
+    by row; each coefficient is converted to complex once."""
+    store = x.term_map()
+    nnz = len(store)
+    cells = np.fromiter(chain.from_iterable(store), np.intp, 2 * nnz)
+    vals = np.fromiter(map(scalar_to_complex, store.values()), complex, nnz)
+    del store  # the largest object here; free it before the sorted copies
+    cells -= 1
+    rows, cols = cells[0::2], cells[1::2]
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], vals[order]
+
+
+@lru_cache(maxsize=64)
+def _generator_triplets(two_j1: int, two_j2: int):
+    """(generator, row, column, value) arrays of J_3, J_+, J_- stacked, and
+    of the flattened block generators stacked the same way; the generator
+    index is 0, 1, 2 in _GENERATORS order.  Each side is sorted by row,
+    its values are real, and every array is read-only: the cache hands the
+    same arrays to every caller."""
+    sides = []
+    for gens in (
+        [product_gen(two_j1, two_j2, which) for which in _GENERATORS],
+        [block_gen(two_j1, two_j2, which).flatten() for which in _GENERATORS],
+    ):
+        parts = [_triplets(x) for x in gens]
+        gen = np.repeat(np.arange(len(parts)), [len(r) for r, _c, _v in parts])
+        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        side = (gen[order], rows[order], cols[order], vals.real[order])
+        for a in side:
+            a.flags.writeable = False
+        sides.append(side)
+    return tuple(sides)
+
+
+def _join(left: np.ndarray, right_sorted: np.ndarray):
+    """Index pairs (l, r) with left[l] == right_sorted[r], grouped by l."""
+    lo = np.searchsorted(right_sorted, left, "left")
+    count = np.searchsorted(right_sorted, left, "right") - lo
+    li = np.repeat(np.arange(len(left)), count)
+    ri = np.arange(len(li)) + np.repeat(lo - np.cumsum(count) + count, count)
+    return li, ri
 
 
 def verify_intertwining(s: CGMatrix) -> IntertwiningReport:
     """Residuals of J_a S - S Jtilde_a and the exact weight matching.
 
-    The products run over sparse rows: each generator has about 2n terms,
-    so no dense n x n matrix is formed.
+    S and the six generators are sparse triplets; the three residuals are
+    sparse triplet products summed over colliding cells, a row range of S
+    at a time, so no dense n x n matrix is formed.
     """
     lay = s.layout
-    s_rows = _rows(s.matrix)
-    residuals = {}
-    for which in ("3", "plus", "minus"):
-        a_rows = _rows(product_gen(lay.twoJ1, lay.twoJ2, which))
-        b_rows = _rows(block_gen(lay.twoJ1, lay.twoJ2, which).flatten())
-        acc: dict = {}
-        for i, a_row in a_rows.items():  # J_a S
-            for p, ca in a_row:
-                for q, cs in s_rows.get(p, ()):
-                    acc[i, q] = acc.get((i, q), 0j) + ca * cs
-        for p, s_row in s_rows.items():  # - S Jtilde_a
-            for q, cs in s_row:
-                for j, cb in b_rows.get(q, ()):
-                    acc[p, j] = acc.get((p, j), 0j) - cs * cb
-        residuals[which] = max(map(abs, acc.values()), default=0.0)
-    two_j12, n2, offsets = lay.twoJ1 + lay.twoJ2, lay.n2, lay.offsets
-
-    def same_weight(p: int, q: int) -> bool:
-        # doubled weights: 2(m1 + m2) = 2j1 - 2 alpha + 2j2 - 2(beta - 1)
-        # of row p against 2M = 2J_k + 2 - 2r of column q
-        k = bisect_left(offsets, q) + 1  # first block with q <= z_k
-        r = q - lay.z(k - 1)
-        return two_j12 - 2 * sum(divmod(p - 1, n2)) == (
-            lay.block_two_j(k) + 2 - 2 * r
-        )
-
-    diag_ok = all(
-        same_weight(p, q) for p, s_row in s_rows.items() for q, _c in s_row
+    n = lay.total
+    s_rows, s_cols, s_vals = _triplets(s.matrix)
+    (a_gen, a_rows, a_cols, a_vals), (b_gen, b_rows, b_cols, b_vals) = (
+        _generator_triplets(lay.twoJ1, lay.twoJ2)
     )
-    return IntertwiningReport(
-        residuals["3"], residuals["plus"], residuals["minus"], diag_ok
-    )
+    worst = np.zeros(len(_GENERATORS))
+    # residual rows [lo, hi) need the generator terms of those rows for
+    # J_a S, and the S terms of those rows for S Jtilde_a
+    edges = [0, *s_rows[_TERMS_PER_PASS::_TERMS_PER_PASS].tolist(), n]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        a0, a1 = np.searchsorted(a_rows, (lo, hi))
+        s0, s1 = np.searchsorted(s_rows, (lo, hi))
+        ia, js = _join(a_cols[a0:a1], s_rows)  # J_a[i, p] S[p, q]
+        ia += a0
+        is_, jb = _join(s_cols[s0:s1], b_rows)  # S[p, q] Jtilde_a[q, j]
+        is_ += s0
+        # cell (i, q) of generator g's residual is key (g n + i) n + q
+        keys = np.concatenate((
+            (a_gen[ia] * n + a_rows[ia]) * n + s_cols[js],
+            (b_gen[jb] * n + s_rows[is_]) * n + b_cols[jb],
+        ))
+        vals = np.concatenate((
+            a_vals[ia] * s_vals[js], -s_vals[is_] * b_vals[jb]
+        ))
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # one per cell
+        sums = np.add.reduceat(vals, starts)
+        np.maximum.at(worst, keys[starts] // (n * n), np.abs(sums))
+    # doubled weights: 2(m1 + m2) = 2j1 + 2j2 - 2 alpha - 2(beta - 1) of
+    # row p = alpha n2 + beta against 2M = 2J_k + 2 - 2r of column
+    # q = z_{k-1} + r, with 2J_k = 2j1 + 2j2 + 2 - 2k
+    two_j12 = lay.twoJ1 + lay.twoJ2
+    alpha, beta = np.divmod(s_rows, lay.n2)  # beta counted from 0 here
+    z = np.array((0,) + lay.offsets)
+    k = np.searchsorted(z, s_cols + 1)  # first block with q <= z_k
+    r = s_cols + 1 - z[k - 1]
+    diag_ok = bool(np.array_equal(
+        two_j12 - 2 * (alpha + beta), two_j12 + 4 - 2 * k - 2 * r
+    ))
+    return IntertwiningReport(*map(float, worst), diag_ok)
 
 
 def ladder_oracle_S(two_j1: int, two_j2: int) -> CGMatrix:

@@ -229,9 +229,11 @@ def _verify_intertwining(args) -> bool:
         for b in range(args.max_twoj + 1):
             s = cgmod.build_S(a, b)
             report = cgmod.verify_intertwining(s)
-            cols = all(
-                s.column_norm_sq(q) == 1
-                for q in range(1, s.layout.total + 1)
+            norms: dict = {}  # column -> exact squared norm, in one pass
+            for (_, q), c in s.matrix.term_map().items():
+                norms[q] = norms.get(q, Fraction(0)) + c * c
+            cols = len(norms) == s.layout.total and all(
+                v == 1 for v in norms.values()
             )
             good = report.passed(args.tol) and cols
             ok = ok and good

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -221,10 +222,7 @@ def test_intertwining_detects_perturbation_outside_support():
     assert not rep.diagonal_exact
 
 
-@pytest.mark.parametrize("two_j1", range(0, 7))
-@pytest.mark.parametrize("two_j2", range(0, 7))
-def test_sparse_residuals_match_dense_products(two_j1, two_j2):
-    s = build_S(two_j1, two_j2)
+def _assert_residuals_match_dense(s):
     # a float perturbation makes every residual nonzero
     s_bad = CGMatrix(s.layout, s.matrix + XSum(s.layout.total, {(1, 1): 1e-3}))
     for m in (s, s_bad):
@@ -233,6 +231,72 @@ def test_sparse_residuals_match_dense_products(two_j1, two_j2):
         assert abs(rep.residual_3 - dense["3"]) < 1e-12
         assert abs(rep.residual_plus - dense["plus"]) < 1e-12
         assert abs(rep.residual_minus - dense["minus"]) < 1e-12
+
+
+@pytest.mark.parametrize("two_j1", range(0, 7))
+@pytest.mark.parametrize("two_j2", range(0, 7))
+def test_sparse_residuals_match_dense_products(two_j1, two_j2):
+    _assert_residuals_match_dense(build_S(two_j1, two_j2))
+
+
+@pytest.mark.parametrize("two_j1, two_j2", [(10, 12), (12, 12)])
+def test_sparse_residuals_match_dense_products_at_bench_pairs(two_j1, two_j2):
+    _assert_residuals_match_dense(build_S(two_j1, two_j2))
+
+
+def test_entry_moved_to_another_weight_fails_the_weight_check():
+    s = build_S(9, 7)
+    lay = s.layout
+    q = lay.z(3) + 2  # block 4, row 2
+    terms = s.matrix.term_map()
+    p = min(pp for (pp, qq) in terms if qq == q)
+    # rows p and p + 1 differ in weight for n2 > 2, so (p + 1, q) is empty
+    assert (p + 1, q) not in terms
+    terms[p + 1, q] = terms.pop((p, q))
+    rep = verify_intertwining(CGMatrix(lay, XSum(lay.total, terms)))
+    assert not rep.diagonal_exact
+
+
+@pytest.fixture
+def fresh_generators():
+    """Empty the per-pair generator cache around a test that patches
+    product_gen or block_gen, so no patched build outlives the test."""
+    kronx.cg._generator_triplets.cache_clear()
+    yield
+    kronx.cg._generator_triplets.cache_clear()
+
+
+def test_generators_built_once_per_pair(monkeypatch, fresh_generators):
+    calls = {"product_gen": 0, "block_gen": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(kronx.cg, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kronx.cg, name, counted)
+    build_S(6, 6)
+    build_S(6, 6)
+    assert calls == {"product_gen": 3, "block_gen": 3}
+
+
+def test_cached_generator_arrays_refuse_writes():
+    for side in kronx.cg._generator_triplets(2, 2):
+        for a in side:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+def test_intertwining_memory_stays_far_below_a_dense_matrix():
+    s = build_S(40, 40)  # order 1681; also fills the generator cache
+    n = s.layout.total
+    tracemalloc.start()
+    try:
+        rep = verify_intertwining(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed(1e-10)
+    assert peak < n * n * np.dtype(complex).itemsize / 8
 
 
 def test_intertwining_builds_no_dense_matrix(monkeypatch):
@@ -314,7 +378,9 @@ def test_cg_coefficient_limited_by_the_order_cap(monkeypatch):
         cg_coefficient(64, 64, 64, 64, 128, 128)  # S has order 65^2 = 4225
 
 
-def test_ladder_oracle_over_order_cap_fails_before_allocating(monkeypatch):
+def test_ladder_oracle_over_order_cap_fails_before_allocating(
+    monkeypatch, fresh_generators
+):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the order check")
 

@@ -347,6 +347,29 @@ class TestVerify:
         assert code == 0
         assert "max residual" in out
 
+    def test_intertwining_suite_checks_column_norms(self, capcli, monkeypatch):
+        build_S = kronx.cg.build_S
+
+        def singlet_doubled(two_j1, two_j2):
+            s = build_S(two_j1, two_j2)
+            if (two_j1, two_j2) != (1, 1):
+                return s
+            # the singlet column q = 4 still intertwines when doubled;
+            # only its squared norm, 4, gives it away
+            terms = {key: 2 * c if key[1] == 4 else c
+                     for key, c in s.matrix.items()}
+            return kronx.cg.CGMatrix(s.layout, XSum(4, terms))
+
+        assert kronx.cg.verify_intertwining(singlet_doubled(1, 1)).passed()
+        monkeypatch.setattr(kronx.cg, "build_S", singlet_doubled)
+        code, out, _ = capcli("verify", "--suite", "intertwining",
+                              "--max-twoj", "1")
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[-1].startswith("S(1/2 x 1/2)")
+        assert lines[-1].endswith("  FAIL")
+        assert not any("FAIL" in line for line in lines[:-1])
+
     def test_su2_suite_passes(self, capcli):
         code, out, _ = capcli("verify", "--suite", "su2", "--max-twoj", "6")
         assert code == 0 and "exact" in out
