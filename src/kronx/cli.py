@@ -10,6 +10,7 @@ check), 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .models import (
     JCConfig,
     NLevelHamiltonian,
     SpinChainParams,
+    _jacobi,
     diagonalize,
     heisenberg_h,
     hubbard_h,
@@ -182,22 +184,24 @@ def cmd_cg(args) -> int:
     return _emit_matrix(cgmod.build_S(args.twoj1, args.twoj2).matrix, args)
 
 
+def _spectrum(h: NLevelHamiltonian, **sweeps) -> tuple:
+    """Eigenvalues of h by the Jacobi loop with no unitary accumulated."""
+    return _jacobi(h.to_xsum().to_numpy(), **sweeps)[0]
+
+
 def cmd_diag(args) -> int:
     _positive(args.tol, "--tol")
     h = NLevelHamiltonian.from_xsum(load_matrix(args.matrix))
-    ev, u = diagonalize(
-        h, tol=args.tol, max_sweeps=args.max_sweeps,
-        single_sweep=args.single_sweep,
-    )
+    sweeps = dict(tol=args.tol, max_sweeps=args.max_sweeps,
+                  single_sweep=args.single_sweep)
     if args.unitary:
-        return _emit_matrix(u, args)
-    return _emit_spectrum(ev, args)
+        return _emit_matrix(diagonalize(h, **sweeps)[1], args)
+    return _emit_spectrum(_spectrum(h, **sweeps), args)
 
 
 def _emit_model(h: XSum, args) -> int:
     if args.diag:
-        ev, _ = diagonalize(NLevelHamiltonian.from_xsum(h))
-        return _emit_spectrum(ev, args)
+        return _emit_spectrum(_spectrum(NLevelHamiltonian.from_xsum(h)), args)
     return _emit_matrix(h, args)
 
 
@@ -348,6 +352,7 @@ def cmd_verify(args) -> int:
     return EX_OK if _SUITES[args.suite](args) else EX_VERIFY
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="kronx", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)

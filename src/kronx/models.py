@@ -171,6 +171,42 @@ def rotate_step(
     return NLevelHamiltonian.from_xsum(from_dense(a.tolist())), alpha
 
 
+def _jacobi(
+    a: np.ndarray,
+    tol: float = 1e-12,
+    max_sweeps: int = 30,
+    single_sweep: bool = False,
+    vectors: bool = False,
+) -> Tuple[Tuple[float, ...], np.ndarray | None]:
+    """Cyclic Jacobi sweeps on the Hermitian work array a, in place, until
+    its off-diagonal mass drops below tol; the one sweep loop of the
+    package.
+
+    Returns the eigenvalues sorted ascending and, with vectors, the
+    accumulated unitary U with its columns permuted to match; without
+    vectors no U is built.
+    """
+    n = len(a)
+    u = np.eye(n, dtype=complex) if vectors else None
+    sweeps = 0
+    while (residual := float(np.abs(a - np.diag(a.diagonal())).max())) > tol:
+        if sweeps >= max_sweeps:
+            raise ConvergenceError(residual, sweeps)
+        for k in range(n - 1):
+            for m in range(k + 1, n):
+                _rotate(a, k, m, u)
+        sweeps += 1
+        if single_sweep:
+            break
+    eps = a.diagonal().real.tolist()
+    order = sorted(range(n), key=eps.__getitem__)
+    if vectors:
+        if not sweeps:  # nothing rotated: U is an exact permutation
+            u = np.eye(n, dtype=int)
+        u = u[:, order]
+    return tuple(eps[i] for i in order), u
+
+
 def diagonalize(
     h: NLevelHamiltonian,
     tol: float = 1e-12,
@@ -184,24 +220,9 @@ def diagonalize(
     With single_sweep the loop stops after one full pass regardless of
     the residual, reproducing the plain n-1 rotation construction.
     """
-    n = h.order
-    a = h.to_xsum().to_numpy()
-    u = np.eye(n, dtype=complex)
-    sweeps = 0
-    while (residual := float(np.abs(a - np.diag(a.diagonal())).max())) > tol:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(residual, sweeps)
-        for k in range(n - 1):
-            for m in range(k + 1, n):
-                _rotate(a, k, m, u)
-        sweeps += 1
-        if single_sweep:
-            break
-    if not sweeps:  # nothing rotated: U is an exact permutation
-        u = np.eye(n, dtype=int)
-    eps = a.diagonal().real.tolist()
-    order = sorted(range(n), key=eps.__getitem__)
-    return tuple(eps[i] for i in order), from_dense(u[:, order].tolist())
+    ev, u = _jacobi(h.to_xsum().to_numpy(), tol, max_sweeps, single_sweep,
+                    vectors=True)
+    return ev, from_dense(u.tolist())
 
 
 def _site_sum(n: int, d: int, terms, parity=None) -> XSum:
@@ -266,14 +287,20 @@ class SpinChainParams:
 def heisenberg_h(params: SpinChainParams, periodic: bool = True) -> XSum:
     """-1/2 sum_j (Jx sx sx + Jy sy sy + Jz sz sz) over nearest bonds.
 
+    The xy part of a bond is built in ladder form, (Jx+Jy)(s+ s- + s- s+)
+    + (Jx-Jy)(s+ s+ + s- s-) with s+ = X^{1,2} and s- = X^{2,1}, so rational
+    couplings give an exact rational H (sy alone would bring in +-i).
     Periodic closure identifies site n+1 with site 1; note that for
     n = 2 this makes the single physical bond appear twice.
     """
     n = params.sites
     bonds = [(j, j % n + 1) for j in range(1, (n if periodic else n - 1) + 1)]
-    terms = [(coupling, ((a, s), (b, s))) for coupling, s in
-             zip((params.jx, params.jy, params.jz), map(pauli, "xyz"))
-             if coupling for (a, b) in bonds]
+    up, dn, sz = x_op(2, 1, 2), x_op(2, 2, 1), pauli("z")
+    parts = ((params.jx + params.jy, ((up, dn), (dn, up))),
+             (params.jx - params.jy, ((up, up), (dn, dn))),
+             (params.jz, ((sz, sz),)))
+    terms = [(coupling, ((a, s), (b, t))) for coupling, ops in parts
+             if coupling for s, t in ops for (a, b) in bonds]
     return _site_sum(n, 2, terms).scale(Fraction(-1, 2))
 
 

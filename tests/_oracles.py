@@ -18,6 +18,7 @@ from kronx.hubbard import (
     from_dense,
     identity,
     to_dense,
+    x_op,
     xsum_mul,
 )
 from kronx.kron import kron_many
@@ -136,17 +137,23 @@ def site_embed(op: XSum, j: int, n: int) -> XSum:
 
 def heisenberg_by_site_embed(params, periodic: bool = True) -> XSum:
     """heisenberg_h composed bond by bond from site_embed, xsum_mul and
-    sums: the spin cross-check of the models' digit kernel."""
+    sums: the spin cross-check of the models' digit kernel.  sy x sy is
+    taken as the exact real product -(s+ - s-) x (s+ - s-), since pauli("y")
+    would bring in +-i; each bond is summed before it joins the total."""
     n = params.sites
     bonds = [(j, j % n + 1) for j in range(1, (n if periodic else n - 1) + 1)]
+    iy = x_op(2, 1, 2) - x_op(2, 2, 1)  # i sy
+    axes = [(coupling, s) for coupling, s in ((params.jx, pauli("x")),
+                                              (-params.jy, iy),
+                                              (params.jz, pauli("z")))
+            if coupling]
     total = XSum(2**n, {})
-    for coupling, axis in zip((params.jx, params.jy, params.jz), "xyz"):
-        if not coupling:
-            continue
-        s = pauli(axis)
-        for a, b in bonds:
+    for a, b in bonds:
+        bond = XSum(2**n, {})
+        for coupling, s in axes:
             term = xsum_mul(site_embed(s, a, n), site_embed(s, b, n))
-            total = total + term.scale(coupling)
+            bond = bond + term.scale(coupling)
+        total = total + bond
     return total.scale(Fraction(-1, 2))
 
 

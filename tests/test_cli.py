@@ -318,6 +318,11 @@ class TestHeisenbergHubbardJc:
         assert code == 0
         assert json.loads(out)["kind"] == "rational"
 
+    def test_heisenberg_matrix_is_rational(self, capcli):
+        code, out, _ = capcli("heisenberg", "--sites", "2")
+        assert code == 0
+        assert json.loads(out)["kind"] == "rational"
+
     def test_jc_unitary_entries(self, capcli):
         code, out, _ = capcli("jc", "--gamma", "1", "--cutoff", "2",
                               "--time", "0.5")
@@ -425,3 +430,58 @@ class TestModuleEntryPoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == capcli(
             "su2", "--twoj", "1"
         )
+
+
+class TestOneParser:
+    @pytest.fixture
+    def h(self, tmp_path):
+        return write_matrix(tmp_path, "h.json", XSum(3, {
+            (1, 1): 1, (1, 2): 1j, (2, 1): -1j, (2, 3): 2, (3, 2): 2}))
+
+    def test_two_runs_construct_one_parser(self, capcli, monkeypatch):
+        built = []
+
+        class Counted(kronx.cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(kronx.cli, "_Parser", Counted)
+        kronx.cli.build_parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert capcli("su2", "--twoj", "1")[0] == 0
+        finally:
+            kronx.cli.build_parser.cache_clear()
+        assert built.count("kronx") == 1
+
+    @pytest.mark.parametrize("first, second", [
+        (("diag", "{h}", "--unitary"), ("diag", "{h}")),
+        (("diag", "{h}", "--frobnicate"), ("diag", "{h}")),
+        (("--help",), ("diag", "{h}")),
+        (("heisenberg", "--sites", "3", "--open", "--jy", "0", "--diag"),
+         ("heisenberg", "--sites", "3", "--diag")),
+    ], ids=("unitary-then-spectrum", "usage-error-then-valid",
+            "help-then-valid", "flags-then-defaults"))
+    def test_calls_on_one_parser_leak_no_state(self, capcli, h, monkeypatch,
+                                               first, second):
+        monkeypatch.setenv("COLUMNS", "80")  # one help width for both sides
+        for argv in (first, second):
+            argv = [a.format(h=h) for a in argv]
+            fresh = TestModuleEntryPoint.module("kronx", *argv)
+            assert capcli(*argv) == (fresh.returncode, fresh.stdout,
+                                     fresh.stderr)
+
+    def test_spectrum_paths_build_no_unitary(self, capcli, h, monkeypatch):
+        def refuse(m):
+            raise AssertionError("a spectrum path built U")
+
+        monkeypatch.setattr(kronx.models, "from_dense", refuse)
+        for argv in (("diag", h), ("diag", h, "--single-sweep"),
+                     ("heisenberg", "--sites", "3", "--diag"),
+                     ("hubbard", "--sites", "2", "--t", "1", "--u", "4",
+                      "--diag")):
+            code, out, _ = capcli(*argv)
+            assert code == 0 and out.startswith("eigenvalue,multiplicity")
+        with pytest.raises(AssertionError):
+            capcli("diag", h, "--unitary")

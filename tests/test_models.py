@@ -271,6 +271,28 @@ class TestDiagonalize:
         assert counts[0] == counts[1]
 
 
+class TestSpectrumOnlyLoop:
+    @pytest.mark.parametrize("single_sweep", (False, True),
+                             ids=("converged", "single-sweep"))
+    def test_eigenvalues_equal_diagonalize(self, single_sweep):
+        rng = np.random.default_rng(17)
+        for n in range(1, 17):
+            h = random_hermitian(n, rng)
+            ev, u = kronx.models._jacobi(h.to_xsum().to_numpy(),
+                                         single_sweep=single_sweep)
+            assert u is None
+            assert ev == diagonalize(h, single_sweep=single_sweep)[0]
+
+    def test_zero_sweeps_raise_with_the_same_residual(self):
+        h = random_hermitian(5, np.random.default_rng(19))
+        with pytest.raises(ConvergenceError) as loop:
+            kronx.models._jacobi(h.to_xsum().to_numpy(), max_sweeps=0)
+        with pytest.raises(ConvergenceError) as full:
+            diagonalize(h, max_sweeps=0)
+        assert loop.value.residual == full.value.residual > 0
+        assert loop.value.sweeps == full.value.sweeps == 0
+
+
 class TestSiteEmbed:
     def test_first_slot(self):
         assert site_embed(pauli("z"), 1, 2) == kron(pauli("z"), identity(2))
@@ -346,6 +368,7 @@ COUPLINGS = {
     "xxx": (1, 1, 1),
     "xxz": (Fraction(1), Fraction(1), Fraction(3, 2)),
     "jy0": (1, 0, 1),
+    "xyz": (Fraction(7, 10), Fraction(-2, 5), Fraction(11, 10)),
     "float": (0.7, -0.4, 1.1),
 }
 
@@ -362,6 +385,15 @@ def test_heisenberg_equals_site_embed_route(sites, couplings, periodic):
         (k, type(c), repr(c)) for k, c in route.items()
     ]
     assert matrix_to_json(built) == matrix_to_json(route)
+
+
+@pytest.mark.parametrize("periodic", (False, True), ids=("open", "ring"))
+@pytest.mark.parametrize("sites", range(2, 13))
+def test_heisenberg_is_exact_for_rational_couplings(sites, periodic):
+    # Jx != Jy, both nonzero: both ladder parts of the xy bond are built
+    params = SpinChainParams(sites, Fraction(7, 10), Fraction(-2, 5),
+                             Fraction(11, 10))
+    assert heisenberg_h(params, periodic).is_exact()
 
 
 def test_total_sz_equals_site_embed_sum():
