@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Iterator, Tuple
 
 import numpy as np
 
 from .coupling import CouplingLayout, block_gen, layout, product_gen
-from .exactnum import DomainError, SqrtRational, scalar_to_complex
+from .exactnum import DomainError, SqrtRational
 from .hubbard import XSum, check_order
 
 _ZERO = SqrtRational(0, Fraction(0))
@@ -162,11 +161,12 @@ class CGMatrix:
     def entry(self, p: int, q: int):
         return self.matrix.coeff(p, q)
 
-    def column_norm_sq(self, q: int):
-        return sum(
-            (c * c for ((_, qq), c) in self.matrix.items() if qq == q),
-            Fraction(0),
-        )
+    def column_norms_sq(self) -> list:
+        """Exact squared norms of columns 1..n of S, in one pass over S."""
+        norms = [Fraction(0)] * self.layout.total
+        for (_, q), c in self.matrix.term_map().items():
+            norms[q - 1] += c * c
+        return norms
 
 
 @dataclass(frozen=True)
@@ -232,15 +232,8 @@ _TERMS_PER_PASS = 4096
 
 
 def _triplets(x: XSum):
-    """0-based rows, 0-based columns and complex values of x's terms, sorted
-    by row; each coefficient is converted to complex once."""
-    store = x.term_map()
-    nnz = len(store)
-    cells = np.fromiter(chain.from_iterable(store), np.intp, 2 * nnz)
-    vals = np.fromiter(map(scalar_to_complex, store.values()), complex, nnz)
-    del store  # the largest object here; free it before the sorted copies
-    cells -= 1
-    rows, cols = cells[0::2], cells[1::2]
+    """x.triplets() sorted by row."""
+    rows, cols, vals = x.triplets()
     order = np.argsort(rows, kind="stable")
     return rows[order], cols[order], vals[order]
 
@@ -257,7 +250,7 @@ def _generator_triplets(two_j1: int, two_j2: int):
         [product_gen(two_j1, two_j2, which) for which in _GENERATORS],
         [block_gen(two_j1, two_j2, which).flatten() for which in _GENERATORS],
     ):
-        parts = [_triplets(x) for x in gens]
+        parts = [x.triplets() for x in gens]
         gen = np.repeat(np.arange(len(parts)), [len(r) for r, _c, _v in parts])
         rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
         order = np.argsort(rows, kind="stable")

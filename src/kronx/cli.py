@@ -26,6 +26,7 @@ from .models import (
     JCConfig,
     NLevelHamiltonian,
     SpinChainParams,
+    _hermitian_array,
     _jacobi,
     diagonalize,
     heisenberg_h,
@@ -184,24 +185,20 @@ def cmd_cg(args) -> int:
     return _emit_matrix(cgmod.build_S(args.twoj1, args.twoj2).matrix, args)
 
 
-def _spectrum(h: NLevelHamiltonian, **sweeps) -> tuple:
-    """Eigenvalues of h by the Jacobi loop with no unitary accumulated."""
-    return _jacobi(h.to_xsum().to_numpy(), **sweeps)[0]
-
-
 def cmd_diag(args) -> int:
     _positive(args.tol, "--tol")
-    h = NLevelHamiltonian.from_xsum(load_matrix(args.matrix))
+    x = load_matrix(args.matrix)
     sweeps = dict(tol=args.tol, max_sweeps=args.max_sweeps,
                   single_sweep=args.single_sweep)
     if args.unitary:
-        return _emit_matrix(diagonalize(h, **sweeps)[1], args)
-    return _emit_spectrum(_spectrum(h, **sweeps), args)
+        u = diagonalize(NLevelHamiltonian.from_xsum(x), **sweeps)[1]
+        return _emit_matrix(u, args)
+    return _emit_spectrum(_jacobi(_hermitian_array(x), **sweeps)[0], args)
 
 
 def _emit_model(h: XSum, args) -> int:
     if args.diag:
-        return _emit_spectrum(_spectrum(NLevelHamiltonian.from_xsum(h)), args)
+        return _emit_spectrum(_jacobi(_hermitian_array(h))[0], args)
     return _emit_matrix(h, args)
 
 
@@ -233,13 +230,8 @@ def _verify_intertwining(args) -> bool:
         for b in range(args.max_twoj + 1):
             s = cgmod.build_S(a, b)
             report = cgmod.verify_intertwining(s)
-            norms: dict = {}  # column -> exact squared norm, in one pass
-            for (_, q), c in s.matrix.term_map().items():
-                norms[q] = norms.get(q, Fraction(0)) + c * c
-            cols = len(norms) == s.layout.total and all(
-                v == 1 for v in norms.values()
-            )
-            good = report.passed(args.tol) and cols
+            good = (report.passed(args.tol)
+                    and s.column_norms_sq() == [1] * s.layout.total)
             ok = ok and good
             print(
                 f"S({a}/2 x {b}/2): max residual {report.max_residual:.3e}"

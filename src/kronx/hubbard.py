@@ -10,6 +10,7 @@ subscripts without ever materializing dense arrays.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -192,10 +193,19 @@ class XSum:
     def to_dense(self) -> list:
         return to_dense(self)
 
-    def to_numpy(self, dtype=complex) -> np.ndarray:
-        out = np.zeros((self.order, self.order), dtype=dtype)
-        for (i, j), c in self._terms.items():
-            out[i - 1, j - 1] = scalar_to_complex(c) if dtype is complex else c
+    def triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """0-based rows, 0-based columns and complex values of the terms in
+        storage order: the one route from terms to float arrays."""
+        nnz = len(self._terms)
+        cells = np.fromiter(chain.from_iterable(self._terms), np.intp, 2 * nnz)
+        vals = np.fromiter(map(scalar_to_complex, self.values()), complex, nnz)
+        cells -= 1
+        return cells[0::2], cells[1::2], vals
+
+    def to_numpy(self) -> np.ndarray:
+        rows, cols, vals = self.triplets()
+        out = np.zeros((self.order, self.order), dtype=complex)
+        out[rows, cols] = vals
         return out
 
     def __str__(self) -> str:

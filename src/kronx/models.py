@@ -17,8 +17,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .exactnum import (DomainError, scalar_add, scalar_is_zero, scalar_mul,
-                       scalar_to_complex)
+from .exactnum import DomainError, scalar_add, scalar_is_zero, scalar_mul
 # unused here; perfbench/smoke.py checks that its tracer wraps xsum_mul here
 from .hubbard import XSum, check_order, from_dense, x_op, xsum_mul
 from .kron import kron
@@ -85,25 +84,35 @@ class NLevelHamiltonian:
         return XSum(self.order, terms)
 
     @classmethod
-    def from_xsum(cls, x: XSum, tol: float = 1e-12) -> "NLevelHamiltonian":
-        n = x.order
-        eps = []
-        for p in range(1, n + 1):
-            d = scalar_to_complex(x.coeff(p, p))
-            if abs(d.imag) > tol:
-                raise DomainError(f"diagonal entry {p} is not real")
-            eps.append(d.real)
-        v = {}
-        for ((p, q), c) in x.items():
-            if p >= q:
-                continue
-            up = scalar_to_complex(c)
-            lo = scalar_to_complex(x.coeff(q, p))
-            if abs(up - lo.conjugate()) > tol:
-                raise DomainError(f"entries ({p},{q}) and ({q},{p}) "
-                                  "are not conjugate")
-            v[(p, q)] = up
-        return cls(tuple(eps), v)
+    def from_xsum(cls, x: XSum) -> "NLevelHamiltonian":
+        a = _hermitian_array(x)
+        return cls(a.diagonal().real, {(p, q): a[p - 1, q - 1]
+                                       for p, q in x.term_map() if p < q})
+
+
+_HERMITIAN_TOL = 1e-12
+
+
+def _hermitian_array(x: XSum) -> np.ndarray:
+    """x as the Jacobi work array: its real diagonal and upper triangle,
+    mirrored.  Raises DomainError unless, on x's stored terms, the diagonal
+    is real and each (p, q) matches conj (q, p) within _HERMITIAN_TOL, so a
+    lone entry in either triangle fails; O(nnz) past the n x n array."""
+    rows, cols, vals = x.triplets()
+    a = np.zeros((x.order, x.order), dtype=complex)
+    a[rows, cols] = vals
+    diag = rows == cols
+    if (bad := diag & (np.abs(vals.imag) > _HERMITIAN_TOL)).any():
+        raise DomainError(f"diagonal entry {rows[bad].min() + 1} is not real")
+    mirror = np.abs(vals - a[cols, rows].conj()) > _HERMITIAN_TOL
+    if (bad := ~diag & mirror).any():
+        p, q = min(sorted(pq) for pq in zip(rows[bad] + 1, cols[bad] + 1))
+        raise DomainError(f"entries ({p},{q}) and ({q},{p}) are not conjugate")
+    upper, lower = rows < cols, rows > cols
+    a[rows[lower], cols[lower]] = 0
+    a[cols[upper], rows[upper]] = vals[upper].conj()
+    a[rows[diag], cols[diag]] = vals[diag].real
+    return a
 
 
 def givens_unitary(

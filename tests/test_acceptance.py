@@ -232,8 +232,7 @@ def test_07_clebsch_gordan_correctness():
             assert np.max(np.abs(a.T @ a - np.eye(n))) < 1e-10
             assert np.max(np.abs(a @ a.T - np.eye(n))) < 1e-10
 
-            for q in range(1, n + 1):
-                assert s.column_norm_sq(q) == 1
+            assert s.column_norms_sq() == [1] * n
 
             lay = s.layout
             for k in range(1, lay.n0 + 1):

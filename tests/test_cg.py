@@ -194,8 +194,7 @@ def test_unitarity_and_exact_columns(two_j1, two_j2):
     m = s.matrix.to_numpy().real
     assert np.abs(m.T @ m - np.eye(n)).max() < 1e-10
     assert np.abs(m @ m.T - np.eye(n)).max() < 1e-10
-    for q in range(1, n + 1):
-        assert s.column_norm_sq(q) == 1
+    assert s.column_norms_sq() == [1] * n
 
 
 @pytest.mark.parametrize("two_j1", range(0, 6))
@@ -300,7 +299,7 @@ def test_intertwining_memory_stays_far_below_a_dense_matrix():
 
 
 def test_intertwining_builds_no_dense_matrix(monkeypatch):
-    def refuse(self, dtype=complex):
+    def refuse(self):
         raise AssertionError("dense matrix formed")
 
     monkeypatch.setattr(XSum, "to_numpy", refuse)

@@ -228,8 +228,11 @@ class TestDiag:
         assert u.order == 2
 
     def test_non_hermitian_is_2(self, capcli, tmp_path):
-        path = write_matrix(tmp_path, "h.json", XSum(2, {(1, 2): 1}))
-        assert capcli("diag", path)[0] == 2
+        # a lone upper entry, a lone lower entry, a non-real diagonal
+        for terms in ({(1, 2): 1}, {(2, 1): 1}, {(1, 1): 1j, (2, 2): 1}):
+            path = write_matrix(tmp_path, "h.json", XSum(2, terms))
+            assert capcli("diag", path)[0] == 2
+            assert capcli("diag", path, "--unitary")[0] == 2
 
     def test_explicit_csv_format_matches_default(self, capcli, tmp_path):
         h = XSum(2, {(1, 1): 1, (2, 2): 3})
@@ -473,10 +476,14 @@ class TestOneParser:
                                      fresh.stderr)
 
     def test_spectrum_paths_build_no_unitary(self, capcli, h, monkeypatch):
-        def refuse(m):
-            raise AssertionError("a spectrum path built U")
+        # nor do they copy H through NLevelHamiltonian on the way to _jacobi
+        def refuse(*args):
+            raise AssertionError("a spectrum path built U or copied H")
 
         monkeypatch.setattr(kronx.models, "from_dense", refuse)
+        monkeypatch.setattr(kronx.models.NLevelHamiltonian, "from_xsum",
+                            classmethod(refuse))
+        monkeypatch.setattr(kronx.models.NLevelHamiltonian, "to_xsum", refuse)
         for argv in (("diag", h), ("diag", h, "--single-sweep"),
                      ("heisenberg", "--sites", "3", "--diag"),
                      ("hubbard", "--sites", "2", "--t", "1", "--u", "4",

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import kronx.models
-from kronx.exactnum import DomainError
+from kronx.exactnum import DomainError, SqrtRational, scalar_to_complex
 from kronx.hubbard import ResourceError, XSum, bracket, identity, x_op, xsum_mul
 from kronx.kron import kron
 from kronx.models import (
@@ -79,10 +79,11 @@ class TestNLevelHamiltonian:
         assert NLevelHamiltonian.from_xsum(h.to_xsum()) == h
 
     def test_from_xsum_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            NLevelHamiltonian.from_xsum(x_op(2, 1, 2))
-        with pytest.raises(DomainError):
-            NLevelHamiltonian.from_xsum(XSum(2, {(1, 1): 1j}))
+        # a lone entry in either triangle, a non-real diagonal
+        for x in (x_op(2, 1, 2), x_op(2, 2, 1), XSum(2, {(1, 1): 1j}),
+                  XSum(3, {(1, 1): 1, (3, 1): 5})):
+            with pytest.raises(DomainError):
+                NLevelHamiltonian.from_xsum(x)
 
 
 class TestGivensUnitary:
@@ -291,6 +292,44 @@ class TestSpectrumOnlyLoop:
             diagonalize(h, max_sweeps=0)
         assert loop.value.residual == full.value.residual > 0
         assert loop.value.sweeps == full.value.sweeps == 0
+
+
+def _hermitian_cases():
+    for sites in range(2, 9):
+        for couplings in ((1, 1, Fraction(3, 2)),
+                          (Fraction(7, 10), Fraction(-2, 5), Fraction(11, 10))):
+            for periodic in (False, True):
+                yield heisenberg_h(SpinChainParams(sites, *couplings), periodic)
+    for sites in range(1, 5):
+        p = HubbardParams.from_physical(
+            sites, Fraction(3, 10), 0, 4,
+            {(i, i + 1): 1 for i in range(1, sites)})
+        yield hubbard_h(p)
+
+
+class TestHermitianArray:
+    def test_equals_the_from_xsum_route(self):
+        # tobytes also tells 0.0 from -0.0, which the Jacobi phases can see
+        for x in _hermitian_cases():
+            route = NLevelHamiltonian.from_xsum(x).to_xsum().to_numpy()
+            assert kronx.models._hermitian_array(x).tobytes() == route.tobytes()
+
+    def test_mixed_kinds_convert_entry_by_entry(self):
+        r2 = SqrtRational(1, Fraction(2))
+        x = XSum(3, {(1, 1): 2, (2, 2): Fraction(-1, 3), (3, 3): r2,
+                     (1, 2): Fraction(1, 7), (2, 1): Fraction(1, 7),
+                     (1, 3): r2, (3, 1): r2,
+                     (2, 3): 0.5 - 0.25j, (3, 2): 0.5 + 0.25j})
+        expect = np.zeros((3, 3), dtype=complex)
+        for (i, j), c in x.items():
+            expect[i - 1, j - 1] = scalar_to_complex(c)
+        assert x.to_numpy().tobytes() == expect.tobytes()
+        # the work array rebuilds the lower triangle as conj(upper), which
+        # turns the zero imaginary parts there into -0.0
+        work = kronx.models._hermitian_array(x)
+        route = NLevelHamiltonian.from_xsum(x).to_xsum().to_numpy()
+        assert np.array_equal(work, expect)
+        assert work.tobytes() == route.tobytes()
 
 
 class TestSiteEmbed:
