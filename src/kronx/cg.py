@@ -18,7 +18,7 @@ global phase is 1 (Condon-Shortley compatible).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Tuple
@@ -154,12 +154,25 @@ def s_general(
 class CGMatrix:
     layout: CouplingLayout
     matrix: XSum
+    # a field, not a cached_property: writing through __dict__ would slow
+    # every later attribute read of the instance
+    _report: "IntertwiningReport | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def is_exact(self) -> bool:
         return self.matrix.is_exact()
 
     def entry(self, p: int, q: int):
         return self.matrix.coeff(p, q)
+
+    @property
+    def report(self) -> "IntertwiningReport":
+        """verify_intertwining(self), computed once per S: build_S runs
+        it, and later readers get the same report."""
+        if self._report is None:
+            object.__setattr__(self, "_report", verify_intertwining(self))
+        return self._report
 
     def column_norms_sq(self) -> list:
         """Exact squared norms of columns 1..n of S, in one pass over S."""
@@ -214,7 +227,7 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
             terms[(alpha * n2 + beta, z[k - 1] + r)] = c
     # _admissible yields distinct in-range cells and zeros are skipped
     cand = CGMatrix(lay, XSum._trusted(lay.total, terms))
-    report = verify_intertwining(cand)
+    report = cand.report
     if report.max_residual > 1e-8 or not report.diagonal_exact:
         raise VerificationError(
             f"S({two_j1}/2 x {two_j2}/2) misses the intertwining law: "

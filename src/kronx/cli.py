@@ -229,7 +229,7 @@ def _verify_intertwining(args) -> bool:
     for a in range(args.max_twoj + 1):
         for b in range(args.max_twoj + 1):
             s = cgmod.build_S(a, b)
-            report = cgmod.verify_intertwining(s)
+            report = s.report
             good = (report.passed(args.tol)
                     and s.column_norms_sq() == [1] * s.layout.total)
             ok = ok and good
@@ -341,6 +341,8 @@ def cmd_verify(args) -> int:
     _positive(args.tol, "--tol")
     if args.max_twoj < 0:
         raise DomainError("--max-twoj must be nonnegative")
+    if args.suite == "fourier" and args.n < 2:
+        raise DomainError("--n must be at least 2 for the fourier suite")
     return EX_OK if _SUITES[args.suite](args) else EX_VERIFY
 
 

@@ -156,8 +156,11 @@ class SqrtRational:
             raise ValueError("radicand must be nonnegative")
         return cls(0 if q == 0 else 1, q)
 
-    def to_float(self) -> float:
-        return self.sign * math.sqrt(self.radicand)
+    def __float__(self) -> float:
+        # complex() falls back to __float__, so this serves both; the int
+        # quotient is float(radicand) without numbers.Rational's dispatch
+        r = self.radicand
+        return self.sign * math.sqrt(r.numerator / r.denominator)
 
     def as_rational(self) -> Fraction | None:
         """The exact rational value, when the radicand is a perfect square."""
@@ -280,8 +283,11 @@ def complex_float(re: float, im: float = 0.0) -> complex:
 # --- scalar tower -----------------------------------------------------------
 #
 # Coefficients in operator sums are int, Fraction, SqrtRational, float or
-# complex.  The helpers below centralize mixed-type arithmetic: exact kinds
-# stay exact, any float/complex participant drags the result to complex.
+# complex.  Every kind converts with complex() and is zero exactly when
+# bool() is False.  The helpers below add one rule to the operators: any
+# float/complex participant drags the result to complex.  Exact kinds stay
+# exact through their own operators, where SqrtRational._coerce is the one
+# place a rational becomes a surd.
 
 Scalar = Union[int, Fraction, SqrtRational, float, complex]
 
@@ -290,22 +296,8 @@ def scalar_is_exact(c: Scalar) -> bool:
     return isinstance(c, (int, Fraction, SqrtRational))
 
 
-def scalar_is_zero(c: Scalar) -> bool:
-    if isinstance(c, SqrtRational):
-        return c.sign == 0
-    return c == 0
-
-
-def scalar_to_complex(c: Scalar) -> complex:
-    if isinstance(c, SqrtRational):
-        return complex(c.to_float())
-    if isinstance(c, Fraction):
-        return complex(float(c))
-    return complex(c)
-
-
 def scalar_to_float(c: Scalar) -> float:
-    z = scalar_to_complex(c)
+    z = complex(c)
     if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
         raise ValueError(f"scalar {c!r} has a nonreal value")
     return z.real
@@ -313,13 +305,7 @@ def scalar_to_float(c: Scalar) -> float:
 
 def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return scalar_to_complex(a) * scalar_to_complex(b)
-    if isinstance(a, SqrtRational) or isinstance(b, SqrtRational):
-        if not isinstance(a, SqrtRational):
-            a = SqrtRational.from_rational(a)
-        if not isinstance(b, SqrtRational):
-            b = SqrtRational.from_rational(b)
-        return a * b
+        return complex(a) * complex(b)
     return a * b
 
 
@@ -327,13 +313,7 @@ def scalar_add(a: Scalar, b: Scalar) -> Scalar:
     """Exact when both sides are exact; raises ClosureError if the square
     roots cannot combine. Callers that can tolerate floats must convert."""
     if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return scalar_to_complex(a) + scalar_to_complex(b)
-    if isinstance(a, SqrtRational) or isinstance(b, SqrtRational):
-        if not isinstance(a, SqrtRational):
-            a = SqrtRational.from_rational(a)
-        if not isinstance(b, SqrtRational):
-            b = SqrtRational.from_rational(b)
-        return a + b
+        return complex(a) + complex(b)
     return a + b
 
 

@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .exactnum import DomainError, scalar_to_complex
+from .exactnum import DomainError
 from .hubbard import XSum, allclose, dagger, identity, xsum_mul
 from .kron import kron
 from .perm import Permutation, perm_matrix
@@ -160,7 +160,7 @@ def dephase(h: XSum, tol: float = 1e-10) -> Tuple[XSum, XSum, XSum]:
 
 
 def _unit_conj(c) -> complex:
-    z = scalar_to_complex(c)
+    z = complex(c)
     if z == 0:
         raise DomainError("zero entry in a Hadamard matrix")
     return (z / abs(z)).conjugate()

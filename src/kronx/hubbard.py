@@ -20,9 +20,7 @@ from .exactnum import (
     scalar_add,
     scalar_conj,
     scalar_is_exact,
-    scalar_is_zero,
     scalar_mul,
-    scalar_to_complex,
 )
 
 MAX_DIM_ENV = "KRONX_MAX_DIM"
@@ -46,7 +44,7 @@ def check_order(order: int) -> None:
 
     Builders call this before they allocate, so an oversized request fails
     with ResourceError instead of filling memory first."""
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ValueError("order must be a positive integer")
     cap = max_dim()
     if order > cap:
@@ -85,11 +83,11 @@ class XSum:
                         f"term ({i}, {j}) outside [1, {order}]^2"
                     )
                 c = _as_scalar(c)
-                if scalar_is_zero(c):
+                if not c:
                     continue
                 if (i, j) in store:
                     c = scalar_add(store[(i, j)], c)
-                    if scalar_is_zero(c):
+                    if not c:
                         del store[(i, j)]
                         continue
                 store[(i, j)] = c
@@ -198,7 +196,7 @@ class XSum:
         storage order: the one route from terms to float arrays."""
         nnz = len(self._terms)
         cells = np.fromiter(chain.from_iterable(self._terms), np.intp, 2 * nnz)
-        vals = np.fromiter(map(scalar_to_complex, self.values()), complex, nnz)
+        vals = np.fromiter(map(complex, self.values()), complex, nnz)
         cells -= 1
         return cells[0::2], cells[1::2], vals
 
@@ -251,7 +249,7 @@ def xsum_linear(op: str, a: XSum, other) -> XSum:
     """Coefficient-wise add/sub of two sums, or scaling by a scalar."""
     if op == "scale":
         c = other
-        if scalar_is_zero(c):
+        if not c:
             return XSum(a.order)
         return XSum(
             a.order,
@@ -311,7 +309,7 @@ def apply(a: XSum, x: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     y: list = [0] * a.order
     for (k, l), c in a._terms.items():
         xl = x[l - 1]
-        if scalar_is_zero(xl):
+        if not xl:
             continue
         y[k - 1] = scalar_add(y[k - 1], scalar_mul(c, xl))
     return tuple(y)
@@ -336,7 +334,7 @@ def from_dense(m) -> XSum:
             raise DimensionError("dense input must be square")
         for j in range(n):
             c = _as_scalar(row[j])
-            if not scalar_is_zero(c):
+            if c:
                 terms[(i + 1, j + 1)] = c
     return XSum(n, terms)
 
@@ -347,8 +345,7 @@ def allclose(a: XSum, b: XSum, tol: float = 1e-10) -> bool:
         return False
     keys = set(a._terms) | set(b._terms)
     return all(
-        abs(scalar_to_complex(a.coeff(i, j)) - scalar_to_complex(b.coeff(i, j)))
-        <= tol
+        abs(complex(a.coeff(i, j)) - complex(b.coeff(i, j))) <= tol
         for (i, j) in keys
     )
 

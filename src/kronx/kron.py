@@ -16,9 +16,7 @@ from .exactnum import (
     Scalar,
     SqrtRational,
     ceil_ratio,
-    scalar_is_zero,
     scalar_mul,
-    scalar_to_complex,
     surd_parts,
 )
 from .hubbard import XSum, check_order
@@ -48,7 +46,7 @@ _PROMOTE = (
     lambda c: (c,),
     lambda c: (c.numerator, c.denominator),
     surd_parts,
-    lambda c: (scalar_to_complex(c),),
+    lambda c: (complex(c),),
 )
 
 
@@ -113,10 +111,10 @@ def _kron_closed(a: XSum, b: XSum) -> XSum:
         for q in range(1, order + 1):
             qq = ceil_ratio(q, m)
             ca = a.coeff(pp, qq)
-            if scalar_is_zero(ca):
+            if not ca:
                 continue
             cb = b.coeff(p + m - m * pp, q + m - m * qq)
-            if scalar_is_zero(cb):
+            if not cb:
                 continue
             terms[(p, q)] = scalar_mul(ca, cb)
     return XSum(order, terms)
@@ -165,11 +163,11 @@ def kron_many(factors, path: str = "fold") -> XSum:
             c: Scalar = 1
             for f, i, j in zip(factors, pidx, qidx):
                 cf = f.coeff(i, j)
-                if scalar_is_zero(cf):
+                if not cf:
                     c = 0
                     break
                 c = scalar_mul(c, cf)
-            if not scalar_is_zero(c):
+            if c:
                 terms[(p, q)] = c
     return XSum(total, terms)
 

@@ -17,7 +17,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .exactnum import DomainError, scalar_add, scalar_is_zero, scalar_mul
+from .exactnum import DomainError, scalar_add, scalar_mul
 # unused here; perfbench/smoke.py checks that its tracer wraps xsum_mul here
 from .hubbard import XSum, check_order, from_dense, x_op, xsum_mul
 from .kron import kron
@@ -276,7 +276,7 @@ def _site_sum(n: int, d: int, terms, parity=None) -> XSum:
             else:
                 c = scalar_mul(coef, amp)
                 c = scalar_add(acc.pop((p, q)), c) if (p, q) in acc else c
-                if not scalar_is_zero(c):
+                if c:
                     acc[p, q] = c
     return XSum._trusted(order, acc)
 

@@ -25,7 +25,6 @@ from .exactnum import (
     DomainError,
     SqrtRational,
     complex_float,
-    scalar_to_complex,
     surd_parts,
 )
 from .hubbard import XSum
@@ -64,7 +63,7 @@ def matrix_to_obj(x: XSum) -> dict:
     else:
         terms = []
         for (i, j), c in x.items():
-            z = scalar_to_complex(c)
+            z = complex(c)
             _finite(z.real, z.imag, i, j)
             terms.append([i, j, z.real, z.imag])
     return {"order": x.order, "kind": kind, "terms": terms}
@@ -86,7 +85,7 @@ def matrix_from_obj(obj: object) -> XSum:
         "matrix object needs 'order' and 'terms'",
     )
     order = obj["order"]
-    _require(isinstance(order, int) and order >= 1, "order must be a positive int")
+    _require(type(order) is int and order >= 1, "order must be a positive int")
     kind = obj.get("kind", "rational")
     _require(kind in KINDS, f"unknown kind {kind!r}")
     rows = obj["terms"]
@@ -94,13 +93,15 @@ def matrix_from_obj(obj: object) -> XSum:
     width = {"rational": 4, "sqrt": 5, "complex": 4}[kind]
     # Each row is checked here as XSum() would check it, so the matrix is
     # built with XSum._trusted; error messages are formatted only on failure.
+    # Integer fields test type(x) is int: JSON true/false decode to bool,
+    # which isinstance(x, int) would accept as 1 and 0.
     terms = {}
     for row in rows:
         if not (isinstance(row, list) and len(row) == width):
             raise DomainError(f"{kind} term rows must have {width} entries")
         i, j = row[0], row[1]
         if not (
-            isinstance(i, int) and isinstance(j, int)
+            type(i) is int and type(j) is int
             and 1 <= i <= order and 1 <= j <= order
         ):
             raise DomainError(f"indices ({i},{j}) outside 1..{order}")
@@ -108,7 +109,7 @@ def matrix_from_obj(obj: object) -> XSum:
             raise DomainError(f"duplicate term at ({i},{j})")
         if kind == "rational":
             num, den = row[2], row[3]
-            if not (isinstance(num, int) and isinstance(den, int) and den):
+            if not (type(num) is int and type(den) is int and den):
                 raise DomainError(
                     "rational terms need integer num/den with den != 0"
                 )
@@ -116,8 +117,8 @@ def matrix_from_obj(obj: object) -> XSum:
         elif kind == "sqrt":
             sign, num, den = row[2], row[3], row[4]
             if not (
-                isinstance(sign, int) and sign in (-1, 0, 1)
-                and isinstance(num, int) and isinstance(den, int) and den
+                type(sign) is int and sign in (-1, 0, 1)
+                and type(num) is int and type(den) is int and den
                 and (num == 0 or (num > 0) == (den > 0))
             ):
                 raise DomainError(
@@ -133,7 +134,7 @@ def matrix_from_obj(obj: object) -> XSum:
         else:
             re, im = row[2], row[3]
             if not (
-                isinstance(re, (int, float)) and isinstance(im, (int, float))
+                type(re) in (int, float) and type(im) in (int, float)
             ):
                 raise DomainError("complex terms need numeric re/im")
             terms[(i, j)] = _finite(re, im, i, j)

@@ -340,7 +340,7 @@ def test_topmost_entry_of_each_block_positive(two_j1, two_j2):
     lay = s.layout
     for k in range(1, lay.n0 + 1):
         top = s.entry(k, lay.z(k - 1) + 1)  # alpha = 0 row is p = k
-        assert top and top.to_float() > 0
+        assert top and float(top) > 0
 
 
 def test_cg_coefficient_examples():
@@ -415,7 +415,7 @@ def test_cg_against_symbolic_reference():
                             two_j * half,
                             two_m * half,
                         ).doit()
-                        got = ours.to_float() if ours else 0.0
+                        got = float(ours) if ours else 0.0
                         assert abs(got - float(ref)) < 1e-12
 
 

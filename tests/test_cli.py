@@ -333,8 +333,7 @@ class TestHeisenbergHubbardJc:
         u = matrix_from_json(out)
         # survival of the one-photon excited state: cos(gamma t sqrt(2))
         f = 2 + 1 - 1  # fock index for n = 1
-        from kronx.exactnum import scalar_to_complex
-        got = scalar_to_complex(u.coeff(f, f))
+        got = complex(u.coeff(f, f))
         assert abs(got - math.cos(0.5 * math.sqrt(2))) < 1e-12
 
     def test_jc_two_cavity_order(self, capcli):
@@ -398,6 +397,56 @@ class TestVerify:
     def test_negative_max_twoj_is_2(self, capcli):
         assert capcli("verify", "--suite", "intertwining",
                       "--max-twoj", "-1")[0] == 2
+
+    @pytest.mark.parametrize("n", ["1", "0", "-4"])
+    def test_fourier_suite_below_two_is_2(self, capcli, n):
+        code, out, err = capcli("verify", "--suite", "fourier", "--n", n)
+        assert code == 2 and out == "" and "--n" in err
+
+    def test_intertwining_suite_checks_each_pair_once(self, capcli,
+                                                      monkeypatch):
+        calls = []
+        check = kronx.cg.verify_intertwining
+
+        def counted(s):
+            calls.append(s.layout)
+            return check(s)
+
+        monkeypatch.setattr(kronx.cg, "verify_intertwining", counted)
+        code, out, _ = capcli("verify", "--suite", "intertwining",
+                              "--max-twoj", "3")
+        assert code == 0 and len(out.splitlines()) == 16
+        assert len(calls) == 16
+
+
+# One document per integer field of the JSON schema, with X in that field;
+# each is a valid Hermitian matrix when X is 1.
+_BOOL_FIELDS = {
+    "order": '{"order":X,"kind":"rational","terms":[[1,1,1,1]]}',
+    "row": '{"order":1,"kind":"rational","terms":[[X,1,1,1]]}',
+    "col": '{"order":1,"kind":"rational","terms":[[1,X,1,1]]}',
+    "num": '{"order":1,"kind":"rational","terms":[[1,1,X,1]]}',
+    "den": '{"order":1,"kind":"rational","terms":[[1,1,1,X]]}',
+    "sqrt_sign": '{"order":1,"kind":"sqrt","terms":[[1,1,X,1,1]]}',
+    "sqrt_num": '{"order":1,"kind":"sqrt","terms":[[1,1,1,X,1]]}',
+    "sqrt_den": '{"order":1,"kind":"sqrt","terms":[[1,1,1,1,X]]}',
+    "re": '{"order":1,"kind":"complex","terms":[[1,1,X,0]]}',
+    "im": '{"order":2,"kind":"complex","terms":[[1,2,0,X],[2,1,0,-1]]}',
+}
+
+
+class TestJsonBooleans:
+    @pytest.mark.parametrize("field", _BOOL_FIELDS)
+    def test_bool_in_an_integer_field_is_2(self, capcli, tmp_path, field):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(_BOOL_FIELDS[field].replace("X", "1"))
+        bad.write_text(_BOOL_FIELDS[field].replace("X", "true"))
+        assert capcli("diag", str(good))[0] == 0
+        assert capcli("kron", str(good), str(good))[0] == 0
+        for argv in (("diag", str(bad)), ("kron", str(bad), str(good)),
+                     ("kron", str(good), str(bad))):
+            code, out, err = capcli(*argv)
+            assert code == 2 and out == "" and "error:" in err, argv
 
 
 class TestByteStability:

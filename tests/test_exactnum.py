@@ -260,7 +260,7 @@ def test_division():
 )
 def test_from_rational_float_roundtrip(q):
     x = SqrtRational.from_rational(q)
-    assert x.to_float() == pytest.approx(float(q), rel=1e-15, abs=1e-300)
+    assert float(x) == pytest.approx(float(q), rel=1e-15, abs=1e-300)
 
 
 @given(
@@ -270,7 +270,7 @@ def test_square_has_perfect_square_radicand(q):
     a = SqrtRational.sqrt(q)
     sq = a * a
     assert sq.as_rational() == q
-    assert sq.to_float() == pytest.approx(float(q), rel=1e-15, abs=1e-300)
+    assert float(sq) == pytest.approx(float(q), rel=1e-15, abs=1e-300)
 
 
 def test_scalar_tower_mixing():
@@ -280,6 +280,102 @@ def test_scalar_tower_mixing():
     z = scalar_mul(r2, 1.0)
     assert isinstance(z, complex)
     assert z.real == pytest.approx(math.sqrt(2))
+
+
+# --- number protocol ---------------------------------------------------------
+
+
+def _bits(z) -> tuple:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _reference_complex(c) -> complex:
+    # the per-kind conversion the scalar tower used before the number
+    # protocol: sign * sqrt(radicand) for a surd, float(q) for a Fraction
+    if isinstance(c, SqrtRational):
+        return complex(c.sign * math.sqrt(c.radicand))
+    if isinstance(c, Fraction):
+        return complex(float(c))
+    return complex(c)
+
+
+_BIG = 10**40
+
+
+@given(
+    st.integers(min_value=0, max_value=_BIG),
+    st.integers(min_value=1, max_value=_BIG),
+    st.sampled_from((-1, 1)),
+)
+def test_surd_float_is_signed_sqrt_of_radicand(num, den, sign):
+    x = SqrtRational(sign if num else 0, Fraction(num, den))
+    assert float(x).hex() == (x.sign * math.sqrt(x.radicand)).hex()
+    assert _bits(complex(x)) == _bits(_reference_complex(x))
+
+
+@pytest.mark.parametrize("c", [
+    0, 7, -(10**20), True, False,
+    Fraction(0), Fraction(-1, 3), Fraction(10**30, 7),
+    SqrtRational(0, Fraction(0)), SqrtRational.sqrt(2),
+    SqrtRational(-1, Fraction(1, 3)), SqrtRational(1, Fraction(9, 4)),
+    0.0, -0.0, 1e-300, math.inf, math.nan,
+    0j, 1.5 - 2j, complex(math.nan, 1.0),
+], ids=repr)
+def test_complex_matches_reference_conversion(c):
+    assert _bits(complex(c)) == _bits(_reference_complex(c))
+
+
+@pytest.mark.parametrize("zero", [
+    0, False, Fraction(0), SqrtRational(0, Fraction(0)),
+    SqrtRational.from_rational(0), 0.0, -0.0, 0j, complex(-0.0, -0.0),
+], ids=repr)
+def test_bool_is_false_for_each_kinds_zero(zero):
+    assert not zero
+
+
+@pytest.mark.parametrize("c", [
+    1, -1, True, Fraction(1, 10**40), SqrtRational(-1, Fraction(1, 10**40)),
+    5e-324, -5e-324, math.nan, math.inf, 1e-300j, complex(math.nan, 0.0),
+], ids=repr)
+def test_bool_is_true_for_nonzero_and_nan(c):
+    assert c
+
+
+# One value per kind, each exactly representable in binary, so an exact
+# Gaussian-rational product or sum is also what complex arithmetic gives.
+_KINDS = {
+    "int": (3, (Fraction(3), Fraction(0))),
+    "fraction": (Fraction(3, 4), (Fraction(3, 4), Fraction(0))),
+    "surd": (SqrtRational(1, Fraction(9, 4)), (Fraction(3, 2), Fraction(0))),
+    "float": (0.5, (Fraction(1, 2), Fraction(0))),
+    "complex": (0.5 + 2j, (Fraction(1, 2), Fraction(2))),
+}
+_RANK = {"int": 0, "fraction": 1, "surd": 2, "float": 3, "complex": 3}
+_RESULT_TYPE = (int, Fraction, SqrtRational, complex)
+
+
+@pytest.mark.parametrize("ka", _KINDS)
+@pytest.mark.parametrize("kb", _KINDS)
+def test_scalar_mul_and_add_kind_table(ka, kb):
+    (a, (ar, ai)), (b, (br, bi)) = _KINDS[ka], _KINDS[kb]
+    want_type = _RESULT_TYPE[max(_RANK[ka], _RANK[kb])]
+    for got, (re, im) in (
+        (scalar_mul(a, b), (ar * br - ai * bi, ar * bi + ai * br)),
+        (scalar_add(a, b), (ar + br, ai + bi)),
+    ):
+        assert type(got) is want_type
+        if want_type is complex:
+            assert got == complex(re, im)
+        else:
+            assert im == 0 and got == re
+
+
+def test_scalar_add_of_rational_and_foreign_surd_refuses():
+    r2 = SqrtRational.sqrt(2)
+    for a, b in ((1, r2), (r2, 1), (Fraction(1, 2), r2), (r2, Fraction(1, 2))):
+        with pytest.raises(ClosureError):
+            scalar_add(a, b)
 
 
 def test_complex_float_rejects_non_finite():

@@ -235,11 +235,68 @@ def test_allclose_for_float_sums():
     assert not allclose(a, XSum(2, {(1, 1): 1.0 + 1e-8}))
 
 
+def _dense_gap(a, b) -> float:
+    # largest entry modulus of the dense difference, so the reference walks
+    # every cell of both arrays rather than the union of stored keys
+    d = a.to_numpy() - b.to_numpy()
+    return max(abs(complex(z)) for z in d.ravel())
+
+
+def _agree_at_every_tolerance(a, b):
+    gap = _dense_gap(a, b)
+    for tol in (0.0, gap, np.nextafter(gap, 0.0), 2 * gap, 1e-10, 1.0):
+        assert allclose(a, b, tol) == (gap <= tol), tol
+
+
+def test_allclose_matches_dense_gap_on_mixed_kinds():
+    r2 = SqrtRational.sqrt(2)
+    a = XSum(3, {(1, 1): 1, (1, 2): Fraction(1, 3), (2, 1): r2,
+                 (2, 2): 0.5 + 1e-9j, (3, 3): Fraction(2, 7)})
+    b = XSum(3, {(1, 1): 1.0 + 1e-11, (1, 2): SqrtRational(1, Fraction(1, 9)),
+                 (2, 1): 1.4142135623730951, (3, 1): 1e-12j,
+                 (3, 2): -r2})
+    _agree_at_every_tolerance(a, b)
+    _agree_at_every_tolerance(b, a)
+    _agree_at_every_tolerance(a, a)
+    _agree_at_every_tolerance(a, XSum(3))
+    _agree_at_every_tolerance(XSum(3), XSum(3))
+    assert allclose(XSum(3), XSum(3), 0.0)
+    rng = random.Random(19)
+    kinds = (lambda: rng.randint(-3, 3),
+             lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+             lambda: SqrtRational(rng.choice((-1, 1)),
+                                  Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+             lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        x, y = (XSum(n, {(rng.randint(1, n), rng.randint(1, n)):
+                         rng.choice(kinds)() for _ in range(2 * n)})
+                for _ in range(2))
+        _agree_at_every_tolerance(x, y)
+    assert not allclose(a, XSum(2))
+
+
+def test_allclose_matches_dense_gap_on_fourier_unitarity():
+    from kronx.fourier import fourier_matrix
+
+    h = fourier_matrix(64)
+    hh, n_id = xsum_mul(h, dagger(h)), identity(64).scale(64)
+    assert 0 < _dense_gap(hh, n_id) < 1e-9
+    _agree_at_every_tolerance(hh, n_id)
+    assert allclose(hh, n_id, 1e-9)
+
+
 def test_dimension_cap(monkeypatch):
     monkeypatch.setenv("KRONX_MAX_DIM", "16")
     with pytest.raises(ResourceError):
         identity(17)
     assert identity(16).order == 16
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.0, True, False, "2"])
+def test_order_must_be_a_positive_int(order):
+    with pytest.raises(ValueError):
+        XSum(order)
 
 
 def test_det_identity_and_singular():

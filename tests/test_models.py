@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import kronx.models
-from kronx.exactnum import DomainError, SqrtRational, scalar_to_complex
+from kronx.exactnum import DomainError, SqrtRational
 from kronx.hubbard import ResourceError, XSum, bracket, identity, x_op, xsum_mul
 from kronx.kron import kron
 from kronx.models import (
@@ -321,8 +321,14 @@ class TestHermitianArray:
                      (1, 3): r2, (3, 1): r2,
                      (2, 3): 0.5 - 0.25j, (3, 2): 0.5 + 0.25j})
         expect = np.zeros((3, 3), dtype=complex)
+        # the per-kind conversion: sign * sqrt(radicand) for a surd,
+        # float(q) for a rational, the value itself for a complex
         for (i, j), c in x.items():
-            expect[i - 1, j - 1] = scalar_to_complex(c)
+            if isinstance(c, SqrtRational):
+                c = c.sign * math.sqrt(c.radicand)
+            elif isinstance(c, (int, Fraction)):
+                c = float(c)
+            expect[i - 1, j - 1] = c
         assert x.to_numpy().tobytes() == expect.tobytes()
         # the work array rebuilds the lower triangle as conj(upper), which
         # turns the zero imaginary parts there into -0.0
