@@ -6,9 +6,11 @@ through three nested closed forms: the first block (binomial ratios),
 the first column of each block (alternating signs), and the general
 entry (a terminating alternating sum F against a factored radical
 Theta).  Each entry is computed in Python integers and becomes one
-Fraction, its radicand.  Every matrix is verified against the
-intertwining law, by sparse products, before it is returned; a miss
-raises VerificationError.  An independent ladder construction (extremal
+Fraction, its radicand; only the top half of each block is computed,
+and the Condon-Shortley reflection m -> -m gives the rest.  Every matrix
+is verified against the intertwining law, by sparse products against
+generators written from their index formulas, before it is returned; a
+miss raises VerificationError.  An independent ladder construction (extremal
 states plus repeated lowering) is kept as the cross-check the tests use.
 
 Sign conventions: each block's top entry at alpha = 0 is positive, the
@@ -21,11 +23,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Tuple
 
 import numpy as np
 
-from .coupling import CouplingLayout, block_gen, layout, product_gen
+from .coupling import CouplingLayout, layout, product_gen
 from .exactnum import DomainError, SqrtRational
 from .hubbard import XSum, check_order
 
@@ -34,17 +35,6 @@ _ZERO = SqrtRational(0, Fraction(0))
 
 class VerificationError(RuntimeError):
     """A built matrix failed its own verification; names the residual."""
-
-
-def _admissible(lay: CouplingLayout) -> Iterator[Tuple[int, int, int, int]]:
-    """(alpha, beta, k, r) of every cell S may fill: block k, row r, and
-    each alpha with 1 <= beta = k + r - 1 - alpha <= n2."""
-    two_j1, n2 = lay.twoJ1, lay.n2
-    for k, d in enumerate(lay.dims, start=1):
-        for r in range(1, d + 1):
-            top = k + r - 1
-            for alpha in range(max(0, top - n2), min(two_j1, top - 1) + 1):
-                yield alpha, top - alpha, k, r
 
 
 def _falling(x: int, n: int) -> int:
@@ -207,26 +197,50 @@ def _check_twoj(two_j1: int, two_j2: int):
 def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     """Assemble S from the closed forms; columns indexed q = z_{k-1} + r.
 
+    The closed forms fill the top half of each block, rows r <= ceil(d_k/2);
+    the Condon-Shortley reflection fills the rest with the same radicands.
     The result is checked against the intertwining law; a residual above
     1e-8 or a weight mismatch raises VerificationError.
     """
     _check_twoj(two_j1, two_j2)
     lay = layout(two_j1, two_j2)
-    check_order(lay.total)  # before any entry is computed
+    n = lay.total
+    check_order(n)  # before any entry is computed
     n2 = lay.n2
-    z = [lay.z(k) for k in range(lay.n0)]  # z[k - 1] = z_{k-1}
     terms = {}
-    for alpha, beta, k, r in _admissible(lay):
-        if k == 1:
-            c = s_first_block(two_j1, two_j2, alpha, beta)
-        elif r == 1:
-            c = s_rone(two_j1, two_j2, k, alpha, beta)
-        else:
-            c = s_general(two_j1, two_j2, k, r, alpha, beta)
-        if c:
-            terms[(alpha * n2 + beta, z[k - 1] + r)] = c
-    # _admissible yields distinct in-range cells and zeros are skipped
-    cand = CGMatrix(lay, XSum._trusted(lay.total, terms))
+    for k, (d, z) in enumerate(zip(lay.dims, (0,) + lay.offsets), start=1):
+        # rows r <= ceil(d/2) from the closed forms: cell (alpha, beta)
+        # with 1 <= beta = k + r - 1 - alpha <= n2, alpha in increasing
+        # order; zeros are skipped
+        rows = []
+        for r in range(1, (d + 1) // 2 + 1):
+            top = k + r - 1
+            row = []
+            for alpha in range(max(0, top - n2), min(two_j1, top - 1) + 1):
+                beta = top - alpha
+                if k == 1:
+                    c = s_first_block(two_j1, two_j2, alpha, beta)
+                elif r == 1:
+                    c = s_rone(two_j1, two_j2, k, alpha, beta)
+                else:
+                    c = s_general(two_j1, two_j2, k, r, alpha, beta)
+                if c:
+                    row.append((alpha * n2 + beta, c))
+            rows.append(row)
+        # rows past the middle by the Condon-Shortley reflection
+        # <j1 -m1; j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1; j2 m2 | J M>:
+        # row p = alpha n2 + beta goes to n + 1 - p, column r to d + 1 - r,
+        # and (-1)^(j1+j2-J) = (-1)^(k-1)
+        for r in range(d // 2, 0, -1):
+            rows.append([
+                (n + 1 - p, -c if k % 2 == 0 else c)
+                for p, c in reversed(rows[r - 1])
+            ])
+        for q, row in enumerate(rows, start=z + 1):
+            for p, c in row:
+                terms[(p, q)] = c
+    # the cells are distinct and in range, and zeros are skipped
+    cand = CGMatrix(lay, XSum._trusted(n, terms))
     report = cand.report
     if report.max_residual > 1e-8 or not report.diagonal_exact:
         raise VerificationError(
@@ -251,27 +265,59 @@ def _triplets(x: XSum):
     return rows[order], cols[order], vals[order]
 
 
+def _stack(p, weight, plus):
+    """One side of _generator_triplets: J_3 = weight on the diagonal cells
+    p where it is nonzero, the (row, column, value) bands of J_+ and their
+    transposes as J_-, stacked with generator index 0, 1, 2 and sorted by
+    row."""
+    keep = weight != 0
+    parts = [(p[keep], p[keep], weight[keep]), *plus]
+    parts += [(c, r, v) for r, c, v in plus]
+    gen = np.repeat(
+        [0] + [1] * len(plus) + [2] * len(plus),
+        [len(r) for r, _c, _v in parts],
+    )
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    side = (gen[order], rows[order], cols[order], vals[order])
+    for a in side:
+        a.flags.writeable = False
+    return side
+
+
+def _raising_band(p, k, d, step):
+    """J_+ terms (p, p + step) of the cells p at level k (0-based) of a
+    d-level irrep: every level below the top, sqrt((k + 1)(d - 1 - k))."""
+    up = k < d - 1
+    return p[up], p[up] + step, np.sqrt((k + 1) * (d - 1 - k))[up]
+
+
 @lru_cache(maxsize=64)
 def _generator_triplets(two_j1: int, two_j2: int):
     """(generator, row, column, value) arrays of J_3, J_+, J_- stacked, and
     of the flattened block generators stacked the same way; the generator
     index is 0, 1, 2 in _GENERATORS order.  Each side is sorted by row,
     its values are real, and every array is read-only: the cache hands the
-    same arrays to every caller."""
-    sides = []
-    for gens in (
-        [product_gen(two_j1, two_j2, which) for which in _GENERATORS],
-        [block_gen(two_j1, two_j2, which).flatten() for which in _GENERATORS],
-    ):
-        parts = [x.triplets() for x in gens]
-        gen = np.repeat(np.arange(len(parts)), [len(r) for r, _c, _v in parts])
-        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-        order = np.argsort(rows, kind="stable")
-        side = (gen[order], rows[order], cols[order], vals.real[order])
-        for a in side:
-            a.flags.writeable = False
-        sides.append(side)
-    return tuple(sides)
+    same arrays to every caller.
+
+    The entries come from the index formulas, with no XSum built: row
+    p = a n2 + b (0-based) of the product space carries m1 + m2 =
+    (2j1 - 2a + 2j2 - 2b)/2 and the two J_+ bands of stride n2 and 1;
+    block k is the d_k-level irrep at offset z_{k-1}.  Within a row the
+    stride-n2 band comes first, as in A (x) I + I (x) B.
+    """
+    lay = layout(two_j1, two_j2)
+    n1, n2 = lay.n1, lay.n2
+    p = np.arange(lay.total)
+    a, b = np.divmod(p, n2)
+    product = _stack(
+        p, (two_j1 - 2 * a + two_j2 - 2 * b) / 2,
+        [_raising_band(p, a, n1, n2), _raising_band(p, b, n2, 1)],
+    )
+    d = np.repeat(lay.dims, lay.dims)
+    i = p - np.repeat((0,) + lay.offsets[:-1], lay.dims)  # level in block
+    block = _stack(p, (d - 1 - 2 * i) / 2, [_raising_band(p, i, d, 1)])
+    return product, block
 
 
 def _join(left: np.ndarray, right_sorted: np.ndarray):

@@ -127,10 +127,12 @@ def cmd_fft_factor(args) -> int:
         return _emit_matrix(perm.perm_matrix(fac.bit_reversal), args)
     if args.verify:
         ok = True
+        # a butterfly stage has two terms per row; F_1's one stage is I_1
+        want = 2 * args.n if args.n > 1 else 1
         for s, f in enumerate(fac.factors):
             nnz = f.nnz()
             print(f"stage {s}: {nnz} terms")
-            ok = ok and nnz == 2 * args.n
+            ok = ok and nnz == want
         err = fac.max_error()
         print(f"max reconstruction error {err:.3e}")
         return EX_OK if ok and err < 1e-10 else EX_VERIFY

@@ -126,6 +126,58 @@ def dense_intertwining_residuals(s) -> dict:
     return out
 
 
+def admissible(lay):
+    """(alpha, beta, k, r) of every cell S may fill: block k, row r, and
+    each alpha with 1 <= beta = k + r - 1 - alpha <= n2."""
+    two_j1, n2 = lay.twoJ1, lay.n2
+    for k, d in enumerate(lay.dims, start=1):
+        for r in range(1, d + 1):
+            top = k + r - 1
+            for alpha in range(max(0, top - n2), min(two_j1, top - 1) + 1):
+                yield alpha, top - alpha, k, r
+
+
+def full_assembly_terms(two_j1: int, two_j2: int) -> dict:
+    """S's nonzero terms, every admissible cell from its own closed-form
+    call (no reflection), in block, row, alpha order."""
+    from kronx.cg import s_first_block, s_general, s_rone
+    from kronx.coupling import layout
+
+    lay = layout(two_j1, two_j2)
+    terms = {}
+    for alpha, beta, k, r in admissible(lay):
+        if k == 1:
+            c = s_first_block(two_j1, two_j2, alpha, beta)
+        elif r == 1:
+            c = s_rone(two_j1, two_j2, k, alpha, beta)
+        else:
+            c = s_general(two_j1, two_j2, k, r, alpha, beta)
+        if c:
+            terms[(alpha * lay.n2 + beta, lay.z(k - 1) + r)] = c
+    return terms
+
+
+def generator_triplets_from_xsums(two_j1: int, two_j2: int):
+    """The two sides of cg._generator_triplets built from the generator
+    XSums: product_gen through kron and the flattened block_gen, each
+    side stacked in J_3, J_+, J_- order and stably sorted by row."""
+    from kronx.coupling import block_gen, product_gen
+
+    sides = []
+    for gens in (
+        [product_gen(two_j1, two_j2, w, path="kron")
+         for w in ("3", "plus", "minus")],
+        [block_gen(two_j1, two_j2, w).flatten()
+         for w in ("3", "plus", "minus")],
+    ):
+        parts = [x.triplets() for x in gens]
+        gen = np.repeat(np.arange(3), [len(r) for r, _c, _v in parts])
+        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        sides.append((gen[order], rows[order], cols[order], vals.real[order]))
+    return sides
+
+
 def site_embed(op: XSum, j: int, n: int) -> XSum:
     """I x ... x op x ... x I with op in slot j of n, by kron_many."""
     if not 1 <= j <= n:

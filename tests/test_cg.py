@@ -1,16 +1,23 @@
+import importlib
 import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from _oracles import dense_intertwining_residuals
+from _oracles import (
+    admissible,
+    dense_intertwining_residuals,
+    full_assembly_terms,
+    generator_triplets_from_xsums,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kronx.cg
 from kronx.cg import (
     CGMatrix,
     VerificationError,
-    _admissible,
     build_S,
     cg_coefficient,
     cg_table,
@@ -39,19 +46,19 @@ def test_cgindex_selection_rule():
     for two_j1 in range(0, 6):
         for two_j2 in range(0, 6):
             lay = layout(two_j1, two_j2)
-            for alpha, beta, k, r in _admissible(lay):
+            for alpha, beta, k, r in admissible(lay):
                 assert k + r == alpha + beta + 1
                 assert 0 <= alpha <= two_j1 and 1 <= beta <= lay.n2
                 assert 1 <= k <= lay.n0 and 1 <= r <= lay.dims[k - 1]
     lay = layout(2, 1)
-    assert (1, 1, 2, 1) in set(_admissible(lay))
+    assert (1, 1, 2, 1) in set(admissible(lay))
     assert _cell(lay, 1, 1, 2, 1) == (3, 5)
 
 
 def test_admissible_indices_cover_distinct_cells():
     lay = layout(3, 2)
     seen = set()
-    for idx in _admissible(lay):
+    for idx in admissible(lay):
         cell = _cell(lay, *idx)
         assert cell not in seen
         seen.add(cell)
@@ -99,7 +106,7 @@ def test_s_general_printed_values():
 @pytest.mark.parametrize("two_j2", range(0, 6))
 def test_s_general_consistency_chain(two_j1, two_j2):
     lay = layout(two_j1, two_j2)
-    for alpha, beta, k, r in _admissible(lay):
+    for alpha, beta, k, r in admissible(lay):
         got = s_general(two_j1, two_j2, k, r, alpha, beta)
         if k == 1:
             assert got == s_first_block(two_j1, two_j2, alpha, beta)
@@ -116,7 +123,7 @@ def test_lowering_recurrence_exact(two_j1, two_j2):
     # exactly in SqrtRational (all three terms share one radicand).
     two_j = two_j1 + two_j2
     lay = layout(two_j1, two_j2)
-    for a, b, k, row in _admissible(lay):
+    for a, b, k, row in admissible(lay):
         if row == 1:
             continue
         r = row - 1
@@ -165,6 +172,46 @@ def test_build_S_printed_one_half():
         },
     )
     assert s.matrix == want
+
+
+@pytest.mark.parametrize(
+    "two_j1, two_j2",
+    [(a, b) for a in range(15) for b in range(15)] + [(20, 30), (30, 30)],
+)
+def test_half_block_build_equals_full_assembly(two_j1, two_j2):
+    # every cell of S, the reflected half too, carries the sign and the
+    # radicand its own closed-form call gives, in the same order
+    got = build_S(two_j1, two_j2).matrix.term_map()
+    want = full_assembly_terms(two_j1, two_j2)
+    assert list(got) == list(want)
+    assert [(c.sign, c.radicand) for c in got.values()] == [
+        (c.sign, c.radicand) for c in want.values()
+    ]
+
+
+@st.composite
+def _cg_index(draw):
+    two_j1 = draw(st.integers(0, 20))
+    two_j2 = draw(st.integers(0, 20))
+    two_j = draw(st.sampled_from(
+        range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)
+    ))
+    two_m = draw(st.sampled_from(range(-two_j, two_j + 1, 2)))
+    # m1 with |m1| <= j1 and |m - m1| <= j2, of m1's parity
+    lo = max(-two_j1, two_m - two_j2)
+    hi = min(two_j1, two_m + two_j2)
+    two_m1 = draw(st.sampled_from(range(lo, hi + 1, 2)))
+    return two_j1, two_m1, two_j2, two_m - two_m1, two_j, two_m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cg_index())
+def test_cg_coefficient_reflection_symmetry(idx):
+    # <j1 -m1; j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1; j2 m2 | J M>
+    two_j1, two_m1, two_j2, two_m2, two_j, two_m = idx
+    c = cg_coefficient(*idx)
+    mirror = cg_coefficient(two_j1, -two_m1, two_j2, -two_m2, two_j, -two_m)
+    assert mirror == (-c if (two_j1 + two_j2 - two_j) // 2 % 2 else c)
 
 
 def test_build_S_over_order_cap_fails_before_any_entry(monkeypatch):
@@ -265,17 +312,35 @@ def fresh_generators():
     kronx.cg._generator_triplets.cache_clear()
 
 
-def test_generators_built_once_per_pair(monkeypatch, fresh_generators):
-    calls = {"product_gen": 0, "block_gen": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(kronx.cg, name)):
-            calls[_name] += 1
-            return _real(*args)
+def test_generators_built_once_per_pair(fresh_generators):
+    build_S(6, 6)
+    build_S(6, 6)
+    info = kronx.cg._generator_triplets.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
-        monkeypatch.setattr(kronx.cg, name, counted)
-    build_S(6, 6)
-    build_S(6, 6)
-    assert calls == {"product_gen": 3, "block_gen": 3}
+
+def test_build_S_builds_no_generator_xsum(monkeypatch, fresh_generators):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator XSum built")
+
+    coupling = importlib.import_module("kronx.coupling")
+    monkeypatch.setattr(kronx.cg, "product_gen", refuse)
+    for name in ("product_gen", "block_gen", "kron"):
+        monkeypatch.setattr(coupling, name, refuse)
+    monkeypatch.setattr(importlib.import_module("kronx.kron"), "kron", refuse)
+    assert build_S(5, 8).report.passed(1e-10)
+
+
+@pytest.mark.parametrize("two_j1", range(0, 13))
+def test_generator_arrays_equal_the_xsum_triplets(two_j1):
+    for two_j2 in range(0, 13):
+        got = kronx.cg._generator_triplets(two_j1, two_j2)
+        for side, want_side in zip(got, generator_triplets_from_xsums(
+            two_j1, two_j2
+        )):
+            for a, want in zip(side, want_side):
+                assert a.dtype == want.dtype and a.shape == want.shape
+                assert a.tobytes() == want.tobytes()
 
 
 def test_cached_generator_arrays_refuse_writes():

@@ -135,6 +135,17 @@ class TestFftFactor:
         assert out.count("stage") == 4
         assert "max reconstruction error" in out
 
+    @pytest.mark.parametrize("n, stages", [(1, 1), (2, 1), (4, 2), (256, 8)])
+    def test_verify_exact_factorizations(self, capcli, n, stages):
+        # F_1 is one stage I_1 with one term; every butterfly stage has 2n
+        code, out, _ = capcli("fft-factor", "--n", str(n), "--verify")
+        assert code == 0
+        want = 1 if n == 1 else 2 * n
+        assert out.splitlines()[:stages] == [
+            f"stage {s}: {want} terms" for s in range(stages)
+        ]
+        assert out.count("stage") == stages
+
     def test_stage_round_trips_through_kron(self, capcli, tmp_path):
         code, out, _ = capcli("fft-factor", "--n", "4", "--stage", "0")
         assert code == 0
