@@ -338,14 +338,3 @@ def from_dense(m) -> XSum:
                 terms[(i + 1, j + 1)] = c
     return XSum(n, terms)
 
-
-def allclose(a: XSum, b: XSum, tol: float = 1e-10) -> bool:
-    """Max-norm comparison for float-valued sums (exact eq is operator ==)."""
-    if a.order != b.order:
-        return False
-    keys = set(a._terms) | set(b._terms)
-    return all(
-        abs(complex(a.coeff(i, j)) - complex(b.coeff(i, j))) <= tol
-        for (i, j) in keys
-    )
-

@@ -27,7 +27,7 @@ def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
     if path == "sparse":
         return _kron_sparse(a, b)
     if path == "closed":
-        return _kron_closed(a, b)
+        return kron_many((a, b), path="closed")
     raise ValueError(f"unknown kron path {path!r}")
 
 
@@ -98,26 +98,6 @@ def _kron_sparse(a: XSum, b: XSum) -> XSum:
          for (i, j), c in a.term_map().items()),
         [(k, l, *promote(c)) for (k, l), c in b.term_map().items()],
     ))
-
-
-def _kron_closed(a: XSum, b: XSum) -> XSum:
-    # dense sweep over the product index space; m is the SECOND order
-    m = b.order
-    order = a.order * m
-    check_order(order)
-    terms = {}
-    for p in range(1, order + 1):
-        pp = ceil_ratio(p, m)
-        for q in range(1, order + 1):
-            qq = ceil_ratio(q, m)
-            ca = a.coeff(pp, qq)
-            if not ca:
-                continue
-            cb = b.coeff(p + m - m * pp, q + m - m * qq)
-            if not cb:
-                continue
-            terms[(p, q)] = scalar_mul(ca, cb)
-    return XSum(order, terms)
 
 
 def _factor_indices(p: int, orders: Sequence[int]) -> Tuple[int, ...]:

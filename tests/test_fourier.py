@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 
 from kronx.exactnum import DomainError
@@ -14,7 +15,8 @@ from kronx.fourier import (
     odd_even_perm,
     omega_diag,
 )
-from kronx.hubbard import XSum, allclose, dagger, identity, xsum_mul
+from _oracles import allclose, dense_dft_reconstruction_error
+from kronx.hubbard import XSum, dagger, identity, xsum_mul
 from kronx.kron import kron
 from kronx.perm import Permutation, perm_matrix
 
@@ -39,6 +41,14 @@ def test_fourier_unitary_up_to_n(n):
     assert allclose(
         xsum_mul(f, dagger(f, "adjoint")), identity(n).scale(n), tol=1e-10
     )
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_fourier_entries_match_reduced_exponent(n):
+    # each entry is a root w^k with k < n, however large (i-1)(j-1) is
+    k = np.outer(np.arange(n), np.arange(n)) % n
+    err = np.abs(fourier_matrix(n).to_numpy() - np.exp(2j * np.pi * k / n))
+    assert err.max() <= 1e-14
 
 
 def test_fourier_rejects_nonpositive():
@@ -136,6 +146,13 @@ def test_cooley_tukey_reconstructs(n):
     assert allclose(fac.product(), fourier_matrix(n), tol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2**t for t in range(1, 9)])
+def test_max_error_matches_dense_dft_oracle(n):
+    err = cooley_tukey(n).max_error()
+    assert abs(err - dense_dft_reconstruction_error(n)) <= 1e-14
+    assert err < 1e-13
+
+
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_cooley_tukey_stage_sparsity(n):
     fac = cooley_tukey(n)
@@ -163,7 +180,7 @@ def test_cooley_tukey_rejects_non_power_of_two():
 
 
 def test_is_hadamard_accepts_fourier():
-    for n in (1, 2, 3, 4, 6, 8):
+    for n in (1, 2, 3, 4, 6, 8, 64, 256):
         assert is_hadamard(fourier_matrix(n))
 
 
@@ -171,6 +188,10 @@ def test_is_hadamard_rejects_scaled_and_sparse():
     f = fourier_matrix(4)
     assert not is_hadamard(f.scale(0.5))
     assert not is_hadamard(identity(4))
+    # every entry still has modulus 1, so only the H H^dagger test can fail
+    g = f.term_map()
+    g[(2, 3)] = -g[(2, 3)]
+    assert not is_hadamard(XSum(4, g))
 
 
 def test_dephase_fixes_first_row_and_column():

@@ -9,13 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import det_dense
+from _oracles import allclose, det_dense
 from kronx.exactnum import SqrtRational
 from kronx.hubbard import (
     DimensionError,
     ResourceError,
     XSum,
-    allclose,
     apply,
     bracket,
     dagger,

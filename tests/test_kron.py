@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    allclose,
     dense_kron,
     dense_kron_many,
     dense_mul,
@@ -24,7 +25,6 @@ from kronx.exactnum import SqrtRational, scalar_mul
 from kronx.hubbard import (
     ResourceError,
     XSum,
-    allclose,
     dagger,
     from_dense,
     identity,
