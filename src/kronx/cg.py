@@ -8,10 +8,12 @@ entry (a terminating alternating sum F against a factored radical
 Theta).  Each entry is computed in Python integers and becomes one
 Fraction, its radicand; only the top half of each block is computed,
 and the Condon-Shortley reflection m -> -m gives the rest.  Every matrix
-is verified against the intertwining law, by sparse products against
-generators written from their index formulas, before it is returned; a
-miss raises VerificationError.  An independent ladder construction (extremal
-states plus repeated lowering) is kept as the cross-check the tests use.
+is verified against the intertwining law before it is returned: each
+generator is a diagonal or one or two fixed bands, so J_a S and S Jtilde_a
+are S's own terms shifted one band step and scaled by band entries from
+the index formulas.  A miss raises VerificationError.  An independent
+ladder construction (extremal states plus repeated lowering) is kept as
+the cross-check the tests use.
 
 Sign conventions: each block's top entry at alpha = 0 is positive, the
 global phase is 1 (Condon-Shortley compatible).
@@ -251,132 +253,90 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     return cand
 
 
-_GENERATORS = ("3", "plus", "minus")
-
-# S terms per pass of verify_intertwining: a pass makes about eight
-# products per term, so this bounds its arrays to a few MB at any order.
+# S terms per pass of verify_intertwining: a pass makes three shifted
+# copies of each term per ladder generator, so this bounds its arrays to
+# a few MB at any order.
 _TERMS_PER_PASS = 4096
 
 
-def _triplets(x: XSum):
-    """x.triplets() sorted by row."""
-    rows, cols, vals = x.triplets()
-    order = np.argsort(rows, kind="stable")
-    return rows[order], cols[order], vals[order]
+def _generator_bands(lay: CouplingLayout):
+    """The generators' entries per index, from the index formulas.
 
-
-def _stack(p, weight, plus):
-    """One side of _generator_triplets: J_3 = weight on the diagonal cells
-    p where it is nonzero, the (row, column, value) bands of J_+ and their
-    transposes as J_-, stacked with generator index 0, 1, 2 and sorted by
-    row."""
-    keep = weight != 0
-    parts = [(p[keep], p[keep], weight[keep]), *plus]
-    parts += [(c, r, v) for r, c, v in plus]
-    gen = np.repeat(
-        [0] + [1] * len(plus) + [2] * len(plus),
-        [len(r) for r, _c, _v in parts],
-    )
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(rows, kind="stable")
-    side = (gen[order], rows[order], cols[order], vals[order])
-    for a in side:
-        a.flags.writeable = False
-    return side
-
-
-def _raising_band(p, k, d, step):
-    """J_+ terms (p, p + step) of the cells p at level k (0-based) of a
-    d-level irrep: every level below the top, sqrt((k + 1)(d - 1 - k))."""
-    up = k < d - 1
-    return p[up], p[up] + step, np.sqrt((k + 1) * (d - 1 - k))[up]
-
-
-@lru_cache(maxsize=64)
-def _generator_triplets(two_j1: int, two_j2: int):
-    """(generator, row, column, value) arrays of J_3, J_+, J_- stacked, and
-    of the flattened block generators stacked the same way; the generator
-    index is 0, 1, 2 in _GENERATORS order.  Each side is sorted by row,
-    its values are real, and every array is read-only: the cache hands the
-    same arrays to every caller.
-
-    The entries come from the index formulas, with no XSum built: row
-    p = a n2 + b (0-based) of the product space carries m1 + m2 =
-    (2j1 - 2a + 2j2 - 2b)/2 and the two J_+ bands of stride n2 and 1;
-    block k is the d_k-level irrep at offset z_{k-1}.  Within a row the
-    stride-n2 band comes first, as in A (x) I + I (x) B.
+    Row p = a n2 + b (0-based) of the product space and column q, at
+    level i of a d-level block, get their doubled weights 2j1 - 2a +
+    2j2 - 2b and d - 1 - 2i, then per band (strides n2 and 1 on rows, 1 on
+    columns) the J_+ entry into level k of m, sqrt(k (m - k)), and the
+    J_- entry out of it, sqrt((k + 1)(m - 1 - k)); each is 0 where its
+    step would leave the irrep.
     """
-    lay = layout(two_j1, two_j2)
-    n1, n2 = lay.n1, lay.n2
-    p = np.arange(lay.total)
-    a, b = np.divmod(p, n2)
-    product = _stack(
-        p, (two_j1 - 2 * a + two_j2 - 2 * b) / 2,
-        [_raising_band(p, a, n1, n2), _raising_band(p, b, n2, 1)],
-    )
+    def ladder(k, m):
+        return np.sqrt(k * (m - k)), np.sqrt((k + 1) * (m - 1 - k))
+
+    n = lay.total
+    a, b = np.divmod(np.arange(n), lay.n2)
     d = np.repeat(lay.dims, lay.dims)
-    i = p - np.repeat((0,) + lay.offsets[:-1], lay.dims)  # level in block
-    block = _stack(p, (d - 1 - 2 * i) / 2, [_raising_band(p, i, d, 1)])
-    return product, block
+    i = np.arange(n) - np.repeat((0,) + lay.offsets[:-1], lay.dims)
+    return (
+        (lay.twoJ1 + lay.twoJ2 - 2 * (a + b),
+         *ladder(a, lay.n1), *ladder(b, lay.n2)),
+        (d - 1 - 2 * i, *ladder(i, d)),
+    )
 
 
-def _join(left: np.ndarray, right_sorted: np.ndarray):
-    """Index pairs (l, r) with left[l] == right_sorted[r], grouped by l."""
-    lo = np.searchsorted(right_sorted, left, "left")
-    count = np.searchsorted(right_sorted, left, "right") - lo
-    li = np.repeat(np.arange(len(left)), count)
-    ri = np.arange(len(li)) + np.repeat(lo - np.cumsum(count) + count, count)
-    return li, ri
+def _max_cell_sum(*parts):
+    """max |sum| over the cells of (key, value) array pairs, each cell
+    summed in part order."""
+    keys = np.concatenate([k for k, _v in parts])
+    vals = np.concatenate([v for _k, v in parts])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # one per cell
+    return np.abs(np.add.reduceat(vals[order], starts)).max()
 
 
 def verify_intertwining(s: CGMatrix) -> IntertwiningReport:
     """Residuals of J_a S - S Jtilde_a and the exact weight matching.
 
-    S and the six generators are sparse triplets; the three residuals are
-    sparse triplet products summed over colliding cells, a row range of S
-    at a time, so no dense n x n matrix is formed.
+    Every generator is a diagonal or one or two fixed bands, so each term
+    (p, q, v) of S moves one band step and is scaled by the band entry
+    (_generator_bands).  Colliding cells are summed, whole blocks of S's
+    columns at a time, so no dense n x n matrix and no generator matrix
+    is formed.
     """
     lay = s.layout
-    n = lay.total
-    s_rows, s_cols, s_vals = _triplets(s.matrix)
-    (a_gen, a_rows, a_cols, a_vals), (b_gen, b_rows, b_cols, b_vals) = (
-        _generator_triplets(lay.twoJ1, lay.twoJ2)
+    n, n2 = lay.total, lay.n2
+    (two_m_row, up_a, dn_a, up_b, dn_b), (two_m_col, up_c, dn_c) = (
+        _generator_bands(lay)
     )
-    worst = np.zeros(len(_GENERATORS))
-    # residual rows [lo, hi) need the generator terms of those rows for
-    # J_a S, and the S terms of those rows for S Jtilde_a
-    edges = [0, *s_rows[_TERMS_PER_PASS::_TERMS_PER_PASS].tolist(), n]
+    s_rows, s_cols, s_vals = s.matrix.triplets()
+    order = np.argsort(s_cols, kind="stable")  # build_S stores by column
+    # a pass ends at a block edge: J_a S keeps each column, and a column
+    # step out of a block carries a zero band entry
+    edges = [0]
+    for end in np.searchsorted(s_cols[order], lay.offsets).tolist():
+        if end - edges[-1] >= _TERMS_PER_PASS:
+            edges.append(end)
+    if edges[-1] < len(order):
+        edges.append(len(order))
+    w = n + 2 * n2  # key row span, one stride-n2 step of room each way
+    worst, diag_ok = np.zeros(3), True
     for lo, hi in zip(edges[:-1], edges[1:]):
-        a0, a1 = np.searchsorted(a_rows, (lo, hi))
-        s0, s1 = np.searchsorted(s_rows, (lo, hi))
-        ia, js = _join(a_cols[a0:a1], s_rows)  # J_a[i, p] S[p, q]
-        ia += a0
-        is_, jb = _join(s_cols[s0:s1], b_rows)  # S[p, q] Jtilde_a[q, j]
-        is_ += s0
-        # cell (i, q) of generator g's residual is key (g n + i) n + q
-        keys = np.concatenate((
-            (a_gen[ia] * n + a_rows[ia]) * n + s_cols[js],
-            (b_gen[jb] * n + s_rows[is_]) * n + b_cols[jb],
+        idx = order[lo:hi]
+        p, q, v = s_rows[idx], s_cols[idx], s_vals[idx]
+        dm = two_m_row[p] - two_m_col[q]  # 2 m(p) - 2 M(q)
+        diag_ok = diag_ok and not dm.any()
+        key = (q + 1) * w + p + n2  # cell (p, q); steps never wrap
+        worst = np.maximum(worst, (
+            np.abs(dm / 2 * v).max(),  # J_3 S - S Jtilde_3
+            _max_cell_sum(  # J_+ S - S Jtilde_+
+                (key - n2, up_a[p] * v), (key - 1, up_b[p] * v),
+                (key + w, -v * dn_c[q]),
+            ),
+            _max_cell_sum(  # J_- S - S Jtilde_-
+                (key + n2, dn_a[p] * v), (key + 1, dn_b[p] * v),
+                (key - w, -v * up_c[q]),
+            ),
         ))
-        vals = np.concatenate((
-            a_vals[ia] * s_vals[js], -s_vals[is_] * b_vals[jb]
-        ))
-        order = np.argsort(keys)
-        keys, vals = keys[order], vals[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # one per cell
-        sums = np.add.reduceat(vals, starts)
-        np.maximum.at(worst, keys[starts] // (n * n), np.abs(sums))
-    # doubled weights: 2(m1 + m2) = 2j1 + 2j2 - 2 alpha - 2(beta - 1) of
-    # row p = alpha n2 + beta against 2M = 2J_k + 2 - 2r of column
-    # q = z_{k-1} + r, with 2J_k = 2j1 + 2j2 + 2 - 2k
-    two_j12 = lay.twoJ1 + lay.twoJ2
-    alpha, beta = np.divmod(s_rows, lay.n2)  # beta counted from 0 here
-    z = np.array((0,) + lay.offsets)
-    k = np.searchsorted(z, s_cols + 1)  # first block with q <= z_k
-    r = s_cols + 1 - z[k - 1]
-    diag_ok = bool(np.array_equal(
-        two_j12 - 2 * (alpha + beta), two_j12 + 4 - 2 * k - 2 * r
-    ))
     return IntertwiningReport(*map(float, worst), diag_ok)
 
 

@@ -4,7 +4,9 @@ One `kronx` entry point exposes the constructions behind a uniform I/O
 contract: matrices travel as the shared JSON schema (see serialize),
 spectra as ascending CSV. Exit codes: 0 success, 2 validation or domain
 error, 3 verification failure (a suite, or a built matrix failing its own
-check), 64 usage.
+check), 64 usage. Every output goes to stdout or to `-o FILE`; a
+`--format` the output has no form for is refused (exit 2), and text
+reports take none.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from . import cg as cgmod
 from . import coupling, fourier, perm, su2
 from .exactnum import ClosureError, DomainError, scalar_to_float
-from .hubbard import DimensionError, ResourceError, XSum
+from .hubbard import DimensionError, ResourceError, XSum, check_order
 from .kron import kron
 from .models import (
     ConvergenceError,
@@ -69,6 +71,13 @@ def _emit_matrix(x: XSum, args) -> int:
     else:
         text = matrix_to_json(x)
     _write(text, args.output)
+    return EX_OK
+
+
+def _emit_text(lines, args) -> int:
+    if args.format:
+        raise DomainError(f"text output has no {args.format} form")
+    _write("\n".join(lines), args.output)
     return EX_OK
 
 
@@ -126,16 +135,16 @@ def cmd_fft_factor(args) -> int:
     if args.perm:
         return _emit_matrix(perm.perm_matrix(fac.bit_reversal), args)
     if args.verify:
-        ok = True
         # a butterfly stage has two terms per row; F_1's one stage is I_1
         want = 2 * args.n if args.n > 1 else 1
-        for s, f in enumerate(fac.factors):
-            nnz = f.nnz()
-            print(f"stage {s}: {nnz} terms")
-            ok = ok and nnz == want
+        nnz = [f.nnz() for f in fac.factors]
         err = fac.max_error()
-        print(f"max reconstruction error {err:.3e}")
-        return EX_OK if ok and err < 1e-10 else EX_VERIFY
+        _emit_text([*(f"stage {s}: {c} terms" for s, c in enumerate(nnz)),
+                    f"max reconstruction error {err:.3e}"], args)
+        ok = all(c == want for c in nnz) and err < 1e-10
+        return EX_OK if ok else EX_VERIFY
+    if args.format not in (None, "json"):
+        raise DomainError("the fft-factor document is json only")
     obj = {
         "n": args.n,
         "stages": [matrix_to_obj(f) for f in fac.factors],
@@ -168,8 +177,7 @@ def cmd_cg(args) -> int:
         c = cgmod.cg_coefficient(
             args.twoj1, two_m1, args.twoj2, two_m2, two_j, two_m
         )
-        _write(f"{c} = {scalar_to_float(c)!r}", args.output)
-        return EX_OK
+        return _emit_text([f"{c} = {scalar_to_float(c)!r}"], args)
     if args.table:
         groups: dict = {}
         for two_j, two_m, two_m1, two_m2, c in cgmod.cg_table(
@@ -178,12 +186,10 @@ def cmd_cg(args) -> int:
             groups.setdefault((two_j, two_m), []).append(
                 f"[2m1={two_m1} 2m2={two_m2}] {c}"
             )
-        lines = [
+        return _emit_text([
             f"2J={two_j} 2M={two_m}: " + "  ".join(parts)
             for (two_j, two_m), parts in groups.items()
-        ]
-        _write("\n".join(lines), args.output)
-        return EX_OK
+        ], args)
     return _emit_matrix(cgmod.build_S(args.twoj1, args.twoj2).matrix, args)
 
 
@@ -226,26 +232,23 @@ def cmd_jc(args) -> int:
     return _emit_matrix(u, args)
 
 
-def _verify_intertwining(args) -> bool:
-    ok = True
+# Each suite yields a (line, passed) pair per check it reports.
+
+
+def _verify_intertwining(args):
     for a in range(args.max_twoj + 1):
         for b in range(args.max_twoj + 1):
             s = cgmod.build_S(a, b)
             report = s.report
             good = (report.passed(args.tol)
                     and s.column_norms_sq() == [1] * s.layout.total)
-            ok = ok and good
-            print(
-                f"S({a}/2 x {b}/2): max residual {report.max_residual:.3e}"
-                + ("" if good else "  FAIL")
-            )
-    return ok
+            line = f"S({a}/2 x {b}/2): max residual {report.max_residual:.3e}"
+            yield line + ("" if good else "  FAIL"), good
 
 
-def _verify_su2(args) -> bool:
+def _verify_su2(args):
     from .hubbard import bracket, identity
 
-    ok = True
     for two_j in range(args.max_twoj + 1):
         jp, jm = su2.jpm(two_j, "plus"), su2.jpm(two_j, "minus")
         jz = su2.j3(two_j)
@@ -256,9 +259,7 @@ def _verify_su2(args) -> bool:
             and su2.casimir(two_j)
             == identity(two_j + 1).scale(Fraction(two_j * (two_j + 2), 4))
         )
-        ok = ok and laws
-        print(f"twoJ={two_j}: {'exact' if laws else 'FAIL'}")
-    return ok
+        yield f"twoJ={two_j}: {'exact' if laws else 'FAIL'}", laws
 
 
 def _rand_xsum(rng, n: int) -> XSum:
@@ -268,7 +269,7 @@ def _rand_xsum(rng, n: int) -> XSum:
                     for _ in range(rng.randint(1, 2 * n))})
 
 
-def _verify_kron(args) -> bool:
+def _verify_kron(args):
     import random
 
     from .hubbard import xsum_mul
@@ -285,11 +286,10 @@ def _verify_kron(args) -> bool:
             xsum_mul(a, c), xsum_mul(b, d)
         )
         ok = ok and paths and mixed
-    print(f"50 random pairs: {'exact' if ok else 'FAIL'}")
-    return ok
+    yield f"50 random pairs: {'exact' if ok else 'FAIL'}", ok
 
 
-def _verify_perm(args) -> bool:
+def _verify_perm(args):
     import random
 
     from .hubbard import dagger, xsum_mul
@@ -303,7 +303,7 @@ def _verify_perm(args) -> bool:
         y = tuple(Fraction(rng.randint(-4, 4)) for _ in range(n))
         swap = perm.perm_matrix(perm.swap_perm(n))
         swaps = swaps and swap.apply(kron_vec(x, y)) == kron_vec(y, x)
-    print(f"swap on 50 vector pairs: {'exact' if swaps else 'FAIL'}")
+    yield f"swap on 50 vector pairs: {'exact' if swaps else 'FAIL'}", swaps
 
     comm = True
     for _ in range(50):
@@ -312,22 +312,19 @@ def _verify_perm(args) -> bool:
         p = perm.perm_matrix(perm.commutation_perm(n, m))
         lhs = xsum_mul(xsum_mul(dagger(p, "transpose"), kron(a, b)), p)
         comm = comm and lhs == kron(b, a)
-    print(f"commutation on 50 matrix pairs: {'exact' if comm else 'FAIL'}")
-    return swaps and comm
+    yield (f"commutation on 50 matrix pairs: {'exact' if comm else 'FAIL'}",
+           comm)
 
 
-def _verify_fourier(args) -> bool:
-    ok = True
+def _verify_fourier(args):
     n = 2
     while n <= args.n:
         fac = fourier.cooley_tukey(n)
         err = fac.max_error()
         stages = all(f.nnz() == 2 * n for f in fac.factors)
         good = err < args.tol and stages
-        ok = ok and good
-        print(f"n={n}: max error {err:.3e}" + ("" if good else "  FAIL"))
+        yield f"n={n}: max error {err:.3e}" + ("" if good else "  FAIL"), good
         n *= 2
-    return ok
 
 
 _SUITES = {
@@ -345,7 +342,11 @@ def cmd_verify(args) -> int:
         raise DomainError("--max-twoj must be nonnegative")
     if args.suite == "fourier" and args.n < 2:
         raise DomainError("--n must be at least 2 for the fourier suite")
-    return EX_OK if _SUITES[args.suite](args) else EX_VERIFY
+    if args.suite == "intertwining":
+        check_order((args.max_twoj + 1) ** 2)  # largest S, before any build
+    lines, passed = zip(*_SUITES[args.suite](args))
+    _emit_text(lines, args)
+    return EX_OK if all(passed) else EX_VERIFY
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -359,7 +360,7 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--format", choices=("json", "csv", "pretty"), default=None,
         help="output form; defaults to json for matrices (byte-stable) "
-             "and csv for spectra",
+             "and csv for spectra; text reports take none",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -135,9 +135,11 @@ def cooley_tukey(n: int) -> FourierFactorization:
 def is_hadamard(h: XSum, tol: float = 1e-10) -> bool:
     """Unimodular entries and H H^dagger = n I, within tol."""
     n = h.order
-    if h.nnz() != n * n or (abs(np.abs(h.triplets()[2]) - 1.0) > tol).any():
+    if h.nnz() != n * n:
         return False
-    a = h.to_numpy()
+    a = h.to_numpy()  # every cell is stored, so these are the terms
+    if (abs(np.abs(a) - 1.0) > tol).any():
+        return False
     z = a @ a.conj().T - n * np.eye(n)
     return bool(np.hypot(z.real, z.imag).max() <= n * tol)
 

@@ -7,6 +7,7 @@ is independence from the index arithmetic under test.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -142,19 +143,34 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_generators(two_j1: int, two_j2: int) -> tuple:
+    """(J_a, Jtilde_a) as read-only dense arrays for a = 3, plus, minus:
+    product_gen through kron and the flattened block_gen."""
+    from kronx.coupling import block_gen, product_gen
+
+    pairs = tuple(
+        (product_gen(two_j1, two_j2, which).to_numpy(),
+         block_gen(two_j1, two_j2, which).flatten().to_numpy())
+        for which in ("3", "plus", "minus")
+    )
+    for pair in pairs:
+        for a in pair:
+            a.flags.writeable = False
+    return pairs
+
+
 def dense_intertwining_residuals(s) -> dict:
     """max |J_a S - S Jtilde_a| for a = 3, plus, minus, from dense numpy
     products of the generators and S."""
-    from kronx.coupling import block_gen, product_gen
-
     lay = s.layout
     sm = s.matrix.to_numpy()
-    out = {}
-    for which in ("3", "plus", "minus"):
-        a = product_gen(lay.twoJ1, lay.twoJ2, which).to_numpy()
-        b = block_gen(lay.twoJ1, lay.twoJ2, which).flatten().to_numpy()
-        out[which] = float(np.abs(a @ sm - sm @ b).max())
-    return out
+    return {
+        which: float(np.abs(a @ sm - sm @ b).max())
+        for which, (a, b) in zip(
+            ("3", "plus", "minus"), _dense_generators(lay.twoJ1, lay.twoJ2)
+        )
+    }
 
 
 def admissible(lay):
@@ -186,27 +202,6 @@ def full_assembly_terms(two_j1: int, two_j2: int) -> dict:
         if c:
             terms[(alpha * lay.n2 + beta, lay.z(k - 1) + r)] = c
     return terms
-
-
-def generator_triplets_from_xsums(two_j1: int, two_j2: int):
-    """The two sides of cg._generator_triplets built from the generator
-    XSums: product_gen through kron and the flattened block_gen, each
-    side stacked in J_3, J_+, J_- order and stably sorted by row."""
-    from kronx.coupling import block_gen, product_gen
-
-    sides = []
-    for gens in (
-        [product_gen(two_j1, two_j2, w, path="kron")
-         for w in ("3", "plus", "minus")],
-        [block_gen(two_j1, two_j2, w).flatten()
-         for w in ("3", "plus", "minus")],
-    ):
-        parts = [x.triplets() for x in gens]
-        gen = np.repeat(np.arange(3), [len(r) for r, _c, _v in parts])
-        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-        order = np.argsort(rows, kind="stable")
-        sides.append((gen[order], rows[order], cols[order], vals.real[order]))
-    return sides
 
 
 def site_embed(op: XSum, j: int, n: int) -> XSum:

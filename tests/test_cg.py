@@ -9,7 +9,6 @@ from _oracles import (
     admissible,
     dense_intertwining_residuals,
     full_assembly_terms,
-    generator_triplets_from_xsums,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +27,7 @@ from kronx.cg import (
     verify_intertwining,
 )
 from kronx.cli import EX_VERIFY, run
-from kronx.coupling import layout
+from kronx.coupling import block_gen, layout, product_gen
 from kronx.exactnum import DomainError, SqrtRational
 from kronx.hubbard import ResourceError, XSum
 
@@ -299,27 +298,47 @@ def test_entry_moved_to_another_weight_fails_the_weight_check():
     # rows p and p + 1 differ in weight for n2 > 2, so (p + 1, q) is empty
     assert (p + 1, q) not in terms
     terms[p + 1, q] = terms.pop((p, q))
-    rep = verify_intertwining(CGMatrix(lay, XSum(lay.total, terms)))
-    assert not rep.diagonal_exact
+    moved = CGMatrix(lay, XSum(lay.total, terms))
+    assert not verify_intertwining(moved).diagonal_exact
+    _assert_report_matches_dense(moved)
 
 
-@pytest.fixture
-def fresh_generators():
-    """Empty the per-pair generator cache around a test that patches
-    product_gen or block_gen, so no patched build outlives the test."""
-    kronx.cg._generator_triplets.cache_clear()
-    yield
-    kronx.cg._generator_triplets.cache_clear()
+def _assert_report_matches_dense(m):
+    rep = verify_intertwining(m)
+    dense = dense_intertwining_residuals(m)
+    assert abs(rep.residual_3 - dense["3"]) < 1e-12
+    assert abs(rep.residual_plus - dense["plus"]) < 1e-12
+    assert abs(rep.residual_minus - dense["minus"]) < 1e-12
 
 
-def test_generators_built_once_per_pair(fresh_generators):
-    build_S(6, 6)
-    build_S(6, 6)
-    info = kronx.cg._generator_triplets.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+def _band_edge_cells(lay, rng):
+    """Cells (p, q), 1-based, where a band step leaves a block or a row
+    group: each block's first and last column against the first and last
+    row of each factor-1 row group, plus five random cells."""
+    cols = [q for z, d in zip((0,) + lay.offsets, lay.dims)
+            for q in (z + 1, z + d)]
+    rows = [p for a in range(lay.n1)
+            for p in (a * lay.n2 + 1, (a + 1) * lay.n2)]
+    cells = {(p, q) for p in rows for q in cols}
+    n = lay.total
+    cells |= {(rng.randint(1, n), rng.randint(1, n)) for _ in range(5)}
+    return sorted(cells)
 
 
-def test_build_S_builds_no_generator_xsum(monkeypatch, fresh_generators):
+@pytest.mark.parametrize("two_j1", range(0, 7))
+def test_residuals_match_dense_at_band_edges(two_j1):
+    rng = random.Random(2013 + two_j1)
+    for two_j2 in range(0, 7):
+        s = build_S(two_j1, two_j2)
+        lay = s.layout
+        for cell in _band_edge_cells(lay, rng):
+            for eps in (1e-3, 2e-3j):
+                _assert_report_matches_dense(
+                    CGMatrix(lay, s.matrix + XSum(lay.total, {cell: eps}))
+                )
+
+
+def test_build_S_builds_no_generator_xsum(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("generator XSum built")
 
@@ -331,27 +350,46 @@ def test_build_S_builds_no_generator_xsum(monkeypatch, fresh_generators):
     assert build_S(5, 8).report.passed(1e-10)
 
 
+def _terms_from_bands(weight, *bands):
+    """J_3, J_+ and J_- as {(row, column): value}, 0-based, from doubled
+    weights and (stride, into, out of) ladder bands."""
+    idx = range(len(weight))
+    j3 = {(i, i): w / 2 for i, w in zip(idx, weight.tolist()) if w}
+    plus, minus = {}, {}
+    for step, up, down in bands:
+        plus.update({(i - step, i): u for i, u in zip(idx, up.tolist()) if u})
+        minus.update(
+            {(i + step, i): x for i, x in zip(idx, down.tolist()) if x}
+        )
+    return j3, plus, minus
+
+
 @pytest.mark.parametrize("two_j1", range(0, 13))
 def test_generator_arrays_equal_the_xsum_triplets(two_j1):
+    # the band entries the intertwining check scales S by, bit for bit
+    # the generator XSums of the product and direct-sum spaces
+    which = ("3", "plus", "minus")
     for two_j2 in range(0, 13):
-        got = kronx.cg._generator_triplets(two_j1, two_j2)
-        for side, want_side in zip(got, generator_triplets_from_xsums(
-            two_j1, two_j2
+        lay = layout(two_j1, two_j2)
+        (wr, up_a, dn_a, up_b, dn_b), (wc, up_c, dn_c) = (
+            kronx.cg._generator_bands(lay)
+        )
+        got = [
+            _terms_from_bands(wr, (lay.n2, up_a, dn_a), (1, up_b, dn_b)),
+            _terms_from_bands(wc, (1, up_c, dn_c)),
+        ]
+        for side, gens in zip(got, (
+            [product_gen(two_j1, two_j2, w, path="kron") for w in which],
+            [block_gen(two_j1, two_j2, w).flatten() for w in which],
         )):
-            for a, want in zip(side, want_side):
-                assert a.dtype == want.dtype and a.shape == want.shape
-                assert a.tobytes() == want.tobytes()
-
-
-def test_cached_generator_arrays_refuse_writes():
-    for side in kronx.cg._generator_triplets(2, 2):
-        for a in side:
-            with pytest.raises(ValueError):
-                a[0] = 0
+            for terms, x in zip(side, gens):
+                rows, cols, vals = x.triplets()
+                assert terms == dict(zip(zip(rows.tolist(), cols.tolist()),
+                                         vals.tolist()))
 
 
 def test_intertwining_memory_stays_far_below_a_dense_matrix():
-    s = build_S(40, 40)  # order 1681; also fills the generator cache
+    s = build_S(40, 40)  # order 1681
     n = s.layout.total
     tracemalloc.start()
     try:
@@ -442,9 +480,7 @@ def test_cg_coefficient_limited_by_the_order_cap(monkeypatch):
         cg_coefficient(64, 64, 64, 64, 128, 128)  # S has order 65^2 = 4225
 
 
-def test_ladder_oracle_over_order_cap_fails_before_allocating(
-    monkeypatch, fresh_generators
-):
+def test_ladder_oracle_over_order_cap_fails_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the order check")
 

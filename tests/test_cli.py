@@ -167,6 +167,27 @@ class TestFftFactor:
     def test_bad_stage_is_2(self, capcli):
         assert capcli("fft-factor", "--n", "8", "--stage", "5")[0] == 2
 
+    def test_verify_report_goes_to_output_file(self, capcli, tmp_path):
+        dest = tmp_path / "report.txt"
+        code, out, _ = capcli("fft-factor", "--n", "8", "--verify",
+                              "-o", str(dest))
+        assert code == 0 and out == ""
+        assert dest.read_text() == capcli("fft-factor", "--n", "8",
+                                          "--verify")[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("--verify", "--format", "json"),
+        ("--format", "pretty"),
+        ("--format", "csv"),
+    ])
+    def test_format_without_a_form_is_2(self, capcli, argv):
+        code, out, err = capcli("fft-factor", "--n", "8", *argv)
+        assert code == 2 and out == "" and "error:" in err
+
+    def test_explicit_json_format_matches_default(self, capcli):
+        assert (capcli("fft-factor", "--n", "8", "--format", "json")
+                == capcli("fft-factor", "--n", "8"))
+
 
 class TestSu2AndCouple:
     def test_jplus_matrix(self, capcli):
@@ -216,6 +237,16 @@ class TestCg:
     def test_parity_violation_is_2(self, capcli):
         assert capcli("cg", "--twoj1", "1", "--twoj2", "1",
                       "--coef", "0", "0", "0", "0")[0] == 2
+
+    @pytest.mark.parametrize("mode", [
+        ("--coef", "-1", "1", "0", "0"),
+        ("--table",),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_text_output_refuses_format(self, capcli, mode, fmt):
+        code, out, err = capcli("cg", "--twoj1", "1", "--twoj2", "1",
+                                *mode, "--format", fmt)
+        assert code == 2 and out == "" and "error:" in err
 
     def test_modes_mutually_exclusive(self, capcli):
         assert capcli("cg", "--twoj1", "1", "--twoj2", "1",
@@ -402,8 +433,39 @@ class TestVerify:
         code, out, _ = capcli("verify", "--suite", "fourier", "--n", "32")
         assert code == 0 and "n=32" in out
 
+    def test_report_goes_to_output_file(self, capcli, tmp_path):
+        dest = tmp_path / "kron.txt"
+        code, out, _ = capcli("verify", "--suite", "kron", "-o", str(dest))
+        assert code == 0 and out == ""
+        assert dest.read_text() == "50 random pairs: exact\n"
+
+    def test_failed_report_goes_to_output_file(self, capcli, tmp_path):
+        dest = tmp_path / "fourier.txt"
+        code, out, _ = capcli("verify", "--suite", "fourier", "--n", "4",
+                              "--tol", "1e-300", "-o", str(dest))
+        assert code == 3 and out == ""
+        lines = dest.read_text().splitlines()
+        assert len(lines) == 2 and all(ln.endswith("  FAIL") for ln in lines)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_format_is_2(self, capcli, fmt):
+        code, out, err = capcli("verify", "--suite", "su2", "--format", fmt)
+        assert code == 2 and out == "" and "error:" in err
+
     def test_unknown_suite_is_64(self, capcli):
         assert capcli("verify", "--suite", "astrology")[0] == 64
+
+    def test_intertwining_over_order_cap_fails_before_any_build(
+        self, capcli, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("built S before the order check")
+
+        monkeypatch.setenv("KRONX_MAX_DIM", "24")
+        monkeypatch.setattr(kronx.cg, "build_S", refuse)
+        code, out, err = capcli("verify", "--suite", "intertwining",
+                                "--max-twoj", "4")  # S(4/2 x 4/2) has order 25
+        assert code == 2 and out == "" and "KRONX_MAX_DIM" in err
 
     def test_negative_max_twoj_is_2(self, capcli):
         assert capcli("verify", "--suite", "intertwining",

@@ -194,6 +194,20 @@ def test_is_hadamard_rejects_scaled_and_sparse():
     assert not is_hadamard(XSum(4, g))
 
 
+def test_is_hadamard_converts_the_terms_once(monkeypatch):
+    calls = []
+    triplets = XSum.triplets
+
+    def counted(self):
+        calls.append(self.order)
+        return triplets(self)
+
+    h = fourier_matrix(16)
+    monkeypatch.setattr(XSum, "triplets", counted)
+    assert is_hadamard(h)
+    assert calls == [16]
+
+
 def test_dephase_fixes_first_row_and_column():
     n = 4
     phases1 = [cmath.exp(1j * x) for x in (0.3, -1.2, 2.5, 0.9)]
