@@ -28,9 +28,8 @@ from .models import (
     JCConfig,
     NLevelHamiltonian,
     SpinChainParams,
-    _hermitian_array,
-    _jacobi,
     diagonalize,
+    eigenvalues,
     heisenberg_h,
     hubbard_h,
     jc_evolution,
@@ -194,19 +193,27 @@ def cmd_cg(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    _positive(args.tol, "--tol")
-    x = load_matrix(args.matrix)
-    sweeps = dict(tol=args.tol, max_sweeps=args.max_sweeps,
-                  single_sweep=args.single_sweep)
-    if args.unitary:
-        u = diagonalize(NLevelHamiltonian.from_xsum(x), **sweeps)[1]
-        return _emit_matrix(u, args)
-    return _emit_spectrum(_jacobi(_hermitian_array(x), **sweeps)[0], args)
+    sweeps = {flag: value for flag, value in (
+        ("tol", args.tol), ("max_sweeps", args.max_sweeps),
+        ("single_sweep", args.single_sweep or None)) if value is not None}
+    if args.unitary and args.solver == "lapack":
+        raise DomainError("--unitary runs the jacobi solver, not lapack")
+    if not (args.unitary or args.solver == "jacobi"):
+        if sweeps:
+            flags = ", ".join("--" + f.replace("_", "-") for f in sweeps)
+            raise DomainError(
+                f"{flags}: only with --solver jacobi or --unitary")
+        return _emit_spectrum(eigenvalues(load_matrix(args.matrix)), args)
+    if args.tol is not None:
+        _positive(args.tol, "--tol")
+    h = NLevelHamiltonian.from_xsum(load_matrix(args.matrix))
+    ev, u = diagonalize(h, **sweeps)
+    return _emit_matrix(u, args) if args.unitary else _emit_spectrum(ev, args)
 
 
 def _emit_model(h: XSum, args) -> int:
     if args.diag:
-        return _emit_spectrum(_jacobi(_hermitian_array(h))[0], args)
+        return _emit_spectrum(eigenvalues(h), args)
     return _emit_matrix(h, args)
 
 
@@ -427,14 +434,22 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_cg)
 
     p = sub.add_parser("diag", parents=[common],
-                       help="Jacobi-diagonalize a Hermitian JSON matrix")
+                       help="spectrum (or Jacobi unitary) of a Hermitian "
+                            "JSON matrix")
     p.add_argument("matrix", help="Hermitian matrix (JSON file)")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="off-diagonal convergence threshold")
-    p.add_argument("--max-sweeps", type=int, default=30)
-    p.add_argument("--single-sweep", action="store_true")
+    p.add_argument("--solver", choices=("lapack", "jacobi"),
+                   help="lapack (default) runs numpy eigvalsh; jacobi runs "
+                        "the paper's Givens sweeps, the cross-check")
+    p.add_argument("--tol", type=float,
+                   help="jacobi: off-diagonal convergence threshold "
+                        "(default 1e-12)")
+    p.add_argument("--max-sweeps", type=int,
+                   help="jacobi: sweep limit (default 30)")
+    p.add_argument("--single-sweep", action="store_true",
+                   help="jacobi: stop after one full pass")
     p.add_argument("--unitary", action="store_true",
-                   help="emit the accumulated unitary instead of the spectrum")
+                   help="emit the accumulated Jacobi unitary instead of the "
+                        "spectrum (runs jacobi)")
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("heisenberg", parents=[common],

@@ -1,5 +1,6 @@
-"""Physics payloads: n-level Jacobi diagonalization, spin chains, fermionic
-Hubbard clusters, and Jaynes-Cummings evolution, all in X-operator form.
+"""Physics payloads: the Hermitian eigenvalue kernel, the paper's n-level
+Jacobi diagonalization, spin chains, fermionic Hubbard clusters, and
+Jaynes-Cummings evolution, all in X-operator form.
 
 A shared convention runs through the module: basis levels are ordered by
 descending weight or occupation (the su2 ordering), so the JC photon
@@ -26,12 +27,14 @@ from .su2 import pauli
 
 
 class ConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted; carries the remaining off-diagonal mass."""
+    """An eigensolver gave up.  After exhausted Jacobi sweeps it carries the
+    remaining off-diagonal mass and the sweep count; when LAPACK fails both
+    are None and the message says so."""
 
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"off-diagonal residual {residual:.3e} after {sweeps} sweeps"
-        )
+    def __init__(self, residual: float | None, sweeps: int | None,
+                 message: str | None = None):
+        super().__init__(message or f"off-diagonal residual {residual:.3e} "
+                                    f"after {sweeps} sweeps")
         self.residual = residual
         self.sweeps = sweeps
 
@@ -94,12 +97,16 @@ _HERMITIAN_TOL = 1e-12
 
 
 def _hermitian_array(x: XSum) -> np.ndarray:
-    """x as the Jacobi work array: its real diagonal and upper triangle,
-    mirrored.  Raises DomainError unless, on x's stored terms, the diagonal
-    is real and each (p, q) matches conj (q, p) within _HERMITIAN_TOL, so a
-    lone entry in either triangle fails; O(nnz) past the n x n array."""
+    """x as a dense Hermitian array: its real diagonal and upper triangle,
+    mirrored; float64 when every stored term is real (no complex n x n
+    array is allocated then), complex otherwise.  Raises DomainError unless,
+    on x's stored terms, the diagonal is real and each (p, q) matches
+    conj (q, p) within _HERMITIAN_TOL, so a lone entry in either triangle
+    fails; O(nnz) past the n x n array."""
     rows, cols, vals = x.triplets()
-    a = np.zeros((x.order, x.order), dtype=complex)
+    if not vals.imag.any():
+        vals = vals.real
+    a = np.zeros((x.order, x.order), dtype=vals.dtype)
     a[rows, cols] = vals
     diag = rows == cols
     if (bad := diag & (np.abs(vals.imag) > _HERMITIAN_TOL)).any():
@@ -113,6 +120,18 @@ def _hermitian_array(x: XSum) -> np.ndarray:
     a[cols[upper], rows[upper]] = vals[upper].conj()
     a[rows[diag], cols[diag]] = vals[diag].real
     return a
+
+
+def eigenvalues(x: XSum) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian x: LAPACK's eigvalsh on
+    _hermitian_array(x), the package's one production eigenvalue kernel.
+    A LAPACK failure to converge raises ConvergenceError."""
+    a = _hermitian_array(x)
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            None, None, f"LAPACK eigvalsh did not converge: {exc}") from exc
 
 
 def givens_unitary(
@@ -180,23 +199,24 @@ def rotate_step(
     return NLevelHamiltonian.from_xsum(from_dense(a.tolist())), alpha
 
 
-def _jacobi(
-    a: np.ndarray,
+def diagonalize(
+    h: NLevelHamiltonian,
     tol: float = 1e-12,
     max_sweeps: int = 30,
     single_sweep: bool = False,
-    vectors: bool = False,
-) -> Tuple[Tuple[float, ...], np.ndarray | None]:
-    """Cyclic Jacobi sweeps on the Hermitian work array a, in place, until
-    its off-diagonal mass drops below tol; the one sweep loop of the
-    package.
+) -> Tuple[Tuple[float, ...], XSum]:
+    """The paper's construction: cyclic Jacobi sweeps of Givens rotations
+    until the off-diagonal mass drops below tol.
 
-    Returns the eigenvalues sorted ascending and, with vectors, the
-    accumulated unitary U with its columns permuted to match; without
-    vectors no U is built.
+    Returns eigenvalues sorted ascending and the accumulated unitary U
+    with its columns permuted to match (so U+ H U is the sorted diagonal).
+    With single_sweep the loop stops after one full pass regardless of
+    the residual, reproducing the plain n-1 rotation construction.
+    eigenvalues() is the production kernel; this is its cross-check.
     """
+    a = h.to_xsum().to_numpy()
     n = len(a)
-    u = np.eye(n, dtype=complex) if vectors else None
+    u = np.eye(n, dtype=complex)
     sweeps = 0
     while (residual := float(np.abs(a - np.diag(a.diagonal())).max())) > tol:
         if sweeps >= max_sweeps:
@@ -209,29 +229,9 @@ def _jacobi(
             break
     eps = a.diagonal().real.tolist()
     order = sorted(range(n), key=eps.__getitem__)
-    if vectors:
-        if not sweeps:  # nothing rotated: U is an exact permutation
-            u = np.eye(n, dtype=int)
-        u = u[:, order]
-    return tuple(eps[i] for i in order), u
-
-
-def diagonalize(
-    h: NLevelHamiltonian,
-    tol: float = 1e-12,
-    max_sweeps: int = 30,
-    single_sweep: bool = False,
-) -> Tuple[Tuple[float, ...], XSum]:
-    """Cyclic Jacobi sweeps until the off-diagonal mass drops below tol.
-
-    Returns eigenvalues sorted ascending and the accumulated unitary U
-    with its columns permuted to match (so U+ H U is the sorted diagonal).
-    With single_sweep the loop stops after one full pass regardless of
-    the residual, reproducing the plain n-1 rotation construction.
-    """
-    ev, u = _jacobi(h.to_xsum().to_numpy(), tol, max_sweeps, single_sweep,
-                    vectors=True)
-    return ev, from_dense(u.tolist())
+    if not sweeps:  # nothing rotated: U is an exact permutation
+        u = np.eye(n, dtype=int)
+    return tuple(eps[i] for i in order), from_dense(u[:, order].tolist())
 
 
 def _site_sum(n: int, d: int, terms, parity=None) -> XSum:

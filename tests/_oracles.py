@@ -8,6 +8,7 @@ is independence from the index arithmetic under test.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -258,3 +259,36 @@ def dense_hubbard_jw(sites: int, eps: float, u: float, hops: dict):
             k, l = 2 * (i - 1) + spin, 2 * (j - 1) + spin
             h = h + t * (c[k].T @ c[l] + c[l].T @ c[k])
     return h
+
+
+def bethe_xxx_ground_energy(sites: int) -> float:
+    """Ground energy of H = sum_j S_j . S_{j+1} on a ring of an even number
+    of sites, by the Bethe ansatz (Bethe 1931; Karbach and Mueller,
+    arXiv:cond-mat/9809162): M = sites/2 real rapidities solve
+    2 L atan(2 l_j) = 2 pi I_j + sum_k 2 atan(l_j - l_k) with
+    I_j = -(M-1)/2 ... (M-1)/2, from l_j = tan(pi I_j / L)/2, and
+    E = L/4 - sum_j 2/(4 l_j^2 + 1).  No matrix is built."""
+    from scipy.optimize import fsolve
+
+    m = sites // 2
+    quanta = np.arange(m) - (m - 1) / 2
+
+    def residual(lam):
+        pair = 2 * np.arctan(lam[:, None] - lam[None, :]).sum(axis=1)
+        return 2 * sites * np.arctan(2 * lam) - 2 * math.pi * quanta - pair
+
+    lam = fsolve(residual, np.tan(math.pi * quanta / sites) / 2, xtol=1e-13)
+    if np.abs(residual(lam)).max() > 1e-12:
+        raise ArithmeticError(f"Bethe equations unsolved at L={sites}")
+    return sites / 4 - float(np.sum(2 / (4 * lam**2 + 1)))
+
+
+def exact_moments(x: XSum) -> tuple:
+    """(Tr H, Tr H^2) of a rational H as Fractions, from its term list:
+    the sum of the diagonal terms and sum_{p,q} H_pq H_qp."""
+    terms = dict(x.items())
+    trace = sum((Fraction(c) for (p, q), c in terms.items() if p == q),
+                Fraction(0))
+    square = sum((Fraction(c) * Fraction(terms.get((q, p), 0))
+                  for (p, q), c in terms.items()), Fraction(0))
+    return trace, square

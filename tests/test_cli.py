@@ -14,10 +14,11 @@ from kronx.cli import run
 from kronx.coupling import product_gen
 from kronx.hubbard import XSum
 from kronx.kron import kron
+from kronx.models import NLevelHamiltonian, diagonalize
 from kronx.serialize import matrix_from_json, matrix_to_json, spectrum_to_csv
 from kronx.su2 import jpm
 
-from _oracles import dense_hubbard_jw
+from _oracles import bethe_xxx_ground_energy, dense_hubbard_jw, exact_moments
 
 
 @pytest.fixture
@@ -34,6 +35,19 @@ def write_matrix(tmp_path, name, x):
     path = tmp_path / name
     path.write_text(matrix_to_json(x) + "\n")
     return str(path)
+
+
+def printed_levels(csv: str) -> np.ndarray:
+    """The printed spectrum as an ascending array, multiplicities expanded."""
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    return np.array([float(v) for v, mult in rows for _ in range(int(mult))])
+
+
+JACOBI = ("--solver", "jacobi")
+# levels 1..4 on the diagonal, every off-diagonal entry 1/2: one sweep
+# leaves off-diagonal mass, so it does not converge
+SWEPT = XSum(4, {(p, q): p if p == q else Fraction(1, 2)
+                 for p in range(1, 5) for q in range(1, 5)})
 
 
 class TestExitCodes:
@@ -308,6 +322,66 @@ class TestDiag:
         assert code == 0
         assert "2.0,2" in out and "5.0,1" in out
 
+    def test_single_sweep_prints_the_unconverged_spectrum(self, capcli,
+                                                          tmp_path):
+        path = write_matrix(tmp_path, "h.json", SWEPT)
+        h = NLevelHamiltonian.from_xsum(SWEPT)
+        code, once, _ = capcli("diag", path, *JACOBI, "--single-sweep")
+        assert code == 0
+        assert once == spectrum_to_csv(diagonalize(h, single_sweep=True)[0])
+        code, converged, _ = capcli("diag", path, *JACOBI)
+        assert code == 0 and converged == spectrum_to_csv(diagonalize(h)[0])
+        assert once != converged
+
+    def test_zero_max_sweeps_is_2(self, capcli, tmp_path):
+        path = write_matrix(tmp_path, "h.json", SWEPT)
+        code, out, err = capcli("diag", path, *JACOBI, "--max-sweeps", "0")
+        assert code == 2 and out == "" and "after 0 sweeps" in err
+
+    def test_large_tol_changes_the_spectrum(self, capcli, tmp_path):
+        # every off-diagonal entry is below 1, so no rotation runs at all
+        path = write_matrix(tmp_path, "h.json", SWEPT)
+        code, out, _ = capcli("diag", path, *JACOBI, "--tol", "1")
+        assert code == 0
+        assert out == "eigenvalue,multiplicity\n1.0,1\n2.0,1\n3.0,1\n4.0,1\n"
+        assert out != capcli("diag", path, *JACOBI)[1]
+
+    @pytest.mark.parametrize("flags", [
+        ("--tol", "1e-3"), ("--max-sweeps", "30"), ("--single-sweep",),
+        ("--solver", "lapack", "--tol", "1e-3"),
+        ("--solver", "lapack", "--unitary"),
+    ])
+    def test_sweep_flags_and_unitary_refuse_lapack(self, capcli, tmp_path,
+                                                   flags):
+        path = write_matrix(tmp_path, "h.json", SWEPT)
+        code, out, err = capcli("diag", path, *flags)
+        assert code == 2 and out == ""
+        named = [f for f in flags if f.startswith("--") and f != "--solver"]
+        assert named[0] in err
+        # --unitary runs the sweeps, so it takes them
+        if "lapack" not in flags:
+            assert capcli("diag", path, "--unitary", *flags)[0] == 0
+
+    def test_solvers_agree_and_lapack_is_the_default(self, capcli, tmp_path):
+        path = write_matrix(tmp_path, "h.json", SWEPT)
+        lapack = capcli("diag", path)
+        assert lapack == capcli("diag", path, "--solver", "lapack")
+        jacobi = capcli("diag", path, *JACOBI)
+        assert np.abs(printed_levels(lapack[1])
+                      - printed_levels(jacobi[1])).max() < 1e-10
+
+    def test_lapack_failure_is_2(self, capcli, tmp_path, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        path = write_matrix(tmp_path, "h.json", SWEPT)
+        for argv in (("diag", path), ("heisenberg", "--sites", "3", "--diag"),
+                     ("hubbard", "--sites", "2", "--t", "1", "--diag")):
+            code, out, err = capcli(*argv)
+            assert code == 2 and out == "" and "LAPACK" in err
+        assert capcli("diag", path, *JACOBI)[0] == 0
+
 
 class TestHeisenbergHubbardJc:
     def test_heisenberg_diag_fixture(self, capcli):
@@ -356,6 +430,67 @@ class TestHeisenbergHubbardJc:
         hops = {(1, 2): 1.0, (2, 3): 1.0}
         oracle = np.linalg.eigvalsh(dense_hubbard_jw(3, 0.3, 4.0, hops))
         assert out == spectrum_to_csv(oracle)
+        # the paper's sweeps on the same dense matrix, beside LAPACK
+        h = dense_hubbard_jw(3, 0.3, 4.0, hops)
+        jacobi = diagonalize(NLevelHamiltonian(
+            h.diagonal(), {(p + 1, q + 1): h[p, q] for p in range(64)
+                           for q in range(p + 1, 64) if h[p, q]}))[0]
+        assert np.abs(printed_levels(out) - jacobi).max() < 1e-11
+
+    @pytest.mark.parametrize("sites", (4, 6, 8, 10))
+    def test_antiferromagnetic_ring_ground_state_is_bethe(self, capcli, sites):
+        # heisenberg_h with every J = -1 is 2 sum S.S
+        code, out, _ = capcli("heisenberg", "--sites", str(sites), "--jx=-1",
+                              "--jy=-1", "--jz=-1", "--diag")
+        assert code == 0
+        ground = printed_levels(out)[0]
+        assert abs(ground - 2 * bethe_xxx_ground_energy(sites)) < 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ("heisenberg", "--sites", "2"),
+        ("heisenberg", "--sites", "5", "--jz", "3/2"),
+        ("heisenberg", "--sites", "6", "--jy", "0", "--open"),
+        ("heisenberg", "--sites", "8", "--jx", "7/10", "--jy=-2/5",
+         "--jz", "11/10"),
+        ("hubbard", "--sites", "1", "--eps", "1", "--mu", "1/2", "--u", "4"),
+        ("hubbard", "--sites", "3", "--t", "1", "--u", "4", "--eps", "3/10"),
+        ("hubbard", "--sites", "4", "--t", "1/2", "--u", "2", "--mu", "1"),
+    ], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+    def test_spectrum_moments_are_the_exact_traces(self, capcli, argv):
+        # Tr H and Tr H^2 in Fractions from the term list, against the sum
+        # and the sum of squares of the printed (12-decimal) multiset
+        code, matrix, _ = capcli(*argv)
+        assert code == 0
+        trace, square = exact_moments(matrix_from_json(matrix))
+        code, out, _ = capcli(*argv, "--diag")
+        assert code == 0
+        levels = printed_levels(out)
+        slack = len(levels) * 1e-12 * (1 + np.abs(levels).max()) ** 2
+        assert abs(levels.sum() - float(trace)) < slack
+        assert abs((levels**2).sum() - float(square)) < slack
+
+    @pytest.mark.parametrize("argv", [
+        ("heisenberg", "--sites", "3", "--jx", "1/2"),
+        ("heisenberg", "--sites", "6", "--jz", "3/2", "--open"),
+        ("heisenberg", "--sites", "6", "--jy", "0"),
+        ("heisenberg", "--sites", "8", "--jz", "3/2"),
+        ("heisenberg", "--sites", "8", "--jx", "7/10", "--jy=-2/5",
+         "--jz", "11/10", "--open"),
+        ("hubbard", "--sites", "3", "--t", "1", "--u", "4", "--eps", "3/10"),
+    ], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+    def test_jacobi_and_lapack_spectra_agree(self, capcli, tmp_path, argv):
+        # the two 8-site cases print a last digit differently on the two
+        # solvers: their exact levels lie within 1e-14 of a rounding boundary
+        code, matrix, _ = capcli(*argv)
+        assert code == 0
+        path = tmp_path / "h.json"
+        path.write_text(matrix)
+        lapack = capcli(*argv, "--diag")
+        jacobi = capcli("diag", str(path), *JACOBI)
+        assert lapack[0] == jacobi[0] == 0
+        assert lapack[1] == capcli("diag", str(path))[1]
+        assert np.abs(printed_levels(lapack[1])
+                      - printed_levels(jacobi[1])).max() < 1e-10
 
     def test_hubbard_matrix_is_rational(self, capcli):
         code, out, _ = capcli("hubbard", "--sites", "2", "--eps", "1",
@@ -598,7 +733,8 @@ class TestOneParser:
                                      fresh.stderr)
 
     def test_spectrum_paths_build_no_unitary(self, capcli, h, monkeypatch):
-        # nor do they copy H through NLevelHamiltonian on the way to _jacobi
+        # nor do they copy H through NLevelHamiltonian on the way to LAPACK;
+        # the Jacobi cross-check does both
         def refuse(*args):
             raise AssertionError("a spectrum path built U or copied H")
 
@@ -606,11 +742,13 @@ class TestOneParser:
         monkeypatch.setattr(kronx.models.NLevelHamiltonian, "from_xsum",
                             classmethod(refuse))
         monkeypatch.setattr(kronx.models.NLevelHamiltonian, "to_xsum", refuse)
-        for argv in (("diag", h), ("diag", h, "--single-sweep"),
+        for argv in (("diag", h), ("diag", h, "--solver", "lapack"),
                      ("heisenberg", "--sites", "3", "--diag"),
                      ("hubbard", "--sites", "2", "--t", "1", "--u", "4",
                       "--diag")):
             code, out, _ = capcli(*argv)
             assert code == 0 and out.startswith("eigenvalue,multiplicity")
-        with pytest.raises(AssertionError):
-            capcli("diag", h, "--unitary")
+        for argv in (("diag", h, "--unitary"),
+                     ("diag", h, *JACOBI, "--single-sweep")):
+            with pytest.raises(AssertionError):
+                capcli(*argv)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from kronx.models import (
     NLevelHamiltonian,
     SpinChainParams,
     diagonalize,
+    eigenvalues,
     givens_unitary,
     heisenberg_h,
     hubbard_h,
@@ -272,26 +274,41 @@ class TestDiagonalize:
         assert counts[0] == counts[1]
 
 
-class TestSpectrumOnlyLoop:
-    @pytest.mark.parametrize("single_sweep", (False, True),
-                             ids=("converged", "single-sweep"))
-    def test_eigenvalues_equal_diagonalize(self, single_sweep):
+class TestEigenvalueKernel:
+    def test_eigenvalues_match_diagonalize(self):
+        # LAPACK and the paper's sweeps sum in different orders: 1e-10
         rng = np.random.default_rng(17)
         for n in range(1, 17):
             h = random_hermitian(n, rng)
-            ev, u = kronx.models._jacobi(h.to_xsum().to_numpy(),
-                                         single_sweep=single_sweep)
-            assert u is None
-            assert ev == diagonalize(h, single_sweep=single_sweep)[0]
+            ev = eigenvalues(h.to_xsum())
+            assert np.abs(ev - diagonalize(h)[0]).max() < 1e-10
 
-    def test_zero_sweeps_raise_with_the_same_residual(self):
-        h = random_hermitian(5, np.random.default_rng(19))
-        with pytest.raises(ConvergenceError) as loop:
-            kronx.models._jacobi(h.to_xsum().to_numpy(), max_sweeps=0)
-        with pytest.raises(ConvergenceError) as full:
-            diagonalize(h, max_sweeps=0)
-        assert loop.value.residual == full.value.residual > 0
-        assert loop.value.sweeps == full.value.sweeps == 0
+    def test_complex_terms_keep_the_complex_route(self):
+        cplx = XSum(2, {(1, 2): 1j, (2, 1): -1j})
+        assert kronx.models._hermitian_array(cplx).dtype == np.complex128
+        assert np.allclose(eigenvalues(cplx), [-1, 1], atol=1e-15)
+
+    def test_real_route_allocates_no_complex_array(self):
+        x = heisenberg_h(SpinChainParams(10, 1, 1, 1))
+        n = x.order
+        tracemalloc.start()
+        try:
+            ev = eigenvalues(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ev) == n == 1024
+        # one float64 n x n array is 8 n^2 bytes; a complex one would be 16
+        assert 8 * n * n <= peak < 12 * n * n
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="LAPACK") as exc:
+            eigenvalues(XSum(2, {(1, 2): 1, (2, 1): 1}))
+        assert exc.value.residual is None and exc.value.sweeps is None
 
 
 def _hermitian_cases():
@@ -309,10 +326,13 @@ def _hermitian_cases():
 
 class TestHermitianArray:
     def test_equals_the_from_xsum_route(self):
-        # tobytes also tells 0.0 from -0.0, which the Jacobi phases can see
+        # tobytes also tells 0.0 from -0.0; every case is real, so the work
+        # array is the route's real part and the route has no imaginary part
         for x in _hermitian_cases():
             route = NLevelHamiltonian.from_xsum(x).to_xsum().to_numpy()
-            assert kronx.models._hermitian_array(x).tobytes() == route.tobytes()
+            work = kronx.models._hermitian_array(x)
+            assert work.dtype == np.float64 and not route.imag.any()
+            assert work.tobytes() == route.real.tobytes()
 
     def test_mixed_kinds_convert_entry_by_entry(self):
         r2 = SqrtRational(1, Fraction(2))
@@ -550,6 +570,9 @@ class TestHubbardJordanWigner:
         got = np.linalg.eigvalsh(hubbard_h(p).to_numpy())
         want = np.linalg.eigvalsh(dense_hubbard_jw(sites, 0.3, 4.0, hops))
         assert np.abs(got - want).max() < 1e-12
+        if 4**sites <= 64:  # the paper's sweeps, beside LAPACK
+            jacobi = diagonalize(NLevelHamiltonian.from_xsum(hubbard_h(p)))[0]
+            assert np.abs(np.array(jacobi) - want).max() < 1e-12
 
     def test_half_filled_dimer_closed_form(self):
         eps, u, t = 0.3, 4.0, 1.0
