@@ -265,6 +265,16 @@ class SqrtRational:
         return f"{prefix}sqrt({self.radicand})"
 
 
+def coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) without the gcd.  The caller guarantees den > 0
+    and gcd(num, den) == 1, so the result equals the validated one field
+    for field."""
+    q = object.__new__(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
+
+
 def surd_parts(c: Rational | SqrtRational) -> tuple:
     """(sign, radicand numerator, radicand denominator) of a nonzero exact
     scalar; a rational q reads as sign(q) sqrt(q^2), as in from_rational."""

@@ -5,18 +5,27 @@ matrix here is an XSum: a weighted sum of such terms, stored as a map from
 1-based (row, col) pairs to scalar coefficients.  Products contract by the
 delta rule X^(i,j) X^(k,l) = delta_jk X^(i,l), so the whole algebra runs on
 subscripts without ever materializing dense arrays.
+
+An XSum whose coefficients share one exact kind can also hold its terms as
+integer Columns.  The JSON reader and kron build that form directly, the
+writer and the float conversion read it, and the term dict is made from
+it only when a term is first read one by one.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from itertools import chain
+from operator import attrgetter, truediv
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .exactnum import (
     Scalar,
+    SqrtRational,
+    coprime_fraction,
     scalar_add,
     scalar_conj,
     scalar_is_exact,
@@ -36,7 +45,18 @@ class ResourceError(RuntimeError):
 
 
 def max_dim() -> int:
-    return int(os.environ.get(MAX_DIM_ENV, DEFAULT_MAX_DIM))
+    raw = os.environ.get(MAX_DIM_ENV)
+    if raw is None:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"{MAX_DIM_ENV} must be a positive integer, not {raw!r}"
+        )
+    return cap
 
 
 def check_order(order: int) -> None:
@@ -58,14 +78,157 @@ def _as_scalar(c: object) -> Scalar:
     return c  # type: ignore[return-value]
 
 
+# The exact kinds a column store holds, in promotion order.  Each number is
+# also the count of value columns the kind keeps.
+INT, FRACTION, SURD = 1, 2, 3
+_KINDS = {int: INT, Fraction: FRACTION, SqrtRational: SURD}
+_INT64_LIMIT = 2**63
+
+
+def magnitude(col: np.ndarray) -> int:
+    """The largest absolute entry of an integer column, 0 when empty."""
+    return int(np.abs(col).max()) if len(col) else 0
+
+
+def int_column(values: list) -> np.ndarray:
+    """A list (or a list of equal-length lists) of Python ints as int64
+    when every magnitude is below 2**63, otherwise as an object array of
+    the same ints."""
+    try:
+        col = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    # -2**63 fits int64 but its absolute value does not
+    if len(col) and col.min() == -_INT64_LIMIT:
+        return col.astype(object)
+    return col
+
+
+def widen(*cols: np.ndarray, bound: int) -> tuple:
+    """The columns as they are when bound, a limit on the magnitudes that
+    arithmetic on them will produce, is below 2**63; else as object arrays
+    of Python ints, so that the arithmetic stays exact."""
+    if bound < _INT64_LIMIT:
+        return cols
+    return tuple(c.astype(object) for c in cols)
+
+
+class Columns:
+    """Terms of one exact kind as parallel integer arrays, in storage order.
+
+    rows and cols are 1-based subscripts.  vals are the kind's value
+    columns: (value,) for INT; (numerator, denominator) of the reduced
+    Fraction, denominator positive, for FRACTION; (sign, numerator,
+    denominator) of sign * sqrt(radicand), the radicand reduced with a
+    positive denominator, for SURD.  No value is zero.  Value columns are
+    int64 or, where an entry reaches 2**63, object arrays of Python ints.
+    """
+
+    __slots__ = ("kind", "rows", "cols", "vals")
+
+    def __init__(self, kind: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: tuple) -> None:
+        self.kind = kind
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
+
+    @classmethod
+    def of_terms(cls, store: dict) -> "Columns | None":
+        """The columns of a term dict whose coefficients are all int, all
+        Fraction or all SqrtRational; None for any other mix."""
+        types = set(map(type, store.values()))
+        if len(types) > 1:
+            return None
+        kind = _KINDS.get(types.pop()) if types else INT
+        if kind is None:
+            return None
+        cells = np.fromiter(chain.from_iterable(store), np.int64, 2 * len(store))
+        values = list(store.values())
+        if kind == INT:
+            parts = (values,)
+        elif kind == FRACTION:
+            parts = (list(map(attrgetter("numerator"), values)),
+                     list(map(attrgetter("denominator"), values)))
+        else:
+            parts = (list(map(attrgetter("sign"), values)),
+                     list(map(attrgetter("radicand.numerator"), values)),
+                     list(map(attrgetter("radicand.denominator"), values)))
+        return cls(kind, cells[0::2], cells[1::2], tuple(map(int_column, parts)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, index: np.ndarray) -> "Columns":
+        return Columns(self.kind, self.rows[index], self.cols[index],
+                       tuple(v[index] for v in self.vals))
+
+    def row_major(self, order: int) -> "Columns":
+        """The terms in (row, col) order: one argsort on the flat index."""
+        return self.take(np.argsort((self.rows - 1) * order + self.cols - 1))
+
+    def promote(self, kind: int) -> tuple:
+        """The value columns read as kind, at or above self.kind: int v is
+        v/1, and a rational q is sign(q) sqrt(q^2), as scalar_mul reads
+        them."""
+        if kind == self.kind:
+            return self.vals
+        if self.kind == INT:
+            num = self.vals[0]
+            den = np.ones(len(num), dtype=num.dtype)
+        else:
+            num, den = self.vals
+        if kind == FRACTION:
+            return num, den
+        sign = np.where(num < 0, -1, 1)
+        num, den = widen(num, den, bound=max(magnitude(num), magnitude(den)) ** 2)
+        return sign, num * num, den * den
+
+    def scalars(self) -> list:
+        """The coefficients as the Python scalars the term dict holds."""
+        if self.kind == INT:
+            return self.vals[0].tolist()
+        num, den = self.vals[-2].tolist(), self.vals[-1].tolist()
+        fractions = map(coprime_fraction, num, den)
+        if self.kind == FRACTION:
+            return list(fractions)
+        return list(map(SqrtRational._trusted, self.vals[0].tolist(), fractions))
+
+    def terms(self) -> dict:
+        keys = zip(self.rows.tolist(), self.cols.tolist())
+        return dict(zip(keys, self.scalars()))
+
+    def floats(self) -> np.ndarray:
+        """Each coefficient as float() of its scalar gives it, bit for bit.
+
+        A quotient of two ints below 2**53 converts both exactly, so one
+        IEEE division rounds it as Python's int / int does; larger ones
+        take Python's division."""
+        if self.kind == INT:
+            return self.vals[0].astype(float)
+        num, den = self.vals[-2], self.vals[-1]
+        if max(magnitude(num), magnitude(den)) <= 2**53:
+            q = num.astype(float) / den.astype(float)
+        else:
+            q = np.array(list(map(truediv, num.tolist(), den.tolist())), float)
+        if self.kind == FRACTION:
+            return q
+        root = np.sqrt(q)
+        return np.where(self.vals[0] < 0, -root, root)
+
+
 class XSum:
     """A square matrix as a weighted sum of Hubbard operators.
 
     Immutable once built.  Zero coefficients are pruned eagerly; tiny
     nonzero float/complex coefficients are kept, never dropped implicitly.
+
+    The terms live in a dict, in Columns, or in both: _terms builds the
+    dict from the columns on first use, and columns() builds the columns
+    from the dict.  Each form, once built, is kept.
     """
 
-    __slots__ = ("order", "_terms")
+    __slots__ = ("order", "_store", "_cols")
 
     def __init__(
         self,
@@ -91,7 +254,8 @@ class XSum:
                         del store[(i, j)]
                         continue
                 store[(i, j)] = c
-        object.__setattr__(self, "_terms", store)
+        object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "_cols", None)
 
     @classmethod
     def _trusted(cls, order: int, store: dict) -> "XSum":
@@ -104,20 +268,55 @@ class XSum:
         check_order(order)
         obj = object.__new__(cls)
         object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "_terms", store)
+        object.__setattr__(obj, "_store", store)
+        object.__setattr__(obj, "_cols", None)
         return obj
+
+    @classmethod
+    def _from_columns(cls, order: int, cols: Columns) -> "XSum":
+        """Wrap columns without building the term dict.  As for _trusted,
+        the caller guarantees every subscript lies in [1, order] and no two
+        terms share one."""
+        check_order(order)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "order", order)
+        object.__setattr__(obj, "_store", None)
+        object.__setattr__(obj, "_cols", cols)
+        return obj
+
+    @property
+    def _terms(self) -> dict:
+        store = self._store
+        if store is None:
+            store = self._cols.terms()
+            object.__setattr__(self, "_store", store)
+        return store
+
+    def columns(self) -> Columns | None:
+        """The terms as Columns when the coefficients share one exact kind,
+        else None."""
+        if self._cols is None:
+            object.__setattr__(self, "_cols", Columns.of_terms(self._terms))
+        return self._cols
 
     # frozen-ish: block accidental attribute writes
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("XSum is immutable")
 
     def coeff(self, i: int, j: int) -> Scalar:
-        return self._terms.get((i, j), 0)
+        # the slot first: callers read one entry at a time in loops
+        store = self._store
+        if store is None:
+            store = self._terms
+        return store.get((i, j), 0)
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Scalar]]:
         """Terms in (row, col) lexicographic order."""
-        for key in sorted(self._terms):
-            yield key, self._terms[key]
+        if self._cols is not None:
+            cols = self._cols.row_major(self.order)
+            keys = zip(cols.rows.tolist(), cols.cols.tolist())
+            return zip(keys, cols.scalars())
+        return ((key, self._terms[key]) for key in sorted(self._terms))
 
     def values(self) -> Iterator[Scalar]:
         """Coefficients in storage order, without sorting."""
@@ -127,13 +326,15 @@ class XSum:
         return dict(self._terms)
 
     def nnz(self) -> int:
+        if self._cols is not None:
+            return len(self._cols)
         return len(self._terms)
 
     def is_exact(self) -> bool:
-        return all(scalar_is_exact(c) for c in self._terms.values())
+        return self._cols is not None or all(
+            scalar_is_exact(c) for c in self._terms.values())
 
-    def __len__(self) -> int:
-        return len(self._terms)
+    __len__ = nnz
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, XSum):
@@ -194,6 +395,9 @@ class XSum:
     def triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """0-based rows, 0-based columns and complex values of the terms in
         storage order: the one route from terms to float arrays."""
+        if self._cols is not None:
+            c = self._cols
+            return c.rows - 1, c.cols - 1, c.floats().astype(complex)
         nnz = len(self._terms)
         cells = np.fromiter(chain.from_iterable(self._terms), np.intp, 2 * nnz)
         vals = np.fromiter(map(complex, self.values()), complex, nnz)
@@ -207,13 +411,13 @@ class XSum:
         return out
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.nnz():
             return f"0 (order {self.order})"
         parts = [f"({c})*X[{i},{j}]" for (i, j), c in self.items()]
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"XSum(order={self.order}, nnz={len(self._terms)})"
+        return f"XSum(order={self.order}, nnz={self.nnz()})"
 
 
 def x_op(n: int, i: int, j: int) -> XSum:

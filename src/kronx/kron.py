@@ -1,7 +1,8 @@
 """Kronecker products by index arithmetic on operator terms.
 
 The single-term rule X_m^(i,j) (x) X_n^(k,l) = X_mn^(n(i-1)+k, n(j-1)+l)
-drives the sparse path; the equivalent closed-form coefficient formula
+drives the sparse path, as array arithmetic on the integer columns of
+exact operands; the equivalent closed-form coefficient formula
 c_pq = a_(p',q') b_(p+m-mp', q+m-mq') with p' = ceil(p/m) drives a second,
 independent dense path.  Both are first-class and cross-checked: the index
 formulas are the point of the library, the term path is the fast kernel.
@@ -10,16 +11,12 @@ formulas are the point of the library, the term path is the fast kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .exactnum import (
-    Scalar,
-    SqrtRational,
-    ceil_ratio,
-    scalar_mul,
-    surd_parts,
-)
-from .hubbard import XSum, check_order
+import numpy as np
+
+from .exactnum import Scalar, SqrtRational, ceil_ratio, scalar_mul
+from .hubbard import INT, SURD, Columns, XSum, check_order, magnitude, widen
 
 
 def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
@@ -31,73 +28,47 @@ def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
     raise ValueError(f"unknown kron path {path!r}")
 
 
-# Coefficient kinds in promotion order: the product of a kind-p and a kind-q
-# coefficient has kind max(p, q), exactly as scalar_mul decides it.  Each kind
-# has a promoted form that its product loop multiplies without dispatch.
-_INT, _FRACTION, _SURD, _INEXACT = range(4)
-_KIND = {
-    int: _INT,
-    Fraction: _FRACTION,
-    SqrtRational: _SURD,
-    float: _INEXACT,
-    complex: _INEXACT,
-}
-_PROMOTE = (
-    lambda c: (c,),
-    lambda c: (c.numerator, c.denominator),
-    surd_parts,
-    lambda c: (complex(c),),
-)
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every product x_a * y_b, a-major, on int64 when none can reach
+    2**63 and on Python ints otherwise."""
+    x, y = widen(x, y, bound=magnitude(x) * magnitude(y))
+    return np.multiply.outer(x, y).ravel()
 
 
-def _products(kind: int, left: Iterable, right: list) -> dict:
-    """Every left x right product of one kind.  Left entries are
-    (row offset, col offset, *promoted), right ones (row, col, *promoted).
-
-    Products of nonzero exact scalars are nonzero; Fraction(n, d) of the
-    integer products gives the same reduced value as Fraction * Fraction
-    at a fraction of its cost.  Float products can underflow to 0 and are
-    dropped, as XSum() drops them."""
-    if kind == _INT:
-        return {(i + k, j + l): x * y
-                for i, j, x in left for k, l, y in right}
-    if kind == _FRACTION:
-        return {(i + k, j + l): Fraction(xn * yn, xd * yd)
-                for i, j, xn, xd in left for k, l, yn, yd in right}
-    if kind == _SURD:
-        surd = SqrtRational._trusted
-        return {(i + k, j + l): surd(xs * ys, Fraction(xn * yn, xd * yd))
-                for i, j, xs, xn, xd in left for k, l, ys, yn, yd in right}
-    return {(i + k, j + l): z
-            for i, j, x in left for k, l, y in right if (z := x * y)}
+def _kron_columns(a: Columns, b: Columns, n: int) -> Columns:
+    """The single-term rule on whole columns: term (i, j) of a times term
+    (k, l) of b lands at (n(i-1)+k, n(j-1)+l), a-major as the dict loop
+    ordered it.  Products of nonzero exact values are nonzero, and a
+    product of reduced fractions needs one gcd to be reduced again."""
+    kind = max(a.kind, b.kind)
+    va, vb = a.promote(kind), b.promote(kind)
+    rows = np.add.outer(n * (a.rows - 1), b.rows).ravel()
+    cols = np.add.outer(n * (a.cols - 1), b.cols).ravel()
+    if kind == INT:
+        return Columns(kind, rows, cols, (_outer(va[0], vb[0]),))
+    num, den = _outer(va[-2], vb[-2]), _outer(va[-1], vb[-1])
+    g = np.gcd(num, den)
+    vals = (num // g, den // g)
+    if kind == SURD:
+        vals = (_outer(va[0], vb[0]),) + vals
+    return Columns(kind, rows, cols, vals)
 
 
 def _kron_sparse(a: XSum, b: XSum) -> XSum:
     n = b.order
     order = a.order * n
     check_order(order)
-    kinds_a = {_KIND.get(type(c)) for c in a.values()}
-    kinds_b = {_KIND.get(type(c)) for c in b.values()}
-    kinds = kinds_a | kinds_b
-    if len(kinds_a) > 1 or len(kinds_b) > 1 or None in kinds:
-        # An operand mixes kinds (the Fourier butterflies mix int and
-        # complex) or holds another type: the term-by-term product.
-        terms_b = list(b.term_map().items())
-        return XSum(order, {
-            (n * (i - 1) + k, n * (j - 1) + l): scalar_mul(ca, cb)
-            for (i, j), ca in a.term_map().items()
-            for (k, l), cb in terms_b
-        })
-    # One kind per operand: promote each coefficient once, then one loop.
-    # The left side is read once, so it is not materialised.
-    kind = max(kinds, default=_INT)
-    promote = _PROMOTE[kind]
-    return XSum._trusted(order, _products(
-        kind,
-        ((n * (i - 1), n * (j - 1), *promote(c))
-         for (i, j), c in a.term_map().items()),
-        [(k, l, *promote(c)) for (k, l), c in b.term_map().items()],
-    ))
+    cols_a, cols_b = a.columns(), b.columns()
+    if cols_a is not None and cols_b is not None:
+        return XSum._from_columns(order, _kron_columns(cols_a, cols_b, n))
+    # An operand mixes kinds (the Fourier butterflies mix int and complex)
+    # or holds floats or another type: the term-by-term product.
+    terms_b = list(b.term_map().items())
+    return XSum(order, {
+        (n * (i - 1) + k, n * (j - 1) + l): scalar_mul(ca, cb)
+        for (i, j), ca in a.term_map().items()
+        for (k, l), cb in terms_b
+    })
 
 
 def _factor_indices(p: int, orders: Sequence[int]) -> Tuple[int, ...]:

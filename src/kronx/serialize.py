@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, List, Tuple
+
+import numpy as np
 
 from .exactnum import (
     DomainError,
@@ -27,7 +30,7 @@ from .exactnum import (
     complex_float,
     surd_parts,
 )
-from .hubbard import XSum
+from .hubbard import FRACTION, SURD, Columns, XSum, check_order, int_column
 
 KINDS = ("rational", "sqrt", "complex")
 
@@ -52,6 +55,15 @@ def _finite(re: float, im: float, i: int, j: int) -> complex:
 
 
 def matrix_to_obj(x: XSum) -> dict:
+    cols = x.columns()
+    if cols is not None:
+        # one exact kind: the rows straight from the sorted columns, an int
+        # read as v/1
+        cols = cols.row_major(x.order)
+        vals = cols.promote(max(cols.kind, FRACTION))
+        table = np.stack((cols.rows, cols.cols) + vals, axis=1)
+        kind = "sqrt" if cols.kind == SURD and len(cols) else "rational"
+        return {"order": x.order, "kind": kind, "terms": table.tolist()}
     kind = _pick_kind(x.values())
     if kind == "rational":
         terms = [[i, j, c.numerator, c.denominator] for (i, j), c in x.items()]
@@ -78,6 +90,9 @@ def _require(cond: bool, msg: str):
         raise DomainError(msg)
 
 
+_WIDTH = {"rational": 4, "sqrt": 5, "complex": 4}
+
+
 def matrix_from_obj(obj: object) -> XSum:
     _require(isinstance(obj, dict), "matrix object must be a JSON object")
     _require(
@@ -86,13 +101,61 @@ def matrix_from_obj(obj: object) -> XSum:
     )
     order = obj["order"]
     _require(type(order) is int and order >= 1, "order must be a positive int")
+    check_order(order)
     kind = obj.get("kind", "rational")
     _require(kind in KINDS, f"unknown kind {kind!r}")
     rows = obj["terms"]
     _require(isinstance(rows, list), "'terms' must be a list")
-    width = {"rational": 4, "sqrt": 5, "complex": 4}[kind]
-    # Each row is checked here as XSum() would check it, so the matrix is
-    # built with XSum._trusted; error messages are formatted only on failure.
+    if kind != "complex":
+        cols = _exact_columns(rows, kind, order)
+        if cols is not None:
+            return XSum._from_columns(order, cols)
+    terms = _parse_rows(rows, kind, order)
+    return XSum._trusted(order, {key: c for key, c in terms.items() if c})
+
+
+def _exact_columns(rows: list, kind: str, order: int) -> Columns | None:
+    """A rational or sqrt file's rows as Columns, in file order and without
+    its zero rows.  None when some row fails a check of _parse_rows, which
+    then names the first such row."""
+    width = _WIDTH[kind]
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+        return None
+    # type(x) is int: JSON true/false decode to bool, which numpy would
+    # read as 1 and 0
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        return None
+    table = int_column(rows).reshape(-1, width)
+    i, j = table[:, 0], table[:, 1]
+    if not ((i >= 1) & (i <= order) & (j >= 1) & (j <= order)).all():
+        return None
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    cells = np.sort((i - 1) * order + j)
+    if (cells[1:] == cells[:-1]).any():
+        return None
+    num, den = table[:, -2], table[:, -1]
+    ok = den != 0
+    if kind == "sqrt":
+        sign = table[:, 2]
+        ok &= (np.abs(sign) <= 1) & ((num == 0) | ((num > 0) == (den > 0)))
+        ok &= (sign == 0) == (num == 0)
+    if not ok.all():
+        return None
+    # Fraction(num, den): divide out the gcd, with its sign taken from den
+    g = np.gcd(num, den)
+    g = np.where(den < 0, -g, g)
+    vals = (num // g, den // g)
+    if kind == "sqrt":
+        vals = (sign,) + vals
+    cols = Columns(FRACTION if kind == "rational" else SURD, i, j, vals)
+    live = vals[-2] != 0
+    return cols if live.all() else cols.take(live)
+
+
+def _parse_rows(rows: list, kind: str, order: int) -> dict:
+    """The rows as a term dict in file order, zero values kept, checked one
+    by one: the first bad row raises DomainError."""
+    width = _WIDTH[kind]
     # Integer fields test type(x) is int: JSON true/false decode to bool,
     # which isinstance(x, int) would accept as 1 and 0.
     terms = {}
@@ -138,7 +201,7 @@ def matrix_from_obj(obj: object) -> XSum:
             ):
                 raise DomainError("complex terms need numeric re/im")
             terms[(i, j)] = _finite(re, im, i, j)
-    return XSum._trusted(order, {key: c for key, c in terms.items() if c})
+    return terms
 
 
 def matrix_from_json(text: str) -> XSum:

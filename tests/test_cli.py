@@ -98,6 +98,29 @@ class TestExitCodes:
         path = write_matrix(tmp_path, "h.json", XSum(2, {(1, 1): 1}))
         assert capcli("diag", path, "--tol", "-1")[0] == 2
 
+    @pytest.mark.parametrize("kind, row", [
+        ("rational", [9, 9, 1, 0]), ("sqrt", [1, 1, 2, 1, 1]),
+        ("complex", [1, 1, "x", 0]),
+    ])
+    def test_order_over_the_cap_is_named_before_a_bad_row(
+        self, capcli, tmp_path, monkeypatch, kind, row
+    ):
+        monkeypatch.setenv("KRONX_MAX_DIM", "8")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"order": 9, "kind": kind, "terms": [row]}))
+        for argv in (("kron", str(bad), str(bad)), ("diag", str(bad))):
+            code, out, err = capcli(*argv)
+            assert code == 2 and out == ""
+            assert err == "error: order 9 exceeds KRONX_MAX_DIM=8\n"
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-3", "", "4.5"])
+    def test_malformed_max_dim_names_itself(self, capcli, monkeypatch, cap):
+        monkeypatch.setenv("KRONX_MAX_DIM", cap)
+        code, out, err = capcli("heisenberg", "--sites", "2")
+        assert code == 2 and out == ""
+        assert err == (f"error: KRONX_MAX_DIM must be a positive integer, "
+                       f"not {cap!r}\n")
+
 
 class TestKron:
     def test_product_of_files(self, capcli, tmp_path):

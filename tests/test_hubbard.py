@@ -20,6 +20,7 @@ from kronx.hubbard import (
     dagger,
     from_dense,
     identity,
+    max_dim,
     to_dense,
     trace,
     x_op,
@@ -290,6 +291,22 @@ def test_dimension_cap(monkeypatch):
     with pytest.raises(ResourceError):
         identity(17)
     assert identity(16).order == 16
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-1", " ", "1e3"])
+def test_malformed_cap_names_the_variable(monkeypatch, cap):
+    monkeypatch.setenv("KRONX_MAX_DIM", cap)
+    with pytest.raises(ValueError, match=f"KRONX_MAX_DIM .* not {cap!r}"):
+        max_dim()
+    with pytest.raises(ValueError, match="KRONX_MAX_DIM"):
+        identity(2)
+
+
+def test_cap_reads_the_variable(monkeypatch):
+    monkeypatch.delenv("KRONX_MAX_DIM", raising=False)
+    assert max_dim() == 4096
+    monkeypatch.setenv("KRONX_MAX_DIM", " 12 ")
+    assert max_dim() == 12
 
 
 @pytest.mark.parametrize("order", [0, -1, 2.0, True, False, "2"])

@@ -7,6 +7,7 @@ import importlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from _oracles import (
 )
 from kronx.exactnum import SqrtRational, scalar_mul
 from kronx.hubbard import (
+    Columns,
     ResourceError,
     XSum,
     dagger,
@@ -40,7 +42,7 @@ from kronx.kron import (
     kron_power,
     kron_vec,
 )
-from kronx.serialize import matrix_to_json
+from kronx.serialize import matrix_to_json, matrix_to_obj
 
 # the package re-exports the function kron under the submodule's name
 kron_module = importlib.import_module("kronx.kron")
@@ -428,3 +430,152 @@ def test_hadamard_power_over_cap_fails_before_building(small_cap, monkeypatch):
     monkeypatch.setattr(kron_module, "ceil_ratio", _refuse)
     with pytest.raises(ResourceError):
         hadamard_power(4)
+
+
+# --- column-backed and dict-backed sums of one operator agree -----------------
+
+_EXACT_KINDS = ("int", "fraction", "surd", "surds")
+
+
+def _column_copy(x):
+    """x held as integer columns only, its term dict not yet built."""
+    cols = Columns.of_terms(x.term_map())
+    assert cols is not None
+    return XSum._from_columns(x.order, cols)
+
+
+def _dict_copy(x):
+    return XSum(x.order, x.term_map())
+
+
+def _outcome(f, *args):
+    """What f returns, as a comparable value, or the type it raises."""
+    try:
+        out = f(*args)
+    except ArithmeticError as exc:  # surds with unlike radicands do not add
+        return type(exc)
+    if isinstance(out, XSum):
+        return out.order, _as_listed(out)
+    if isinstance(out, tuple) and len(out) == 3 and isinstance(out[0], np.ndarray):
+        return tuple((v.dtype, v.tobytes()) for v in out)  # triplets
+    if isinstance(out, np.ndarray):
+        return out.dtype, out.tobytes()
+    if isinstance(out, (list, tuple)):
+        return [(type(c), repr(c)) for c in out]
+    return type(out), repr(out)
+
+
+_UNARY = {
+    "coeff": lambda x: [x.coeff(i, j) for i in range(1, x.order + 1)
+                        for j in range(1, x.order + 1)],
+    "items": lambda x: list(x.items()),
+    "values": lambda x: list(x.values()),
+    "term_map": lambda x: list(x.term_map().items()),
+    "nnz": lambda x: x.nnz(),
+    "len": len,
+    "is_exact": lambda x: x.is_exact(),
+    "neg": lambda x: -x,
+    "scale": lambda x: x * Fraction(-3, 7),
+    "scale_surd": lambda x: SqrtRational(1, Fraction(3)) * x,
+    "adjoint": lambda x: x.dagger(),
+    "transpose": lambda x: x.dagger("transpose"),
+    "conjugate": lambda x: x.dagger("conjugate"),
+    "trace": lambda x: x.trace(),
+    "apply": lambda x: x.apply(tuple(range(1, x.order + 1))),
+    "to_dense": lambda x: x.to_dense(),
+    "to_numpy": lambda x: x.to_numpy(),
+    "str": str,
+    "repr": repr,
+    "matrix_to_obj": matrix_to_obj,
+    "matrix_to_json": matrix_to_json,
+    "triplets": lambda x: x.triplets(),
+}
+_BINARY = {
+    "eq": lambda x, y: x == y,
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "matmul": lambda x, y: x @ y,
+    "kron": kron,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_EXACT_KINDS),
+    st.sampled_from(_EXACT_KINDS),
+    st.data(),
+)
+def test_column_store_matches_dict_store(kind_a, kind_b, data):
+    x = data.draw(_operand(kind_a))
+    n = x.order
+    keys = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                              max_size=n * n, unique=True))
+    y = XSum(n, {key: data.draw(_COEFFICIENTS[kind_b]) for key in keys})
+    assert x.columns() is not None
+    for name, f in _UNARY.items():
+        # a fresh copy for each method, so no call sees a form another built
+        assert _outcome(f, _column_copy(x)) == _outcome(f, _dict_copy(x)), name
+    for name, f in _BINARY.items():
+        want = _outcome(f, _dict_copy(x), _dict_copy(y))
+        for pair in ((_column_copy(x), _column_copy(y)),
+                     (_column_copy(x), _dict_copy(y)),
+                     (_dict_copy(x), _column_copy(y))):
+            assert _outcome(f, *pair) == want, name
+    # self-equality across forms
+    assert _column_copy(x) == _dict_copy(x) == _column_copy(x)
+
+
+def test_column_store_builds_the_dict_once_and_nnz_never():
+    h = hadamard_power(3)
+    k = kron(h, h)
+    assert k._store is None
+    assert k.nnz() == len(k) == 4096 and repr(k) == "XSum(order=64, nnz=4096)"
+    k.triplets(), matrix_to_json(k), list(k.items()), k.is_exact()
+    assert k._store is None
+    first = k.term_map()
+    assert k._store is not None and k._terms is k._store
+    assert k.term_map() == first
+    with pytest.raises(AttributeError):
+        k.order = 3
+
+
+# --- the column kernel stays exact past int64 ---------------------------------
+
+
+def _big_operand(kind, big, order=2):
+    if kind == "int":
+        coeffs = (big, -(big - 1), 3)
+    elif kind == "fraction":
+        coeffs = (Fraction(big, 3), Fraction(-5, big - 2), Fraction(big - 1, big))
+    else:
+        coeffs = (SqrtRational(1, Fraction(big, 7)),
+                  SqrtRational(-1, Fraction(3, big - 4)),
+                  SqrtRational(1, Fraction(big - 1, big)))
+    cells = ((1, 1), (2, 1), (order, order))
+    return XSum(order, dict(zip(cells, coeffs)))
+
+
+@pytest.mark.parametrize("kind_a", ["int", "fraction", "surd"])
+@pytest.mark.parametrize("kind_b", ["int", "fraction", "surd"])
+@pytest.mark.parametrize("big", [2**62 + 11, 2**63 - 25, 2**40 + 3, 2**70 + 1])
+def test_kron_past_int64_equals_the_per_term_reference(kind_a, kind_b, big):
+    a, b = _big_operand(kind_a, big), _big_operand(kind_b, big, order=3)
+    got, want = kron(a, b), _per_term_kron(a, b)
+    assert got == want
+    assert _as_listed(got) == _as_listed(want)
+    assert matrix_to_json(got) == matrix_to_json(want)
+    assert _outcome(XSum.triplets, got) == _outcome(XSum.triplets, want)
+
+
+def test_products_that_overflow_only_after_multiplying_stay_exact():
+    # each factor fits int64 easily; the products reach 2**80
+    a = XSum(1, {(1, 1): SqrtRational(-1, Fraction(2**40 + 1, 2**40 - 1))})
+    b = XSum(2, {(1, 2): SqrtRational(1, Fraction(2**40 - 3, 2**40 + 3)),
+                 (2, 1): SqrtRational(-1, Fraction(2**40 + 5, 3))})
+    c = kron(a, b)
+    assert c._cols.vals[1].dtype == object
+    want = _per_term_kron(a, b)
+    assert _as_listed(c) == _as_listed(want)
+    assert c.coeff(1, 2).radicand == Fraction((2**40 + 1) * (2**40 - 3),
+                                              (2**40 - 1) * (2**40 + 3))
+    assert not any(isinstance(v, float) for v in c._cols.vals[1])

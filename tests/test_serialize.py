@@ -1,11 +1,16 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kronx.exactnum import DomainError, SqrtRational
-from kronx.hubbard import XSum, identity, x_op
+from kronx.exactnum import DomainError, SqrtRational, scalar_mul
+from kronx.hubbard import ResourceError, XSum, identity, x_op
+from kronx.kron import kron
 from kronx.serialize import (
+    _parse_rows,
     load_matrix,
     matrix_from_json,
     matrix_from_obj,
@@ -137,6 +142,12 @@ class TestMatrixValidation:
                 {"order": 2, "terms": [[1, 1, 1, 1], [1, 1, 2, 1]]}
             )
 
+    def test_order_cap_is_checked_before_any_row(self, monkeypatch):
+        monkeypatch.setenv("KRONX_MAX_DIM", "8")
+        with pytest.raises(ResourceError, match="order 9 exceeds"):
+            matrix_from_obj({"order": 9, "terms": [[1, 1, 1, 0], None]})
+        assert matrix_from_obj({"order": 8, "terms": [[8, 8, 1, 2]]}).nnz() == 1
+
     def test_non_integer_rational_parts(self):
         with pytest.raises(DomainError):
             matrix_from_obj({"order": 2, "terms": [[1, 1, 0.5, 1]]})
@@ -171,6 +182,195 @@ class TestMatrixValidation:
     def test_non_finite_complex_is_rejected_on_dump(self, c):
         with pytest.raises(DomainError, match=r"\(1,2\)"):
             matrix_to_json(XSum(2, {(1, 1): 1.0, (1, 2): c}))
+
+
+def _listed(x):
+    return [(key, type(c), repr(c)) for key, c in x.term_map().items()]
+
+
+def _by_rows(obj):
+    """The XSum a file states, built one row at a time with the scalar
+    constructors: file order, zero rows dropped."""
+    terms = {}
+    for row in obj["terms"]:
+        if obj["kind"] == "rational":
+            c = Fraction(row[2], row[3])
+        else:
+            c = SqrtRational(row[2], Fraction(row[3], row[4]))
+        if c:
+            terms[(row[0], row[1])] = c
+    return XSum(obj["order"], terms)
+
+
+_EXACT_FILES = {
+    "unsorted rational": {"order": 3, "kind": "rational", "terms": [
+        [3, 1, 2, 5], [1, 2, -1, 7], [2, 2, 4, 1], [1, 1, 1, 3]]},
+    "unreduced, negative and zero rational": {
+        "order": 3, "kind": "rational", "terms": [
+            [2, 3, 6, -4], [1, 1, 0, 5], [3, 3, -10, -15], [1, 3, 0, -2],
+            [2, 1, -9, 3]]},
+    "unsorted sqrt": {"order": 3, "kind": "sqrt", "terms": [
+        [3, 3, 1, 2, 1], [1, 3, -1, 1, 3], [2, 1, 1, 7, 4]]},
+    "unreduced, negative/negative and zero sqrt": {
+        "order": 3, "kind": "sqrt", "terms": [
+            [2, 2, -1, -8, -6], [1, 2, 0, 0, 5], [3, 1, 1, 12, 9],
+            [1, 1, 0, 0, -3], [2, 3, -1, -4, -1]]},
+}
+
+
+class TestColumnReader:
+    """The reader's column route, against the file read row by row."""
+
+    @pytest.mark.parametrize("name", _EXACT_FILES)
+    def test_same_sum_order_and_bytes_as_row_by_row(self, name):
+        obj = _EXACT_FILES[name]
+        got, want = matrix_from_obj(obj), _by_rows(obj)
+        assert got._cols is not None
+        assert got == want and _listed(got) == _listed(want)
+        assert matrix_to_json(got) == matrix_to_json(want)
+        assert matrix_to_obj(got) == matrix_to_obj(want)
+
+    def test_dump_bytes(self):
+        got = matrix_from_obj(_EXACT_FILES["unreduced, negative and zero rational"])
+        assert matrix_to_json(got) == (
+            '{"kind":"rational","order":3,"terms":'
+            '[[2,1,-3,1],[2,3,-3,2],[3,3,2,3]]}'
+        )
+        got = matrix_from_obj(
+            _EXACT_FILES["unreduced, negative/negative and zero sqrt"])
+        assert matrix_to_json(got) == (
+            '{"kind":"sqrt","order":3,"terms":'
+            '[[2,2,-1,4,3],[2,3,-1,4,1],[3,1,1,4,3]]}'
+        )
+
+    def test_all_zero_sqrt_file_dumps_as_rational(self):
+        got = matrix_from_obj(
+            {"order": 2, "kind": "sqrt", "terms": [[1, 1, 0, 0, 1]]})
+        assert got.nnz() == 0
+        assert matrix_to_json(got) == matrix_to_json(XSum(2)) == (
+            '{"kind":"rational","order":2,"terms":[]}'
+        )
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("duplicate", "zero den", "duplicate term at (1,1)"),
+        ("zero den", "duplicate", "rational terms need integer num/den"),
+    ])
+    def test_first_of_two_faults_is_named(self, first, second, message):
+        rows = [[1, 1, 1, 2], [2, 2, 1, 3], None, [3, 1, 1, 5], None]
+        fault = {"duplicate": [1, 1, 4, 7], "zero den": [3, 3, 1, 0]}
+        rows[2], rows[4] = fault[first], fault[second]
+        with pytest.raises(DomainError) as exc:
+            matrix_from_obj({"order": 3, "kind": "rational", "terms": rows})
+        assert str(exc.value).startswith(message)
+
+    def test_fields_past_int64_load_exactly(self):
+        big = 2**64 + 13
+        text = json.dumps({"order": 2, "kind": "sqrt", "terms": [
+            [1, 2, -1, 3 * big, 6], [2, 1, 1, 2**63, 2**63 - 1],
+            [2, 2, 1, -(2**63), -(2**62)]]})
+        got = matrix_from_json(text)
+        want = _by_rows(json.loads(text))
+        assert _listed(got) == _listed(want)
+        for col in got._cols.vals:
+            assert all(type(v) is int for v in col.tolist())
+        assert matrix_to_json(got) == (
+            '{"kind":"sqrt","order":2,"terms":'
+            f'[[1,2,-1,{big},2],[2,1,1,{2**63},{2**63 - 1}],[2,2,1,2,1]]}}'
+        )
+        # and through kron, against the per-term product
+        k = kron(got, got)
+        ref = XSum(4, {key: scalar_mul(c, d)
+                       for key, c, d in _kron_terms(want, want)})
+        assert _listed(k) == _listed(ref)
+        assert matrix_to_json(k) == matrix_to_json(ref)
+        assert matrix_from_json(matrix_to_json(k)) == k
+
+    def test_rational_past_int64_round_trips(self):
+        text = ('{"kind":"rational","order":1,"terms":'
+                f'[[1,1,-{3**50},{2**70}]]}}')
+        got = matrix_from_json(text)
+        assert got.coeff(1, 1) == Fraction(-(3**50), 2**70)
+        assert matrix_to_json(got) == text
+        assert float(got.triplets()[2][0].real) == float(Fraction(-(3**50), 2**70))
+
+    def test_int64_edge_values_stay_exact(self):
+        # -2**63 fits int64 but its magnitude does not; (2**62 + 129) / 3
+        # rounds differently when both ints are made floats first
+        obj = {"order": 2, "kind": "rational", "terms": [
+            [1, 1, -(2**63), 3], [2, 2, 2**62 + 129, 3], [1, 2, 5, 7]]}
+        got, want = matrix_from_obj(obj), _by_rows(obj)
+        assert _listed(got) == _listed(want)
+        assert got.triplets()[2].tobytes() == want.triplets()[2].tobytes()
+        assert got.triplets()[2][1].real == (2**62 + 129) / 3
+        k = kron(got, got)
+        ref = XSum(4, {key: c * d for key, c, d in _kron_terms(want, want)})
+        assert _listed(k) == _listed(ref)
+        assert k.triplets()[2].tobytes() == ref.triplets()[2].tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["rational", "sqrt"]), st.integers(1, 3), st.data())
+    def test_accepts_and_refuses_as_the_row_reader(self, kind, order, data):
+        """Valid files with up to two faults planted: the column route must
+        take exactly the files the row reader takes, and refuse the others
+        with its message."""
+        rows = [[i, j, *data.draw(_VALUES[kind])] for i, j in data.draw(
+            st.lists(st.tuples(st.integers(1, order), st.integers(1, order)),
+                     unique=True, max_size=5))]
+        for _ in range(data.draw(st.integers(0, 2))):
+            lists = [k for k, row in enumerate(rows) if type(row) is list]
+            if not lists:
+                break
+            r = data.draw(st.sampled_from(lists))
+            fault = data.draw(st.sampled_from(["field", "width", "dup", "row"]))
+            if fault == "field":
+                k = data.draw(st.integers(0, len(rows[r]) - 1))
+                rows[r][k] = data.draw(_ODD_FIELDS)
+            elif fault == "width":
+                rows[r] = rows[r][:-1] if data.draw(st.booleans()) else rows[r] + [1]
+            elif fault == "dup":
+                rows.insert(data.draw(st.integers(r + 1, len(rows))),
+                            rows[r][:2] + data.draw(_VALUES[kind]))
+            else:
+                rows[r] = data.draw(st.sampled_from([None, tuple(rows[r]), "row"]))
+        obj = {"order": order, "kind": kind, "terms": rows}
+        try:
+            terms = _parse_rows(rows, kind, order)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                matrix_from_obj(obj)
+            assert str(got.value) == str(exc)
+            return
+        got = matrix_from_obj(obj)
+        assert got._cols is not None
+        want = XSum(order, {key: c for key, c in terms.items() if c})
+        assert _listed(got) == _listed(want)
+        assert matrix_to_json(got) == matrix_to_json(want)
+
+
+_MAGNITUDES = st.one_of(st.integers(1, 12), st.integers(1, 2**70))
+
+
+def _sqrt_values(sign, num, den, flip):
+    num = num if sign else 0
+    return [sign, -num, -den] if flip else [sign, num, den]
+
+
+_VALUES = {
+    "rational": st.tuples(st.integers(-12, 12), _MAGNITUDES, st.booleans()).map(
+        lambda t: [t[0], -t[1]] if t[2] else [t[0], t[1]]),
+    "sqrt": st.builds(_sqrt_values, st.sampled_from([-1, 0, 1]), _MAGNITUDES,
+                      _MAGNITUDES, st.booleans()),
+}
+_ODD_FIELDS = st.one_of(
+    st.integers(-2, 4),
+    st.sampled_from([True, False, 1.0, None, "1", 2**70, -(2**63), 2**63]))
+
+
+def _kron_terms(a, b):
+    n = b.order
+    for (i, j), c in a.term_map().items():
+        for (k, l), d in b.term_map().items():
+            yield (n * (i - 1) + k, n * (j - 1) + l), c, d
 
 
 class TestSpectrumCsv:
