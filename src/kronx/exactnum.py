@@ -275,14 +275,6 @@ def coprime_fraction(num: int, den: int) -> Fraction:
     return q
 
 
-def surd_parts(c: Rational | SqrtRational) -> tuple:
-    """(sign, radicand numerator, radicand denominator) of a nonzero exact
-    scalar; a rational q reads as sign(q) sqrt(q^2), as in from_rational."""
-    if isinstance(c, SqrtRational):
-        return c.sign, c.radicand.numerator, c.radicand.denominator
-    return (1 if c > 0 else -1), c.numerator ** 2, c.denominator ** 2
-
-
 def complex_float(re: float, im: float = 0.0) -> complex:
     """Validated complex scalar: both components must be finite."""
     if not (math.isfinite(re) and math.isfinite(im)):

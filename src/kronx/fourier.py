@@ -12,29 +12,32 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import product
 from typing import Tuple
 
 import numpy as np
 
 from .exactnum import DomainError
-from .hubbard import XSum, dagger, identity, xsum_mul
+from .hubbard import XSum, check_order, dagger, identity, xsum_mul
 from .kron import kron
 from .perm import Permutation, perm_matrix
 
 
-def fourier_matrix(n: int) -> XSum:
-    """The (unnormalized) n-point Fourier matrix; F F^dagger = n I."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+def _dft(n: int) -> np.ndarray:
+    """F_n as a dense complex array."""
     # w^k for k < n only, the powers omega_diag puts in the butterflies:
     # w ** ((i-1)(j-1)) itself loses accuracy as the exponent grows
     w = cmath.exp(2j * cmath.pi / n)
-    roots = [w**k for k in range(n)]
-    terms = {}
-    for i in range(n):
-        for j in range(n):
-            terms[(i + 1, j + 1)] = roots[i * j % n]
-    return XSum(n, terms)
+    roots = np.array([w**k for k in range(n)])
+    k = np.arange(n)
+    return roots[np.outer(k, k) % n]
+
+
+def fourier_matrix(n: int) -> XSum:
+    """The (unnormalized) n-point Fourier matrix; F F^dagger = n I."""
+    check_order(n)
+    cells = product(range(1, n + 1), repeat=2)
+    return XSum._trusted(n, dict(zip(cells, _dft(n).ravel().tolist())))
 
 
 def omega_diag(k: int, n: int | None = None) -> XSum:
@@ -113,8 +116,9 @@ class FourierFactorization:
         out = np.eye(self.n)
         for f in self.factors:
             out = out @ f.to_numpy()
-        out = out @ perm_matrix(self.bit_reversal).to_numpy().T
-        z = out - fourier_matrix(self.n).to_numpy()
+        # times P^T: column j of the product is column pi(j) of out
+        out = out[:, np.array(self.bit_reversal.images) - 1]
+        z = out - _dft(self.n)
         # np.hypot rounds as abs(complex) does; np.abs can differ by an ulp
         return float(np.hypot(z.real, z.imag).max())
 

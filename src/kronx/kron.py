@@ -128,10 +128,7 @@ def kron_power(a: XSum, t: int) -> XSum:
     kron_many([a] * t, path="closed") is the closed-form cross-check."""
     if t < 1:
         raise ValueError("power must be >= 1")
-    out = a
-    for _ in range(t - 1):
-        out = kron(out, a)
-    return out
+    return kron_many([a] * t)
 
 
 def kron_vec(x: Sequence[Scalar], y: Sequence[Scalar]) -> Tuple[Scalar, ...]:

@@ -9,10 +9,12 @@ are both 4-tuples:
     sqrt      [i, j, sign, num, den]  value sign * sqrt(num/den)
     complex   [i, j, re, im]
 
-The writer picks the narrowest kind that loses nothing; a matrix mixing
-plain rationals into sqrt coefficients embeds q as sign(q) sqrt(q^2),
-which compares equal to the original. Dumps are byte-stable for exact
-scalars: sorted terms, sorted keys, no whitespace variation.
+The writer picks the narrowest kind that loses nothing.  Every exact
+matrix is written from its integer Columns; one that mixes int, Fraction
+and SqrtRational coefficients first widens each term as scalar_mul
+would, so a plain rational q embeds as sign(q) sqrt(q^2), which compares
+equal to the original.  Dumps are byte-stable for exact scalars: sorted
+terms, sorted keys, no whitespace variation.
 """
 
 from __future__ import annotations
@@ -24,27 +26,10 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .exactnum import (
-    DomainError,
-    SqrtRational,
-    complex_float,
-    surd_parts,
-)
+from .exactnum import DomainError, SqrtRational, complex_float
 from .hubbard import FRACTION, SURD, Columns, XSum, check_order, int_column
 
 KINDS = ("rational", "sqrt", "complex")
-
-
-def _pick_kind(values: Iterable) -> str:
-    kind = "rational"
-    for c in values:
-        if isinstance(c, (int, Fraction)):
-            continue
-        if isinstance(c, SqrtRational):
-            kind = "sqrt"
-        else:
-            return "complex"
-    return kind
 
 
 def _finite(re: float, im: float, i: int, j: int) -> complex:
@@ -56,29 +41,25 @@ def _finite(re: float, im: float, i: int, j: int) -> complex:
 
 def matrix_to_obj(x: XSum) -> dict:
     cols = x.columns()
+    if cols is None and x.is_exact():
+        # mixed exact kinds: widen each term as scalar_mul would
+        terms = x.term_map()
+        surd = any(isinstance(c, SqrtRational) for c in terms.values())
+        widen = SqrtRational._coerce if surd else Fraction
+        cols = Columns.of_terms({k: widen(c) for k, c in terms.items()})
     if cols is not None:
-        # one exact kind: the rows straight from the sorted columns, an int
-        # read as v/1
+        # the rows straight from the sorted columns, an int read as v/1
         cols = cols.row_major(x.order)
         vals = cols.promote(max(cols.kind, FRACTION))
         table = np.stack((cols.rows, cols.cols) + vals, axis=1)
         kind = "sqrt" if cols.kind == SURD and len(cols) else "rational"
         return {"order": x.order, "kind": kind, "terms": table.tolist()}
-    kind = _pick_kind(x.values())
-    if kind == "rational":
-        terms = [[i, j, c.numerator, c.denominator] for (i, j), c in x.items()]
-    elif kind == "sqrt":
-        terms = []
-        for (i, j), c in x.items():
-            sign, num, den = surd_parts(c)
-            terms.append([i, j, sign, num, den])
-    else:
-        terms = []
-        for (i, j), c in x.items():
-            z = complex(c)
-            _finite(z.real, z.imag, i, j)
-            terms.append([i, j, z.real, z.imag])
-    return {"order": x.order, "kind": kind, "terms": terms}
+    terms = []
+    for (i, j), c in x.items():
+        z = complex(c)
+        _finite(z.real, z.imag, i, j)
+        terms.append([i, j, z.real, z.imag])
+    return {"order": x.order, "kind": "complex", "terms": terms}
 
 
 def matrix_to_json(x: XSum) -> str:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from kronx.exactnum import SqrtRational
 from kronx.hubbard import (
     DimensionError,
     XSum,
@@ -113,6 +114,29 @@ def dense_dft_reconstruction_error(n: int) -> float:
     # ~1e-13 at n = 256, more than the stages' own error
     dft = np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n)
     return float(np.max(np.abs(prod @ perm.T - dft)))
+
+
+def per_term_matrix_obj(x: XSum) -> dict:
+    """The JSON object of an exact sum written one term at a time: kind
+    sqrt when some coefficient is a SqrtRational, a rational q then read as
+    sign(q) sqrt(q^2); kind rational otherwise, an int v read as v/1."""
+    kind = "rational"
+    for c in x.values():
+        if isinstance(c, SqrtRational):
+            kind = "sqrt"
+        elif not isinstance(c, (int, Fraction)):
+            raise TypeError(f"{c!r} is not an exact scalar")
+    terms = []
+    for (i, j), c in x.items():
+        if kind == "rational":
+            terms.append([i, j, c.numerator, c.denominator])
+        elif isinstance(c, SqrtRational):
+            r = c.radicand
+            terms.append([i, j, c.sign, r.numerator, r.denominator])
+        else:
+            sign = 1 if c > 0 else -1
+            terms.append([i, j, sign, c.numerator**2, c.denominator**2])
+    return {"order": x.order, "kind": kind, "terms": terms}
 
 
 def kron_oracle(a: XSum, b: XSum) -> XSum:

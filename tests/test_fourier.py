@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from kronx import fourier as fourier_module
 from kronx.exactnum import DomainError
 from kronx.fourier import (
     FourierFactorization,
@@ -16,7 +17,7 @@ from kronx.fourier import (
     omega_diag,
 )
 from _oracles import allclose, dense_dft_reconstruction_error
-from kronx.hubbard import XSum, dagger, identity, xsum_mul
+from kronx.hubbard import ResourceError, XSum, dagger, identity, xsum_mul
 from kronx.kron import kron
 from kronx.perm import Permutation, perm_matrix
 
@@ -54,6 +55,16 @@ def test_fourier_entries_match_reduced_exponent(n):
 def test_fourier_rejects_nonpositive():
     with pytest.raises(ValueError):
         fourier_matrix(0)
+
+
+def test_fourier_matrix_over_cap_fails_before_building(monkeypatch):
+    def refuse(n):
+        raise AssertionError("built F_n past the order cap")
+
+    monkeypatch.setenv("KRONX_MAX_DIM", "8")
+    monkeypatch.setattr(fourier_module, "_dft", refuse)
+    with pytest.raises(ResourceError):
+        fourier_matrix(16)
 
 
 def test_omega_diag_uses_double_order_root_by_default():
@@ -151,6 +162,19 @@ def test_max_error_matches_dense_dft_oracle(n):
     err = cooley_tukey(n).max_error()
     assert abs(err - dense_dft_reconstruction_error(n)) <= 1e-14
     assert err < 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_max_error_equals_dense_permutation_product(n):
+    # the column gather for P^T against the product with P^T and F_n read
+    # from the XSum: bit for bit, since P^T holds one exact 1 per column
+    fac = cooley_tukey(n)
+    out = np.eye(n)
+    for f in fac.factors:
+        out = out @ f.to_numpy()
+    out = out @ perm_matrix(fac.bit_reversal).to_numpy().T
+    z = out - fourier_matrix(n).to_numpy()
+    assert fac.max_error() == float(np.hypot(z.real, z.imag).max())
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])

@@ -19,6 +19,7 @@ PACKAGE = ROOT / "src" / "kronx"
 KEEP = {
     "odd_even_perm": "the odd/even decimation lemma behind bit reversal",
     "dephase": "the paper's normal form of a complex Hadamard matrix",
+    "fourier_matrix": "F_n, the matrix the stages factor",
     "hadamard": "the 2x2 factor whose powers hadamard_power builds in closed form",
     "ladder_norm": "norm of (J_-)^r |j, j>, for a column check of one CG entry",
     "total_sz": "S_z for symmetry sectors of the spin models",

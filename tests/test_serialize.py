@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import per_term_matrix_obj
 from kronx.exactnum import DomainError, SqrtRational, scalar_mul
 from kronx.hubbard import ResourceError, XSum, identity, x_op
 from kronx.kron import kron
@@ -19,6 +20,7 @@ from kronx.serialize import (
     merge_spectrum,
     spectrum_to_csv,
 )
+from kronx.su2 import casimir
 
 
 class TestMatrixJson:
@@ -371,6 +373,43 @@ def _kron_terms(a, b):
     for (i, j), c in a.term_map().items():
         for (k, l), d in b.term_map().items():
             yield (n * (i - 1) + k, n * (j - 1) + l), c, d
+
+
+_SIGNS = st.sampled_from([-1, 1])
+_SCALARS = {
+    "int": st.builds(lambda s, m: s * m, _SIGNS, _MAGNITUDES),
+    "fraction": st.builds(lambda s, n, d: Fraction(s * n, d), _SIGNS,
+                          _MAGNITUDES, _MAGNITUDES),
+    "surd": st.builds(lambda s, n, d: SqrtRational(s, Fraction(n, d)), _SIGNS,
+                      _MAGNITUDES, _MAGNITUDES),
+}
+
+
+def _per_term_json(x):
+    return json.dumps(per_term_matrix_obj(x), sort_keys=True,
+                      separators=(",", ":"))
+
+
+class TestExactWriter:
+    """The column writer, against the exact sum written term by term."""
+
+    @given(st.sets(st.sampled_from(sorted(_SCALARS))), st.integers(1, 4),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_and_single_kinds_match_per_term_writer(self, kinds, order,
+                                                          data):
+        # no kinds drawn: the empty sum
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(1, order), st.integers(1, order)),
+            unique=True, max_size=order * order if kinds else 0))
+        values = st.one_of(*(_SCALARS[k] for k in sorted(kinds)))
+        x = XSum(order, {cell: data.draw(values) for cell in cells})
+        assert matrix_to_json(x) == _per_term_json(x)
+
+    @pytest.mark.parametrize("twoj", range(7))
+    def test_casimir_matches_per_term_writer(self, twoj):
+        x = casimir(twoj)
+        assert matrix_to_json(x) == _per_term_json(x)
 
 
 class TestSpectrumCsv:
