@@ -199,6 +199,9 @@ def _check_twoj(two_j1: int, two_j2: int):
 def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     """Assemble S from the closed forms; columns indexed q = z_{k-1} + r.
 
+    S's terms are stored column by column, rows ascending; cg_table
+    lists them in that order.
+
     The closed forms fill the top half of each block, rows r <= ceil(d_k/2);
     the Condon-Shortley reflection fills the rest with the same radicands.
     The result is checked against the intertwining law; a residual above
@@ -413,34 +416,33 @@ def cg_coefficient(
         raise DomainError("J has the wrong parity for j1 + j2")
     if two_m != two_m1 + two_m2:
         return _ZERO
-    lay = layout(two_j1, two_j2)
+    s = _cached_S(two_j1, two_j2)
     k1 = (two_j1 - two_m1) // 2 + 1
     k2 = (two_j2 - two_m2) // 2 + 1
-    p = (k1 - 1) * lay.n2 + k2
+    p = (k1 - 1) * s.layout.n2 + k2
     k = (two_j1 + two_j2 - two_j) // 2 + 1
     r = (two_j - two_m) // 2 + 1
-    q = lay.z(k - 1) + r
-    return _cached_S(two_j1, two_j2).entry(p, q)
+    q = s.layout.z(k - 1) + r
+    return s.entry(p, q)
 
 
 def cg_table(two_j1: int, two_j2: int):
     """All coefficients grouped by (2J, 2M), highest J first, as rows
-    (two_j, two_m, two_m1, two_m2, coefficient).  Every entry is read
-    from one cached S by the index arithmetic of cg_coefficient."""
+    (two_j, two_m, two_m1, two_m2, coefficient): the terms of one cached
+    S in their stored order, each with the labels of its row (2m1, 2m2)
+    and column (2J, 2M)."""
     _check_twoj(two_j1, two_j2)
     s = _cached_S(two_j1, two_j2)
-    lay = s.layout
+    n2 = s.layout.n2
+    # (2J, 2M) of column q at index q - 1; 2J = d - 1 in a d-level block
+    col_labels = [
+        (d - 1, d - 1 - 2 * r) for d in s.layout.dims for r in range(d)
+    ]
     rows = []
-    two_js = range(two_j1 + two_j2, abs(two_j1 - two_j2) - 2, -2)
-    for k, two_j in enumerate(two_js, start=1):
-        z = lay.z(k - 1)
-        for r, two_m in enumerate(range(two_j, -two_j - 2, -2), start=1):
-            for alpha, two_m1 in enumerate(range(two_j1, -two_j1 - 2, -2)):
-                two_m2 = two_m - two_m1
-                if abs(two_m2) > two_j2:
-                    continue
-                beta = (two_j2 - two_m2) // 2 + 1
-                c = s.entry(alpha * lay.n2 + beta, z + r)
-                if c:
-                    rows.append((two_j, two_m, two_m1, two_m2, c))
+    # build_S stores S column by column, rows ascending: that is 2J
+    # descending, then 2M descending, then 2m1 descending
+    for (p, q), c in s.matrix.term_map().items():
+        alpha, beta = divmod(p - 1, n2)
+        rows.append((*col_labels[q - 1], two_j1 - 2 * alpha,
+                     two_j2 - 2 * beta, c))
     return rows

@@ -304,11 +304,7 @@ class XSum:
         raise AttributeError("XSum is immutable")
 
     def coeff(self, i: int, j: int) -> Scalar:
-        # the slot first: callers read one entry at a time in loops
-        store = self._store
-        if store is None:
-            store = self._terms
-        return store.get((i, j), 0)
+        return self._terms.get((i, j), 0)
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Scalar]]:
         """Terms in (row, col) lexicographic order."""

@@ -285,6 +285,16 @@ def dense_hubbard_jw(sites: int, eps: float, u: float, hops: dict):
     return h
 
 
+def free_fermion_levels(modes) -> np.ndarray:
+    """The many-body levels of free fermions in the given mode energies:
+    the sorted multiset of all 2^m subset sums, one per occupation
+    pattern, the empty pattern at 0."""
+    levels = [0.0]
+    for e in modes:
+        levels += [level + e for level in levels]
+    return np.sort(levels)
+
+
 def bethe_xxx_ground_energy(sites: int) -> float:
     """Ground energy of H = sum_j S_j . S_{j+1} on a ring of an even number
     of sites, by the Bethe ansatz (Bethe 1931; Karbach and Mueller,

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -33,7 +34,12 @@ from kronx.models import (
 from kronx.serialize import matrix_to_json
 from kronx.su2 import pauli
 
-from _oracles import dense_hubbard_jw, heisenberg_by_site_embed, site_embed
+from _oracles import (
+    dense_hubbard_jw,
+    free_fermion_levels,
+    heisenberg_by_site_embed,
+    site_embed,
+)
 
 
 def random_hermitian(n, rng, real=False):
@@ -641,6 +647,56 @@ class TestHubbardH:
         # appear in the half-filled sector
         for landmark in (4.0 - math.sqrt(20.0), 4.0 + math.sqrt(20.0)):
             assert np.min(np.abs(ev - landmark)) < 1e-12
+
+
+class TestFreeFermionOracle:
+    """Chains whose spectrum is a sum of independent mode energies.
+
+    Open chains only: on a ring, Jordan-Wigner fermions hop across the
+    closing bond with a sign set by the fermion parity, so each parity
+    sector has its own boundary condition and its own modes.
+    """
+
+    @pytest.mark.parametrize("sites", range(2, 11))
+    @pytest.mark.parametrize(
+        "j", (1, Fraction(3, 4), Fraction(-1, 2)), ids=("1", "0.75", "-0.5"))
+    def test_open_xx_chain(self, sites, j):
+        # -J/2 (sx sx + sy sy) = -J (s+ s- + s- s+): hopping -J, so the
+        # modes are -2J cos(pi k / (L + 1)), k = 1..L
+        h = heisenberg_h(SpinChainParams(sites, j, j, 0), periodic=False)
+        modes = [-2 * float(j) * math.cos(math.pi * k / (sites + 1))
+                 for k in range(1, sites + 1)]
+        got, want = eigenvalues(h), free_fermion_levels(modes)
+        assert len(got) == len(want) == 2**sites
+        assert np.abs(got - want).max() < 1e-10
+
+    @pytest.mark.parametrize("sites", range(1, 6))
+    @pytest.mark.parametrize("t", (1.0, -0.6))
+    def test_open_hubbard_chain_at_u_zero(self, sites, t):
+        eps, mu = 0.3, 0.7
+        hops = {(i, i + 1): t for i in range(1, sites)}
+        h = hubbard_h(HubbardParams.from_physical(sites, eps, mu, 0.0, hops))
+        orbital = [2 * t * math.cos(math.pi * k / (sites + 1)) + eps - mu
+                   for k in range(1, sites + 1)]
+        # each orbital once per spin
+        got, want = eigenvalues(h), free_fermion_levels(2 * orbital)
+        assert len(got) == len(want) == 4**sites
+        assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("sites", range(1, 6))
+def test_hubbard_atomic_limit(sites):
+    """At t = 0 every site keeps its own levels (0, e1, e1, 2 e1 + U),
+    e1 = eps - mu, and H's levels are their sums over the sites."""
+    eps, mu, u = 0.3, 1.1, 4.0
+    h = hubbard_h(HubbardParams.from_physical(sites, eps, mu, u))
+    e1 = eps - mu
+    site = (0.0, e1, e1, 2 * e1 + u)
+    want = np.sort([sum(levels)
+                    for levels in itertools.product(site, repeat=sites)])
+    got = eigenvalues(h)
+    assert len(got) == len(want)
+    assert np.abs(got - want).max() < 1e-10
 
 
 class TestJaynesCummings:
