@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -54,11 +55,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(text: str, output: str | None):
+    # the newline follows the text: text + "\n" would copy the whole
+    # document, about 20 MB for a million-term matrix
+    end = "" if text.endswith("\n") else "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+            fh.write(text)
+            fh.write(end)
+        return
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe, so it has all it wants.  What is
+        # still buffered, and the flush at exit, go to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit_matrix(x: XSum, args) -> int:

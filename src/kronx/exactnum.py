@@ -184,6 +184,15 @@ class SqrtRational:
         return SqrtRational._trusted(-self.sign, self.radicand)
 
     def __mul__(self, other: object):
+        if type(other) is int:
+            # k = sign(k) sqrt(k^2), with no Fraction built for k
+            if other == 0:
+                return SqrtRational._trusted(0, Fraction(0))
+            sign = self.sign if other > 0 else -self.sign
+            k2 = other * other
+            return SqrtRational._trusted(
+                sign, self.radicand if k2 == 1 else self.radicand * k2
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented

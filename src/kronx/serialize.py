@@ -14,7 +14,10 @@ matrix is written from its integer Columns; one that mixes int, Fraction
 and SqrtRational coefficients first widens each term as scalar_mul
 would, so a plain rational q embeds as sign(q) sqrt(q^2), which compares
 equal to the original.  Dumps are byte-stable for exact scalars: sorted
-terms, sorted keys, no whitespace variation.
+terms, sorted keys, no whitespace variation.  matrix_to_json formats an
+exact table held in int64 as ASCII digits in numpy; a table with a part
+past int64 and a complex matrix go through json.dumps of matrix_to_obj,
+which gives the same bytes.
 """
 
 from __future__ import annotations
@@ -39,20 +42,29 @@ def _finite(re: float, im: float, i: int, j: int) -> complex:
         raise DomainError(f"complex term at ({i},{j}): {exc}") from exc
 
 
-def matrix_to_obj(x: XSum) -> dict:
+def _exact_table(x: XSum) -> tuple | None:
+    """(kind, table) of an exact sum: one row [i, j, *value parts] per term
+    in (row, col) order, int64 unless some part reaches 2**63.  None when a
+    coefficient is float or complex."""
     cols = x.columns()
-    if cols is None and x.is_exact():
+    if cols is None:
+        if not x.is_exact():
+            return None
         # mixed exact kinds: widen each term as scalar_mul would
         terms = x.term_map()
         surd = any(isinstance(c, SqrtRational) for c in terms.values())
         widen = SqrtRational._coerce if surd else Fraction
         cols = Columns.of_terms({k: widen(c) for k, c in terms.items()})
-    if cols is not None:
-        # the rows straight from the sorted columns, an int read as v/1
-        cols = cols.row_major(x.order)
-        vals = cols.promote(max(cols.kind, FRACTION))
-        table = np.stack((cols.rows, cols.cols) + vals, axis=1)
-        kind = "sqrt" if cols.kind == SURD and len(cols) else "rational"
+    # the rows straight from the sorted columns, an int read as v/1
+    cols = cols.row_major(x.order)
+    vals = cols.promote(max(cols.kind, FRACTION))
+    table = np.stack((cols.rows, cols.cols) + vals, axis=1)
+    return ("sqrt" if cols.kind == SURD and len(cols) else "rational"), table
+
+
+def _to_obj(x: XSum, exact: tuple | None) -> dict:
+    if exact is not None:
+        kind, table = exact
         return {"order": x.order, "kind": kind, "terms": table.tolist()}
     terms = []
     for (i, j), c in x.items():
@@ -62,8 +74,53 @@ def matrix_to_obj(x: XSum) -> dict:
     return {"order": x.order, "kind": "complex", "terms": terms}
 
 
+def matrix_to_obj(x: XSum) -> dict:
+    return _to_obj(x, _exact_table(x))
+
+
+def _int_rows(table: np.ndarray) -> str:
+    """The rows of an int64 table as json.dumps writes a list of lists,
+    without the outer brackets.
+
+    Every row is laid out in one uint8 line: per column a separator slot,
+    a sign slot and one slot per digit of the column's largest magnitude,
+    then "],".  Digits are right-aligned, a '-' sits just before the first
+    digit of a negative entry, and one boolean gather drops the spaces
+    that pad the rest."""
+    n, width = table.shape
+    if n == 0:
+        return ""
+    # np.abs(-2**63) wraps to -2**63, which reads as 2**63 in uint64
+    mags = [np.abs(col).view(np.uint64) for col in table.T]
+    digits = [len(str(int(m.max()))) for m in mags]
+    space = ord(" ")
+    text = np.full((n, sum(digits) + 2 * width + 2), space, np.uint8)
+    start = 0
+    for k, (col, q, d) in enumerate(zip(table.T, mags, digits)):
+        text[:, start] = ord("[" if k == 0 else ",")
+        end = start + d + 1
+        q, r = np.divmod(q, np.uint64(10))
+        text[:, end] = r + ord("0")
+        # what the slot left of the leading digit gets: '-' or padding
+        lead = np.where(col < 0, ord("-"), space).astype(np.uint64)
+        for pos in range(end - 1, start, -1):
+            live = q > 0
+            q, r = np.divmod(q, np.uint64(10))
+            text[:, pos] = np.where(live, r + ord("0"), lead)
+            lead = np.where(live, lead, space)
+        start = end + 1
+    text[:, start] = ord("]")
+    text[:-1, start + 1] = ord(",")
+    return text[text != space].tobytes().decode("ascii")
+
+
 def matrix_to_json(x: XSum) -> str:
-    return json.dumps(matrix_to_obj(x), sort_keys=True, separators=(",", ":"))
+    exact = _exact_table(x)
+    if exact is not None and exact[1].dtype == np.int64:
+        kind, table = exact
+        return (f'{{"kind":"{kind}","order":{x.order},'
+                f'"terms":[{_int_rows(table)}]}}')
+    return json.dumps(_to_obj(x, exact), sort_keys=True, separators=(",", ":"))
 
 
 def _require(cond: bool, msg: str):

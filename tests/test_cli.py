@@ -94,6 +94,12 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capcli):
         assert capcli("diag", "/nonexistent/h.json")[0] == 2
 
+    def test_output_into_missing_directory_is_2(self, capcli, tmp_path):
+        dest = tmp_path / "missing" / "su2.json"
+        code, out, err = capcli("su2", "--twoj", "1", "-o", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
     def test_nonpositive_tol_is_2(self, capcli, tmp_path):
         path = write_matrix(tmp_path, "h.json", XSum(2, {(1, 1): 1}))
         assert capcli("diag", path, "--tol", "-1")[0] == 2
@@ -695,12 +701,28 @@ class TestByteStability:
 
 class TestModuleEntryPoint:
     @staticmethod
-    def module(*argv):
+    def env():
         src = str(Path(kronx.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        return subprocess.run([sys.executable, "-m", *argv], env=env,
+        return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    @classmethod
+    def module(cls, *argv):
+        return subprocess.run([sys.executable, "-m", *argv], env=cls.env(),
                               capture_output=True, text=True, timeout=60)
+
+    def test_reader_closing_the_pipe_exits_0(self):
+        # 270 kB, more than a pipe buffer holds: the writer is still
+        # writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kronx", "cg", "--twoj1", "24", "--twoj2",
+             "24"], env=self.env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert head == b'{"kind":"s'
+        assert (proc.returncode, err) == (0, b"")
 
     def test_help_prints_usage(self):
         for target in ("kronx", "kronx.cli"):

@@ -282,6 +282,24 @@ def test_scalar_tower_mixing():
     assert z.real == pytest.approx(math.sqrt(2))
 
 
+_SURDS = st.builds(
+    lambda sign, num, den: SqrtRational(sign if num else 0, Fraction(num, den)),
+    st.sampled_from((-1, 1)), st.integers(0, 10**6), st.integers(1, 10**6),
+)
+_INT_FACTORS = st.one_of(
+    st.sampled_from((0, 1, -1, 2**70, -(2**70), True, False)),
+    st.integers(-1000, 1000),
+)
+
+
+@given(_SURDS, _INT_FACTORS)
+def test_int_times_surd_matches_the_rational_route(s, k):
+    want = s * SqrtRational.from_rational(k)
+    for got in (s * k, k * s, scalar_mul(s, k), scalar_mul(k, s)):
+        assert type(got) is SqrtRational and type(got.radicand) is Fraction
+        assert repr(got) == repr(want) and got == want
+
+
 # --- number protocol ---------------------------------------------------------
 
 

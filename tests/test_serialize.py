@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from kronx.exactnum import DomainError, SqrtRational, scalar_mul
 from kronx.hubbard import ResourceError, XSum, identity, x_op
 from kronx.kron import kron
 from kronx.serialize import (
+    _exact_table,
     _parse_rows,
     load_matrix,
     matrix_from_json,
@@ -376,13 +378,19 @@ def _kron_terms(a, b):
 
 
 _SIGNS = st.sampled_from([-1, 1])
-_SCALARS = {
-    "int": st.builds(lambda s, m: s * m, _SIGNS, _MAGNITUDES),
-    "fraction": st.builds(lambda s, n, d: Fraction(s * n, d), _SIGNS,
-                          _MAGNITUDES, _MAGNITUDES),
-    "surd": st.builds(lambda s, n, d: SqrtRational(s, Fraction(n, d)), _SIGNS,
-                      _MAGNITUDES, _MAGNITUDES),
-}
+
+
+def _scalars(magnitudes):
+    return {
+        "int": st.builds(lambda s, m: s * m, _SIGNS, magnitudes),
+        "fraction": st.builds(lambda s, n, d: Fraction(s * n, d), _SIGNS,
+                              magnitudes, magnitudes),
+        "surd": st.builds(lambda s, n, d: SqrtRational(s, Fraction(n, d)),
+                          _SIGNS, magnitudes, magnitudes),
+    }
+
+
+_SCALARS = _scalars(_MAGNITUDES)
 
 
 def _per_term_json(x):
@@ -410,6 +418,55 @@ class TestExactWriter:
     def test_casimir_matches_per_term_writer(self, twoj):
         x = casimir(twoj)
         assert matrix_to_json(x) == _per_term_json(x)
+
+
+def _dumps(x):
+    return json.dumps(matrix_to_obj(x), sort_keys=True, separators=(",", ":"))
+
+
+_INT64_MAX = 2**63 - 1
+# the int64 edge, the first magnitude past it, and some digit-count edges
+_EDGE_SCALARS = _scalars(st.one_of(
+    _MAGNITUDES, st.sampled_from([9, 10, 99, 100, _INT64_MAX, 2**63, 2**70])))
+
+
+class TestTextWriter:
+    """matrix_to_json against json.dumps of matrix_to_obj, byte for byte."""
+
+    @given(st.sets(st.sampled_from(sorted(_EDGE_SCALARS))), st.integers(1, 12),
+           st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_json_dumps(self, kinds, order, from_file, data):
+        # no kinds drawn: the empty sum
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(1, order), st.integers(1, order)),
+            unique=True, max_size=12 if kinds else 0))
+        values = st.one_of(*(_EDGE_SCALARS[k] for k in sorted(kinds)))
+        x = XSum(order, {cell: data.draw(values) for cell in cells})
+        if from_file:
+            # column-backed: read back from the file written term by term
+            x = matrix_from_json(_per_term_json(x))
+            assert x._cols is not None
+        assert matrix_to_json(x) == _dumps(x)
+
+    @pytest.mark.parametrize("terms, route", [
+        ({}, np.int64),
+        ({(1, 1): Fraction(-7, 3)}, np.int64),
+        ({(2, 1): _INT64_MAX, (1, 2): -_INT64_MAX}, np.int64),
+        ({(1, 1): Fraction(-_INT64_MAX, _INT64_MAX - 1)}, np.int64),
+        ({(2, 2): SqrtRational(-1, Fraction(_INT64_MAX, 3))}, np.int64),
+        ({(1, 2): SqrtRational(1, Fraction(5)), (2, 1): Fraction(-1, 2),
+          (2, 2): -3}, np.int64),
+        ({(1, 1): 2**63, (2, 2): -1}, object),
+        ({(1, 1): Fraction(-(3**50), 2**70)}, object),
+        ({(1, 2): SqrtRational(-1, Fraction(1, 2**63))}, object),
+    ], ids=["empty", "one term", "int64 max", "int64 max fraction",
+            "int64 max surd", "mixed", "past int64", "past int64 fraction",
+            "past int64 surd"])
+    def test_edge_tables(self, terms, route):
+        for x in (XSum(2, terms), matrix_from_json(_per_term_json(XSum(2, terms)))):
+            assert _exact_table(x)[1].dtype == route
+            assert matrix_to_json(x) == _dumps(x) == _per_term_json(x)
 
 
 class TestSpectrumCsv:
