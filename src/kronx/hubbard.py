@@ -7,9 +7,9 @@ delta rule X^(i,j) X^(k,l) = delta_jk X^(i,l), so the whole algebra runs on
 subscripts without ever materializing dense arrays.
 
 An XSum whose coefficients share one exact kind can also hold its terms as
-integer Columns.  The JSON reader and kron build that form directly, the
-writer and the float conversion read it, and the term dict is made from
-it only when a term is first read one by one.
+integer Columns.  The JSON reader, kron, xsum_mul, perm_matrix and dagger
+build that form directly, the writer and the float conversion read it, and
+the term dict is made from it only when a term is first read one by one.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ _INT64_LIMIT = 2**63
 
 
 def magnitude(col: np.ndarray) -> int:
-    """The largest absolute entry of an integer column, 0 when empty."""
-    return int(np.abs(col).max()) if len(col) else 0
+    """The largest absolute entry of an integer array, 0 when empty."""
+    return int(np.abs(col).max()) if col.size else 0
 
 
 def int_column(values: list) -> np.ndarray:
@@ -111,6 +111,29 @@ def widen(*cols: np.ndarray, bound: int) -> tuple:
     if bound < _INT64_LIMIT:
         return cols
     return tuple(c.astype(object) for c in cols)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y, flattened, on int64 when no product can reach 2**63 and on
+    Python ints otherwise."""
+    x, y = widen(x, y, bound=magnitude(x) * magnitude(y))
+    return (x * y).ravel()
+
+
+def value_products(kind: int, va: tuple, vb: tuple) -> tuple:
+    """The value columns of the products of two operands' values, read as
+    kind (Columns.promote) and aligned by broadcasting: entry by entry for
+    gathered columns, every pair for an (n, 1) against an (m,) column.
+    Products of nonzero exact values are nonzero, and a product of reduced
+    fractions needs one gcd to be reduced again."""
+    if kind == INT:
+        return (_product(va[0], vb[0]),)
+    num, den = _product(va[-2], vb[-2]), _product(va[-1], vb[-1])
+    g = np.gcd(num, den)
+    vals = (num // g, den // g)
+    if kind == SURD:
+        vals = (_product(va[0], vb[0]),) + vals
+    return vals
 
 
 class Columns:
@@ -198,6 +221,32 @@ class Columns:
         keys = zip(self.rows.tolist(), self.cols.tolist())
         return dict(zip(keys, self.scalars()))
 
+    def matmul(self, other: "Columns", order: int) -> "Columns | None":
+        """The delta rule on whole columns: term (i, j) of self meets each
+        term (j, l) of other, self's terms in storage order and other's
+        terms of row j in storage order, as the per-term product loop
+        visits them.  None when two products land on one cell: such sums
+        can cancel, or surds fail to add, so they are left to that loop."""
+        # other's terms grouped by row, each row in storage order: row r
+        # is by_row[first[r]:first[r] + per_row[r]]
+        by_row = np.argsort(other.rows, kind="stable")
+        per_row = np.bincount(other.rows, minlength=order + 1)
+        first = np.cumsum(per_row) - per_row
+        counts = per_row[self.cols]
+        ia = np.repeat(np.arange(len(self)), counts)
+        # the products of term s, column j, are numbered from
+        # t0 = ends[s] - counts[s]; product t takes by_row[first[j] + t - t0]
+        ends = np.cumsum(counts)
+        start = first[self.cols] - ends + counts
+        ib = by_row[np.repeat(start, counts) + np.arange(len(ia))]
+        a, b = self.take(ia), other.take(ib)
+        cells = np.sort((a.rows - 1) * order + b.cols)
+        if np.any(cells[1:] == cells[:-1]):
+            return None
+        kind = max(a.kind, b.kind)
+        vals = value_products(kind, a.promote(kind), b.promote(kind))
+        return Columns(kind, a.rows, b.cols, vals)
+
     def floats(self) -> np.ndarray:
         """Each coefficient as float() of its scalar gives it, bit for bit.
 
@@ -217,6 +266,10 @@ class Columns:
         return np.where(self.vals[0] < 0, -root, root)
 
 
+# XSum._cols of a sum known to have no column form
+_NO_COLUMNS = object()
+
+
 class XSum:
     """A square matrix as a weighted sum of Hubbard operators.
 
@@ -225,7 +278,9 @@ class XSum:
 
     The terms live in a dict, in Columns, or in both: _terms builds the
     dict from the columns on first use, and columns() builds the columns
-    from the dict.  Each form, once built, is kept.
+    from the dict.  Each form, once built, is kept, and so is the answer
+    that there is no column form (_cols is then _NO_COLUMNS, and None
+    only while columns() has not been asked).
     """
 
     __slots__ = ("order", "_store", "_cols")
@@ -295,9 +350,16 @@ class XSum:
     def columns(self) -> Columns | None:
         """The terms as Columns when the coefficients share one exact kind,
         else None."""
-        if self._cols is None:
-            object.__setattr__(self, "_cols", Columns.of_terms(self._terms))
-        return self._cols
+        cols = self._cols
+        if cols is None:
+            cols = Columns.of_terms(self._terms)
+            object.__setattr__(self, "_cols", _NO_COLUMNS if cols is None else cols)
+        return None if cols is _NO_COLUMNS else cols
+
+    def _held_columns(self) -> Columns | None:
+        """The Columns this sum already holds, without building them."""
+        cols = self._cols
+        return cols if isinstance(cols, Columns) else None
 
     # frozen-ish: block accidental attribute writes
     def __setattr__(self, name: str, value: object) -> None:
@@ -308,8 +370,9 @@ class XSum:
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Scalar]]:
         """Terms in (row, col) lexicographic order."""
-        if self._cols is not None:
-            cols = self._cols.row_major(self.order)
+        held = self._held_columns()
+        if held is not None:
+            cols = held.row_major(self.order)
             keys = zip(cols.rows.tolist(), cols.cols.tolist())
             return zip(keys, cols.scalars())
         return ((key, self._terms[key]) for key in sorted(self._terms))
@@ -322,12 +385,13 @@ class XSum:
         return dict(self._terms)
 
     def nnz(self) -> int:
-        if self._cols is not None:
-            return len(self._cols)
+        held = self._held_columns()
+        if held is not None:
+            return len(held)
         return len(self._terms)
 
     def is_exact(self) -> bool:
-        return self._cols is not None or all(
+        return self._held_columns() is not None or all(
             scalar_is_exact(c) for c in self._terms.values())
 
     __len__ = nnz
@@ -391,8 +455,8 @@ class XSum:
     def triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """0-based rows, 0-based columns and complex values of the terms in
         storage order: the one route from terms to float arrays."""
-        if self._cols is not None:
-            c = self._cols
+        c = self._held_columns()
+        if c is not None:
             return c.rows - 1, c.cols - 1, c.floats().astype(complex)
         nnz = len(self._terms)
         cells = np.fromiter(chain.from_iterable(self._terms), np.intp, 2 * nnz)
@@ -426,11 +490,20 @@ def identity(n: int) -> XSum:
 
 
 def xsum_mul(a: XSum, b: XSum) -> XSum:
-    """Operator product by delta contraction on inner subscripts."""
+    """Operator product by delta contraction on inner subscripts.
+
+    Operands that each hold one exact kind, whose products land on distinct
+    cells, multiply as Columns; every other pair term by term."""
     if a.order != b.order:
         raise DimensionError(
             f"order mismatch: {a.order} vs {b.order}"
         )
+    cols_a = a.columns()
+    cols_b = None if cols_a is None else b.columns()
+    if cols_b is not None:
+        cols = cols_a.matmul(cols_b, a.order)
+        if cols is not None:
+            return XSum._from_columns(a.order, cols)
     rows_of_b: dict = {}
     for (k, l), c in b._terms.items():
         rows_of_b.setdefault(k, []).append((l, c))
@@ -442,7 +515,8 @@ def xsum_mul(a: XSum, b: XSum) -> XSum:
             if key in acc:
                 c = scalar_add(acc[key], c)
             acc[key] = c
-    return XSum(a.order, acc)
+    # subscripts come from the operands; only the sums can be zero
+    return XSum._trusted(a.order, {key: c for key, c in acc.items() if c})
 
 
 def xsum_linear(op: str, a: XSum, other) -> XSum:
@@ -485,6 +559,12 @@ def dagger(a: XSum, mode: str = "adjoint") -> XSum:
     """Transpose swaps subscripts, conjugate conjugates coefficients."""
     if mode not in ("transpose", "conjugate", "adjoint"):
         raise ValueError(f"unknown dagger mode {mode!r}")
+    held = a._held_columns()
+    if held is not None:
+        # exact values are their own conjugates
+        if mode != "conjugate":
+            held = Columns(held.kind, held.cols, held.rows, held.vals)
+        return XSum._from_columns(a.order, held)
     out = {}
     for (i, j), c in a._terms.items():
         key = (j, i) if mode in ("transpose", "adjoint") else (i, j)

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .exactnum import Scalar, SqrtRational, ceil_ratio, scalar_mul
-from .hubbard import INT, SURD, Columns, XSum, check_order, magnitude, widen
+from .hubbard import Columns, XSum, check_order, value_products
 
 
 def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
@@ -28,30 +28,15 @@ def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
     raise ValueError(f"unknown kron path {path!r}")
 
 
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Every product x_a * y_b, a-major, on int64 when none can reach
-    2**63 and on Python ints otherwise."""
-    x, y = widen(x, y, bound=magnitude(x) * magnitude(y))
-    return np.multiply.outer(x, y).ravel()
-
-
 def _kron_columns(a: Columns, b: Columns, n: int) -> Columns:
     """The single-term rule on whole columns: term (i, j) of a times term
     (k, l) of b lands at (n(i-1)+k, n(j-1)+l), a-major as the dict loop
-    ordered it.  Products of nonzero exact values are nonzero, and a
-    product of reduced fractions needs one gcd to be reduced again."""
+    ordered it."""
     kind = max(a.kind, b.kind)
-    va, vb = a.promote(kind), b.promote(kind)
     rows = np.add.outer(n * (a.rows - 1), b.rows).ravel()
     cols = np.add.outer(n * (a.cols - 1), b.cols).ravel()
-    if kind == INT:
-        return Columns(kind, rows, cols, (_outer(va[0], vb[0]),))
-    num, den = _outer(va[-2], vb[-2]), _outer(va[-1], vb[-1])
-    g = np.gcd(num, den)
-    vals = (num // g, den // g)
-    if kind == SURD:
-        vals = (_outer(va[0], vb[0]),) + vals
-    return Columns(kind, rows, cols, vals)
+    va = tuple(v[:, None] for v in a.promote(kind))
+    return Columns(kind, rows, cols, value_products(kind, va, b.promote(kind)))
 
 
 def _kron_sparse(a: XSum, b: XSum) -> XSum:
@@ -62,13 +47,15 @@ def _kron_sparse(a: XSum, b: XSum) -> XSum:
     if cols_a is not None and cols_b is not None:
         return XSum._from_columns(order, _kron_columns(cols_a, cols_b, n))
     # An operand mixes kinds (the Fourier butterflies mix int and complex)
-    # or holds floats or another type: the term-by-term product.
+    # or holds floats or another type: the term-by-term product.  The index
+    # rule puts each product in its own cell; only an underflow makes one 0.
     terms_b = list(b.term_map().items())
-    return XSum(order, {
-        (n * (i - 1) + k, n * (j - 1) + l): scalar_mul(ca, cb)
+    products = (
+        ((n * (i - 1) + k, n * (j - 1) + l), scalar_mul(ca, cb))
         for (i, j), ca in a.term_map().items()
         for (k, l), cb in terms_b
-    })
+    )
+    return XSum._trusted(order, {key: c for key, c in products if c})
 
 
 def _factor_indices(p: int, orders: Sequence[int]) -> Tuple[int, ...]:

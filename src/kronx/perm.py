@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .exactnum import ceil_ratio
-from .hubbard import DimensionError, XSum
+from .hubbard import INT, Columns, DimensionError, XSum
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,13 @@ class Permutation:
 
 
 def perm_matrix(pi: Permutation) -> XSum:
-    return XSum(pi.degree, {(j, pi(j)): 1 for j in range(1, pi.degree + 1)})
+    """sum_j X^(j, pi(j)), held as integer columns: the images are distinct,
+    so every row and every column has one term."""
+    n = pi.degree
+    ones = np.ones(n, dtype=np.int64)
+    rows = np.arange(1, n + 1, dtype=np.int64)
+    cols = Columns(INT, rows, np.array(pi.images, dtype=np.int64), (ones,))
+    return XSum._from_columns(n, cols)
 
 
 def swap_perm(n: int) -> Permutation:

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from kronx.exactnum import SqrtRational
+from kronx.exactnum import SqrtRational, scalar_add, scalar_mul
 from kronx.hubbard import (
+    Columns,
     DimensionError,
     XSum,
     from_dense,
@@ -137,6 +138,44 @@ def per_term_matrix_obj(x: XSum) -> dict:
             sign = 1 if c > 0 else -1
             terms.append([i, j, sign, c.numerator**2, c.denominator**2])
     return {"order": x.order, "kind": kind, "terms": terms}
+
+
+def per_term_product(a: XSum, b: XSum) -> XSum:
+    """The operator product one term pair at a time by the delta rule:
+    a's terms in storage order, each met by b's terms of its column's row
+    in storage order, sums accumulated per cell and zeros pruned by
+    XSum(...)."""
+    if a.order != b.order:
+        raise DimensionError(f"order mismatch: {a.order} vs {b.order}")
+    rows_of_b: dict = {}
+    for (k, l), c in b.term_map().items():
+        rows_of_b.setdefault(k, []).append((l, c))
+    acc: dict = {}
+    for (i, j), ca in a.term_map().items():
+        for l, cb in rows_of_b.get(j, ()):
+            c = scalar_mul(ca, cb)
+            key = (i, l)
+            if key in acc:
+                c = scalar_add(acc[key], c)
+            acc[key] = c
+    return XSum(a.order, acc)
+
+
+def as_listed(x: XSum) -> list:
+    """The terms in storage order with each coefficient's type and repr."""
+    return [(key, type(c), repr(c)) for key, c in x.term_map().items()]
+
+
+def column_copy(x: XSum) -> XSum:
+    """x held as integer columns only, its term dict not yet built."""
+    cols = Columns.of_terms(x.term_map())
+    assert cols is not None
+    return XSum._from_columns(x.order, cols)
+
+
+def dict_copy(x: XSum) -> XSum:
+    """x held as a term dict only, its columns not yet built."""
+    return XSum(x.order, x.term_map())
 
 
 def kron_oracle(a: XSum, b: XSum) -> XSum:

@@ -8,10 +8,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import allclose, det_dense
-from kronx.exactnum import SqrtRational
+import kronx.hubbard as hubbard_module
+from _oracles import (
+    allclose,
+    as_listed,
+    column_copy,
+    det_dense,
+    dict_copy,
+    per_term_product,
+)
+from kronx.exactnum import ClosureError, SqrtRational
 from kronx.hubbard import (
+    Columns,
     DimensionError,
     ResourceError,
     XSum,
@@ -335,3 +346,117 @@ def test_det_product_rule():
         a, b = _random_xsum(rng, n, 0.6), _random_xsum(rng, n, 0.6)
         da, db = to_dense(a), to_dense(b)
         assert det_dense(_dense_mul(da, db)) == det_dense(da) * det_dense(db)
+
+
+# --- the column product against the per-term reference -----------------------
+
+# small parts, and parts at and around the int64 edge
+_PARTS = st.one_of(st.integers(1, 6), st.sampled_from((2**62, 2**63 - 1, 2**63, 2**70)))
+_SIGNS = st.sampled_from((1, -1))
+_VALUES = {
+    "int": st.builds(lambda s, p: s * p, _SIGNS, _PARTS),
+    "fraction": st.builds(lambda s, p, q: Fraction(s * p, q), _SIGNS, _PARTS, _PARTS),
+    "surd": st.builds(lambda s, p, q: SqrtRational(s, Fraction(p, q)),
+                      _SIGNS, _PARTS, _PARTS),
+}
+_VALUES["mixed"] = st.one_of(*_VALUES.values())
+_VALUES["complex"] = st.complex_numbers(max_magnitude=9, allow_nan=False,
+                                        allow_infinity=False).filter(bool)
+
+
+@st.composite
+def _factor(draw, n, kind):
+    """A sum of order n: random cells, or the cells of a random permutation
+    matrix, with values of one kind, held as a dict or as columns."""
+    if draw(st.booleans()):
+        images = draw(st.permutations(range(1, n + 1)))
+        cells = list(zip(range(1, n + 1), images))
+    else:
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+        cells = draw(st.lists(pairs, max_size=n * n, unique=True))
+    x = XSum(n, {cell: draw(_VALUES[kind]) for cell in cells})
+    one_kind = kind not in ("mixed", "complex") or x.columns() is not None
+    return column_copy(x) if one_kind and draw(st.booleans()) else dict_copy(x)
+
+
+def _outcome(f, a, b):
+    try:
+        x = f(a, b)
+    except ClosureError:  # colliding surds with unlike radicands
+        return ClosureError
+    return x.order, as_listed(x)
+
+
+def _collide(a, b) -> bool:
+    cells = [(i, l) for (i, j) in a.term_map() for (k, l) in b.term_map() if j == k]
+    return len(cells) != len(set(cells))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_VALUES)), st.sampled_from(sorted(_VALUES)),
+       st.integers(1, 5), st.data())
+def test_product_matches_the_per_term_reference(kind_a, kind_b, n, data):
+    a, b = data.draw(_factor(n, kind_a)), data.draw(_factor(n, kind_b))
+    want = _outcome(per_term_product, a, b)
+    if want is ClosureError:
+        with pytest.raises(ClosureError):
+            xsum_mul(a, b)
+        return
+    got = xsum_mul(a, b)
+    # the column route leaves the term dict unbuilt; the per-term route
+    # builds nothing else
+    if a.columns() is not None and b.columns() is not None and not _collide(a, b):
+        assert got._store is None
+    else:
+        assert got._store is not None and got._cols is None
+    assert (got.order, as_listed(got)) == want
+    assert got == per_term_product(a, b)
+
+
+def test_cancelling_products_take_the_per_term_route():
+    a = column_copy(XSum(2, {(1, 1): Fraction(1), (1, 2): Fraction(1, 2)}))
+    b = column_copy(XSum(2, {(1, 2): Fraction(3), (2, 2): Fraction(-6)}))
+    got = xsum_mul(a, b)
+    assert got == XSum(2) == per_term_product(a, b)
+    assert got._store == {}
+
+
+def test_products_past_int64_stay_exact_on_columns():
+    a = column_copy(XSum(2, {(1, 2): 2**62, (2, 1): -(2**63 - 1)}))
+    b = column_copy(XSum(2, {(2, 2): Fraction(2**70, 3), (1, 1): Fraction(2**63)}))
+    got = xsum_mul(a, b)
+    assert got._store is None and got._cols.vals[0].dtype == object
+    assert as_listed(got) == as_listed(per_term_product(a, b))
+    assert got.coeff(1, 2) == Fraction(2**132, 3)
+
+
+def test_empty_products_are_empty():
+    x = XSum(3, {(1, 2): SqrtRational(1, Fraction(2))})
+    for a, b in ((XSum(3), x), (x, XSum(3)), (x, x)):
+        got = xsum_mul(a, b)
+        assert got._store is None and got.nnz() == 0
+        assert got == XSum(3) == per_term_product(a, b)
+
+
+def _refuse(*args):
+    raise AssertionError("worked before checking the orders")
+
+
+def test_order_mismatch_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(XSum, "columns", _refuse)
+    monkeypatch.setattr(hubbard_module, "scalar_mul", _refuse)
+    with pytest.raises(DimensionError):
+        xsum_mul(x_op(2, 1, 1), x_op(3, 1, 1))
+
+
+def test_columns_remembers_that_a_sum_has_none(monkeypatch):
+    calls = []
+    of_terms = Columns.of_terms
+    monkeypatch.setattr(Columns, "of_terms",
+                        lambda store: calls.append(1) or of_terms(store))
+    z = XSum(2, {(1, 1): 1j, (1, 2): 1})
+    for _ in range(3):
+        assert z.columns() is None
+        xsum_mul(z, z)
+    assert len(calls) == 1
+    assert z.nnz() == 2 and not z.is_exact()

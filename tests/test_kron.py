@@ -14,17 +14,19 @@ from hypothesis import strategies as st
 
 from _oracles import (
     allclose,
+    as_listed,
+    column_copy,
     dense_kron,
     dense_kron_many,
     dense_mul,
     det_dense,
+    dict_copy,
     kron_oracle,
     random_complex_xsum,
     random_rational_xsum,
 )
 from kronx.exactnum import SqrtRational, scalar_mul
 from kronx.hubbard import (
-    Columns,
     ResourceError,
     XSum,
     dagger,
@@ -349,10 +351,6 @@ def _per_term_kron(a, b):
     })
 
 
-def _as_listed(x):
-    return [(key, type(c), repr(c)) for key, c in x.term_map().items()]
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(sorted(_COEFFICIENTS)),
@@ -366,7 +364,7 @@ def test_sparse_kernel_matches_per_term_reference(kind_a, kind_b, data):
     got = kron(a, b)
     assert got == want == kron(a, b, path="closed")
     # same coefficient types, same radicands, same term order
-    assert _as_listed(got) == _as_listed(want)
+    assert as_listed(got) == as_listed(want)
     assert matrix_to_json(got) == matrix_to_json(want)
 
 
@@ -437,17 +435,6 @@ def test_hadamard_power_over_cap_fails_before_building(small_cap, monkeypatch):
 _EXACT_KINDS = ("int", "fraction", "surd", "surds")
 
 
-def _column_copy(x):
-    """x held as integer columns only, its term dict not yet built."""
-    cols = Columns.of_terms(x.term_map())
-    assert cols is not None
-    return XSum._from_columns(x.order, cols)
-
-
-def _dict_copy(x):
-    return XSum(x.order, x.term_map())
-
-
 def _outcome(f, *args):
     """What f returns, as a comparable value, or the type it raises."""
     try:
@@ -455,7 +442,7 @@ def _outcome(f, *args):
     except ArithmeticError as exc:  # surds with unlike radicands do not add
         return type(exc)
     if isinstance(out, XSum):
-        return out.order, _as_listed(out)
+        return out.order, as_listed(out)
     if isinstance(out, tuple) and len(out) == 3 and isinstance(out[0], np.ndarray):
         return tuple((v.dtype, v.tobytes()) for v in out)  # triplets
     if isinstance(out, np.ndarray):
@@ -514,15 +501,15 @@ def test_column_store_matches_dict_store(kind_a, kind_b, data):
     assert x.columns() is not None
     for name, f in _UNARY.items():
         # a fresh copy for each method, so no call sees a form another built
-        assert _outcome(f, _column_copy(x)) == _outcome(f, _dict_copy(x)), name
+        assert _outcome(f, column_copy(x)) == _outcome(f, dict_copy(x)), name
     for name, f in _BINARY.items():
-        want = _outcome(f, _dict_copy(x), _dict_copy(y))
-        for pair in ((_column_copy(x), _column_copy(y)),
-                     (_column_copy(x), _dict_copy(y)),
-                     (_dict_copy(x), _column_copy(y))):
+        want = _outcome(f, dict_copy(x), dict_copy(y))
+        for pair in ((column_copy(x), column_copy(y)),
+                     (column_copy(x), dict_copy(y)),
+                     (dict_copy(x), column_copy(y))):
             assert _outcome(f, *pair) == want, name
     # self-equality across forms
-    assert _column_copy(x) == _dict_copy(x) == _column_copy(x)
+    assert column_copy(x) == dict_copy(x) == column_copy(x)
 
 
 def test_column_store_builds_the_dict_once_and_nnz_never():
@@ -562,7 +549,7 @@ def test_kron_past_int64_equals_the_per_term_reference(kind_a, kind_b, big):
     a, b = _big_operand(kind_a, big), _big_operand(kind_b, big, order=3)
     got, want = kron(a, b), _per_term_kron(a, b)
     assert got == want
-    assert _as_listed(got) == _as_listed(want)
+    assert as_listed(got) == as_listed(want)
     assert matrix_to_json(got) == matrix_to_json(want)
     assert _outcome(XSum.triplets, got) == _outcome(XSum.triplets, want)
 
@@ -575,7 +562,7 @@ def test_products_that_overflow_only_after_multiplying_stay_exact():
     c = kron(a, b)
     assert c._cols.vals[1].dtype == object
     want = _per_term_kron(a, b)
-    assert _as_listed(c) == _as_listed(want)
+    assert as_listed(c) == as_listed(want)
     assert c.coeff(1, 2).radicand == Fraction((2**40 + 1) * (2**40 - 3),
                                               (2**40 - 1) * (2**40 + 3))
     assert not any(isinstance(v, float) for v in c._cols.vals[1])

@@ -9,7 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import kron_oracle, random_rational_xsum
+from _oracles import (
+    as_listed,
+    column_copy,
+    dict_copy,
+    kron_oracle,
+    per_term_product,
+    random_rational_xsum,
+)
+from kronx.exactnum import SqrtRational
 from kronx.hubbard import XSum, dagger, identity, to_dense, x_op, xsum_mul
 from kronx.kron import kron, kron_vec
 from kronx.perm import (
@@ -164,6 +172,60 @@ def test_commutation_relates_both_kron_orders():
         p = perm_matrix(commutation_perm(n, m))
         lhs = xsum_mul(xsum_mul(dagger(p, "transpose"), kron(a, b)), p)
         assert lhs == kron(b, a)
+
+
+def _bench_operand(rng, n, nnz, radicand):
+    """nnz random cells of order n, each a nonzero rational times
+    sqrt(radicand), held as columns; radicand 1 gives Fractions."""
+    cells = rng.sample([(i, j) for i in range(1, n + 1) for j in range(1, n + 1)], nnz)
+    terms = {}
+    for cell in cells:
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        sign = 1 if q > 0 else -1
+        terms[cell] = q if radicand == 1 else SqrtRational(sign, q * q * radicand)
+    return column_copy(XSum(n, terms))
+
+
+@pytest.mark.parametrize("shape", [(8, 32, 8, 32), (16, 64, 16, 64)])
+@pytest.mark.parametrize("radicands", [(1, 1), (2, 1), (3, 5)],
+                         ids=["rational-rational", "surd-rational", "surd-surd"])
+def test_commutation_conjugation_on_columns_at_bench_shapes(shape, radicands):
+    rng = random.Random(68)
+    n, za, m, zb = shape
+    a = _bench_operand(rng, n, za, radicands[0])
+    b = _bench_operand(rng, m, zb, radicands[1])
+    p = perm_matrix(commutation_perm(n, m))
+    k = kron(a, b)
+    left = xsum_mul(dagger(p, "transpose"), k)
+    lhs = xsum_mul(left, p)
+    # every product ran on columns, with no term dict built
+    assert p._store is None and k._store is None
+    assert left._store is None and lhs._store is None
+    assert as_listed(lhs) == as_listed(per_term_product(per_term_product(
+        dict_copy(dagger(p, "transpose")), dict_copy(k)), dict_copy(p)))
+    assert lhs == kron(b, a)
+
+
+def test_perm_matrix_matches_the_dict_route():
+    rng = random.Random(69)
+    for n in [1, 2, 3, 7, 40, 256]:
+        pi = _random_perm(rng, n)
+        got = perm_matrix(pi)
+        assert got._store is None and got.nnz() == n
+        want = XSum(n, {(j, pi(j)): 1 for j in range(1, n + 1)})
+        assert as_listed(got) == as_listed(want)
+
+
+@pytest.mark.parametrize("mode", ["transpose", "conjugate", "adjoint"])
+def test_dagger_on_columns_matches_the_dict_route(mode):
+    rng = random.Random(70)
+    sums = [perm_matrix(_random_perm(rng, 6)), random_rational_xsum(rng, 5),
+            _bench_operand(rng, 6, 20, 2), XSum(3)]
+    for x in sums:
+        got = dagger(column_copy(x), mode)
+        assert got._store is None
+        assert as_listed(got) == as_listed(dagger(dict_copy(x), mode))
+        assert as_listed(dagger(got, mode)) == as_listed(x)
 
 
 def test_factor_perm_identity_and_transposition():
