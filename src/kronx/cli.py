@@ -100,6 +100,16 @@ def _emit_spectrum(ev, args) -> int:
     return EX_OK
 
 
+def _fraction(text: str) -> Fraction:
+    """A Fraction option value.  argparse makes a usage error only of a
+    ValueError or TypeError, and Fraction("1/0") raises ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
+
+
 def _positive(value: float, name: str) -> float:
     if not value > 0:
         raise DomainError(f"{name} must be positive")
@@ -467,9 +477,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("heisenberg", parents=[common],
                        help="spin-1/2 chain Hamiltonian")
     p.add_argument("--sites", type=int, required=True)
-    p.add_argument("--jx", type=Fraction, default=Fraction(1))
-    p.add_argument("--jy", type=Fraction, default=Fraction(1))
-    p.add_argument("--jz", type=Fraction, default=Fraction(1))
+    p.add_argument("--jx", type=_fraction, default=Fraction(1))
+    p.add_argument("--jy", type=_fraction, default=Fraction(1))
+    p.add_argument("--jz", type=_fraction, default=Fraction(1))
     p.add_argument("--open", action="store_true",
                    help="open chain (default closes the ring)")
     p.add_argument("--diag", action="store_true",
@@ -480,10 +490,10 @@ def build_parser() -> _Parser:
                        help="fermionic Hubbard chain Hamiltonian "
                             "(order 4^sites, capped by KRONX_MAX_DIM)")
     p.add_argument("--sites", type=int, required=True)
-    p.add_argument("--eps", type=Fraction, default=Fraction(0))
-    p.add_argument("--mu", type=Fraction, default=Fraction(0))
-    p.add_argument("--u", type=Fraction, default=Fraction(0))
-    p.add_argument("--t", type=Fraction, default=Fraction(0),
+    p.add_argument("--eps", type=_fraction, default=Fraction(0))
+    p.add_argument("--mu", type=_fraction, default=Fraction(0))
+    p.add_argument("--u", type=_fraction, default=Fraction(0))
+    p.add_argument("--t", type=_fraction, default=Fraction(0),
                    help="nearest-neighbor hopping")
     p.add_argument("--diag", action="store_true",
                    help="emit the CSV spectrum instead of the matrix")

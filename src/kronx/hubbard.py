@@ -10,6 +10,8 @@ An XSum whose coefficients share one exact kind can also hold its terms as
 integer Columns.  The JSON reader, kron, xsum_mul, perm_matrix and dagger
 build that form directly, the writer and the float conversion read it, and
 the term dict is made from it only when a term is first read one by one.
+This module alone knows the exact value format: the table of kinds and
+their integer parts, promotion, the value products and fraction reduction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import os
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, truediv
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .exactnum import (
 
 MAX_DIM_ENV = "KRONX_MAX_DIM"
 DEFAULT_MAX_DIM = 4096
+_INT64_LIMIT = 2**63
 
 
 class DimensionError(ValueError):
@@ -78,13 +82,6 @@ def _as_scalar(c: object) -> Scalar:
     return c  # type: ignore[return-value]
 
 
-# The exact kinds a column store holds, in promotion order.  Each number is
-# also the count of value columns the kind keeps.
-INT, FRACTION, SURD = 1, 2, 3
-_KINDS = {int: INT, Fraction: FRACTION, SqrtRational: SURD}
-_INT64_LIMIT = 2**63
-
-
 def magnitude(col: np.ndarray) -> int:
     """The largest absolute entry of an integer array, 0 when empty."""
     return int(np.abs(col).max()) if col.size else 0
@@ -104,47 +101,55 @@ def int_column(values: list) -> np.ndarray:
     return col
 
 
-def widen(*cols: np.ndarray, bound: int) -> tuple:
-    """The columns as they are when bound, a limit on the magnitudes that
-    arithmetic on them will produce, is below 2**63; else as object arrays
-    of Python ints, so that the arithmetic stays exact."""
-    if bound < _INT64_LIMIT:
-        return cols
-    return tuple(c.astype(object) for c in cols)
-
-
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y, flattened, on int64 when no product can reach 2**63 and on
-    Python ints otherwise."""
-    x, y = widen(x, y, bound=magnitude(x) * magnitude(y))
-    return (x * y).ravel()
+    """x * y on int64 when no product can reach 2**63 and on Python ints
+    otherwise."""
+    if magnitude(x) * magnitude(y) >= _INT64_LIMIT:
+        x, y = x.astype(object), y.astype(object)
+    return x * y
 
 
-def value_products(kind: int, va: tuple, vb: tuple) -> tuple:
-    """The value columns of the products of two operands' values, read as
-    kind (Columns.promote) and aligned by broadcasting: entry by entry for
-    gathered columns, every pair for an (n, 1) against an (m,) column.
-    Products of nonzero exact values are nonzero, and a product of reduced
-    fractions needs one gcd to be reduced again."""
-    if kind == INT:
-        return (_product(va[0], vb[0]),)
-    num, den = _product(va[-2], vb[-2]), _product(va[-1], vb[-1])
-    g = np.gcd(num, den)
-    vals = (num // g, den // g)
-    if kind == SURD:
-        vals = (_product(va[0], vb[0]),) + vals
-    return vals
+def _reduced(num: np.ndarray, den: np.ndarray) -> tuple:
+    """num/den in lowest terms, the sign on the numerator, entry by entry
+    as Fraction(num, den) reduces them."""
+    g = np.gcd(num, den) * np.sign(den)
+    return num // g, den // g
+
+
+class _Kind(NamedTuple):
+    scalar: type  # the coefficient type a term dict stores
+    parts: Tuple[str, ...]  # attribute paths of its integer parts
+    build: Callable  # the scalar of one term's parts, which come reduced
+    lift: Callable | None  # the value columns of the kind below, as this kind
+
+
+# The exact kinds a column store holds, in promotion order: an int v lifts
+# to v/1 and a rational q to sign(q) sqrt(q^2), as scalar_mul reads them.
+# A kind keeps one value column per part (an int's one part, .real, is the
+# int), so its number is also their count, and its one is the value whose
+# parts are all 1.  Past INT the last two parts are a fraction in lowest
+# terms with a positive denominator.
+INT, FRACTION, SURD = 1, 2, 3
+_KINDS = {
+    INT: _Kind(int, ("real",), int, None),
+    FRACTION: _Kind(
+        Fraction, ("numerator", "denominator"), coprime_fraction,
+        lambda v: (v, np.ones_like(v))),
+    SURD: _Kind(
+        SqrtRational, ("sign", "radicand.numerator", "radicand.denominator"),
+        lambda s, n, d: SqrtRational._trusted(s, coprime_fraction(n, d)),
+        lambda n, d: (np.where(n < 0, -1, 1), _product(n, n), _product(d, d))),
+}
+_KIND_OF = {k.scalar: kind for kind, k in _KINDS.items()}
 
 
 class Columns:
     """Terms of one exact kind as parallel integer arrays, in storage order.
 
     rows and cols are 1-based subscripts.  vals are the kind's value
-    columns: (value,) for INT; (numerator, denominator) of the reduced
-    Fraction, denominator positive, for FRACTION; (sign, numerator,
-    denominator) of sign * sqrt(radicand), the radicand reduced with a
-    positive denominator, for SURD.  No value is zero.  Value columns are
-    int64 or, where an entry reaches 2**63, object arrays of Python ints.
+    columns, one per integer part that _KINDS names; no value is zero.
+    Value columns are int64 or, where an entry reaches 2**63, object
+    arrays of Python ints.
     """
 
     __slots__ = ("kind", "rows", "cols", "vals")
@@ -158,26 +163,47 @@ class Columns:
 
     @classmethod
     def of_terms(cls, store: dict) -> "Columns | None":
-        """The columns of a term dict whose coefficients are all int, all
-        Fraction or all SqrtRational; None for any other mix."""
+        """The columns of a term dict whose coefficients all have one type
+        of _KINDS; None for any other mix."""
         types = set(map(type, store.values()))
         if len(types) > 1:
             return None
-        kind = _KINDS.get(types.pop()) if types else INT
+        kind = _KIND_OF.get(types.pop()) if types else INT
         if kind is None:
             return None
         cells = np.fromiter(chain.from_iterable(store), np.int64, 2 * len(store))
         values = list(store.values())
-        if kind == INT:
-            parts = (values,)
-        elif kind == FRACTION:
-            parts = (list(map(attrgetter("numerator"), values)),
-                     list(map(attrgetter("denominator"), values)))
-        else:
-            parts = (list(map(attrgetter("sign"), values)),
-                     list(map(attrgetter("radicand.numerator"), values)),
-                     list(map(attrgetter("radicand.denominator"), values)))
+        parts = (list(map(attrgetter(p), values)) for p in _KINDS[kind].parts)
         return cls(kind, cells[0::2], cells[1::2], tuple(map(int_column, parts)))
+
+    @classmethod
+    def of_table(cls, table: np.ndarray) -> "Columns":
+        """The columns of a checked table of rows [i, j, *parts]: subscripts
+        in range and distinct, parts valid for the kind its width gives.
+        The fractions are reduced and the zero values dropped."""
+        i, j, *vals = table.T
+        vals[-2:] = _reduced(*vals[-2:])
+        cols = cls(len(vals), i.astype(np.int64), j.astype(np.int64), tuple(vals))
+        live = vals[-2] != 0
+        return cols if live.all() else cols.take(live)
+
+    @staticmethod
+    def table_of(x: "XSum") -> "np.ndarray | None":
+        """The rows [i, j, *parts] of an exact sum in (row, col) order, an
+        int read as v/1; None when a coefficient is float or complex.  A
+        sum that mixes exact kinds is first widened to the highest as
+        scalar_mul would: each term times that kind's one."""
+        cols = x.columns()
+        if cols is None:
+            if not x.is_exact():
+                return None
+            top = max(kind for kind, k in _KINDS.items()
+                      if any(isinstance(c, k.scalar) for c in x.values()))
+            one = _KINDS[top].build(*[1] * top)
+            cols = Columns.of_terms({key: one * c for key, c in x.term_map().items()})
+        cols = cols.row_major(x.order)
+        vals = cols.promote(max(cols.kind, FRACTION))
+        return np.stack((cols.rows, cols.cols) + vals, axis=1)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -191,35 +217,31 @@ class Columns:
         return self.take(np.argsort((self.rows - 1) * order + self.cols - 1))
 
     def promote(self, kind: int) -> tuple:
-        """The value columns read as kind, at or above self.kind: int v is
-        v/1, and a rational q is sign(q) sqrt(q^2), as scalar_mul reads
-        them."""
-        if kind == self.kind:
-            return self.vals
-        if self.kind == INT:
-            num = self.vals[0]
-            den = np.ones(len(num), dtype=num.dtype)
-        else:
-            num, den = self.vals
-        if kind == FRACTION:
-            return num, den
-        sign = np.where(num < 0, -1, 1)
-        num, den = widen(num, den, bound=max(magnitude(num), magnitude(den)) ** 2)
-        return sign, num * num, den * den
-
-    def scalars(self) -> list:
-        """The coefficients as the Python scalars the term dict holds."""
-        if self.kind == INT:
-            return self.vals[0].tolist()
-        num, den = self.vals[-2].tolist(), self.vals[-1].tolist()
-        fractions = map(coprime_fraction, num, den)
-        if self.kind == FRACTION:
-            return list(fractions)
-        return list(map(SqrtRational._trusted, self.vals[0].tolist(), fractions))
+        """The value columns read as kind, at or above self.kind, lifted one
+        kind at a time."""
+        vals = self.vals
+        for up in range(self.kind + 1, kind + 1):
+            vals = _KINDS[up].lift(*vals)
+        return vals
 
     def terms(self) -> dict:
+        """The term dict, its coefficients the kind's Python scalars."""
         keys = zip(self.rows.tolist(), self.cols.tolist())
-        return dict(zip(keys, self.scalars()))
+        scalars = map(_KINDS[self.kind].build, *(v.tolist() for v in self.vals))
+        return dict(zip(keys, scalars))
+
+    def times(self, other: "Columns", rows: np.ndarray,
+              cols: np.ndarray) -> "Columns":
+        """The products of self's and other's values at rows and cols, all
+        flattened, the values read as the higher kind and aligned by
+        broadcasting.  Products of nonzero exact values are nonzero, and a
+        product of reduced fractions needs one gcd to be reduced again."""
+        kind = max(self.kind, other.kind)
+        vals = tuple(map(_product, self.promote(kind), other.promote(kind)))
+        if kind > INT:
+            vals = vals[:-2] + _reduced(*vals[-2:])
+        return Columns(kind, rows.ravel(), cols.ravel(),
+                       tuple(v.ravel() for v in vals))
 
     def matmul(self, other: "Columns", order: int) -> "Columns | None":
         """The delta rule on whole columns: term (i, j) of self meets each
@@ -243,9 +265,7 @@ class Columns:
         cells = np.sort((a.rows - 1) * order + b.cols)
         if np.any(cells[1:] == cells[:-1]):
             return None
-        kind = max(a.kind, b.kind)
-        vals = value_products(kind, a.promote(kind), b.promote(kind))
-        return Columns(kind, a.rows, b.cols, vals)
+        return a.times(b, a.rows, b.cols)
 
     def floats(self) -> np.ndarray:
         """Each coefficient as float() of its scalar gives it, bit for bit.
@@ -253,14 +273,12 @@ class Columns:
         A quotient of two ints below 2**53 converts both exactly, so one
         IEEE division rounds it as Python's int / int does; larger ones
         take Python's division."""
-        if self.kind == INT:
-            return self.vals[0].astype(float)
-        num, den = self.vals[-2], self.vals[-1]
+        num, den = self.promote(max(self.kind, FRACTION))[-2:]
         if max(magnitude(num), magnitude(den)) <= 2**53:
             q = num.astype(float) / den.astype(float)
         else:
             q = np.array(list(map(truediv, num.tolist(), den.tolist())), float)
-        if self.kind == FRACTION:
+        if self.kind != SURD:
             return q
         root = np.sqrt(q)
         return np.where(self.vals[0] < 0, -root, root)
@@ -372,9 +390,7 @@ class XSum:
         """Terms in (row, col) lexicographic order."""
         held = self._held_columns()
         if held is not None:
-            cols = held.row_major(self.order)
-            keys = zip(cols.rows.tolist(), cols.cols.tolist())
-            return zip(keys, cols.scalars())
+            return iter(held.row_major(self.order).terms().items())
         return ((key, self._terms[key]) for key in sorted(self._terms))
 
     def values(self) -> Iterator[Scalar]:
@@ -439,9 +455,6 @@ class XSum:
 
     def transpose(self) -> "XSum":
         return dagger(self, "transpose")
-
-    def conjugate(self) -> "XSum":
-        return dagger(self, "conjugate")
 
     def trace(self) -> Scalar:
         return trace(self)

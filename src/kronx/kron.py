@@ -1,8 +1,8 @@
 """Kronecker products by index arithmetic on operator terms.
 
 The single-term rule X_m^(i,j) (x) X_n^(k,l) = X_mn^(n(i-1)+k, n(j-1)+l)
-drives the sparse path, as array arithmetic on the integer columns of
-exact operands; the equivalent closed-form coefficient formula
+drives the sparse path, as index arithmetic on the integer columns of
+exact operands whose values hubbard.Columns multiplies; the equivalent closed-form coefficient formula
 c_pq = a_(p',q') b_(p+m-mp', q+m-mq') with p' = ceil(p/m) drives a second,
 independent dense path.  Both are first-class and cross-checked: the index
 formulas are the point of the library, the term path is the fast kernel.
@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .exactnum import Scalar, SqrtRational, ceil_ratio, scalar_mul
-from .hubbard import Columns, XSum, check_order, value_products
+from .hubbard import Columns, XSum, check_order
 
 
 def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
@@ -32,11 +32,9 @@ def _kron_columns(a: Columns, b: Columns, n: int) -> Columns:
     """The single-term rule on whole columns: term (i, j) of a times term
     (k, l) of b lands at (n(i-1)+k, n(j-1)+l), a-major as the dict loop
     ordered it."""
-    kind = max(a.kind, b.kind)
-    rows = np.add.outer(n * (a.rows - 1), b.rows).ravel()
-    cols = np.add.outer(n * (a.cols - 1), b.cols).ravel()
-    va = tuple(v[:, None] for v in a.promote(kind))
-    return Columns(kind, rows, cols, value_products(kind, va, b.promote(kind)))
+    # a's terms as an (n, 1) column, so that every pair meets by broadcasting
+    a = a.take(np.s_[:, None])
+    return a.times(b, n * (a.rows - 1) + b.rows, n * (a.cols - 1) + b.cols)
 
 
 def _kron_sparse(a: XSum, b: XSum) -> XSum:

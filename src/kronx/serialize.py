@@ -9,15 +9,15 @@ are both 4-tuples:
     sqrt      [i, j, sign, num, den]  value sign * sqrt(num/den)
     complex   [i, j, re, im]
 
-The writer picks the narrowest kind that loses nothing.  Every exact
-matrix is written from its integer Columns; one that mixes int, Fraction
-and SqrtRational coefficients first widens each term as scalar_mul
-would, so a plain rational q embeds as sign(q) sqrt(q^2), which compares
-equal to the original.  Dumps are byte-stable for exact scalars: sorted
-terms, sorted keys, no whitespace variation.  matrix_to_json formats an
-exact table held in int64 as ASCII digits in numpy; a table with a part
-past int64 and a complex matrix go through json.dumps of matrix_to_obj,
-which gives the same bytes.
+The writer picks the narrowest kind that loses nothing.  hubbard owns the
+exact value format: Columns.table_of gives the writer each exact matrix
+as rows of integer parts, mixed kinds widened as scalar_mul would (a
+rational q among surds is sign(q) sqrt(q^2)), and Columns.of_table
+reduces the reader's checked rows.  Dumps are byte-stable for exact
+scalars: sorted terms, sorted keys, no whitespace variation.
+matrix_to_json formats an exact table held in int64 as ASCII digits in
+numpy; a table with a part past int64 and a complex matrix go through
+json.dumps of matrix_to_obj, which gives the same bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .exactnum import DomainError, SqrtRational, complex_float
-from .hubbard import FRACTION, SURD, Columns, XSum, check_order, int_column
+from .hubbard import Columns, XSum, check_order, int_column
 
 KINDS = ("rational", "sqrt", "complex")
 
@@ -42,30 +42,17 @@ def _finite(re: float, im: float, i: int, j: int) -> complex:
         raise DomainError(f"complex term at ({i},{j}): {exc}") from exc
 
 
-def _exact_table(x: XSum) -> tuple | None:
-    """(kind, table) of an exact sum: one row [i, j, *value parts] per term
-    in (row, col) order, int64 unless some part reaches 2**63.  None when a
-    coefficient is float or complex."""
-    cols = x.columns()
-    if cols is None:
-        if not x.is_exact():
-            return None
-        # mixed exact kinds: widen each term as scalar_mul would
-        terms = x.term_map()
-        surd = any(isinstance(c, SqrtRational) for c in terms.values())
-        widen = SqrtRational._coerce if surd else Fraction
-        cols = Columns.of_terms({k: widen(c) for k, c in terms.items()})
-    # the rows straight from the sorted columns, an int read as v/1
-    cols = cols.row_major(x.order)
-    vals = cols.promote(max(cols.kind, FRACTION))
-    table = np.stack((cols.rows, cols.cols) + vals, axis=1)
-    return ("sqrt" if cols.kind == SURD and len(cols) else "rational"), table
+def _exact_kind(table: np.ndarray) -> str:
+    """The kind of a Columns.table_of table, by its width; an empty
+    matrix is rational."""
+    return "sqrt" if table.shape[1] == _WIDTH["sqrt"] and len(table) else "rational"
 
 
-def _to_obj(x: XSum, exact: tuple | None) -> dict:
-    if exact is not None:
-        kind, table = exact
-        return {"order": x.order, "kind": kind, "terms": table.tolist()}
+def _to_obj(x: XSum, table: np.ndarray | None) -> dict:
+    """The matrix object, written from the exact table when there is one."""
+    if table is not None:
+        return {"order": x.order, "kind": _exact_kind(table),
+                "terms": table.tolist()}
     terms = []
     for (i, j), c in x.items():
         z = complex(c)
@@ -75,7 +62,7 @@ def _to_obj(x: XSum, exact: tuple | None) -> dict:
 
 
 def matrix_to_obj(x: XSum) -> dict:
-    return _to_obj(x, _exact_table(x))
+    return _to_obj(x, Columns.table_of(x))
 
 
 def _int_rows(table: np.ndarray) -> str:
@@ -115,12 +102,11 @@ def _int_rows(table: np.ndarray) -> str:
 
 
 def matrix_to_json(x: XSum) -> str:
-    exact = _exact_table(x)
-    if exact is not None and exact[1].dtype == np.int64:
-        kind, table = exact
-        return (f'{{"kind":"{kind}","order":{x.order},'
+    table = Columns.table_of(x)
+    if table is not None and table.dtype == np.int64:
+        return (f'{{"kind":"{_exact_kind(table)}","order":{x.order},'
                 f'"terms":[{_int_rows(table)}]}}')
-    return json.dumps(_to_obj(x, exact), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_to_obj(x, table), sort_keys=True, separators=(",", ":"))
 
 
 def _require(cond: bool, msg: str):
@@ -167,7 +153,6 @@ def _exact_columns(rows: list, kind: str, order: int) -> Columns | None:
     i, j = table[:, 0], table[:, 1]
     if not ((i >= 1) & (i <= order) & (j >= 1) & (j <= order)).all():
         return None
-    i, j = i.astype(np.int64), j.astype(np.int64)
     cells = np.sort((i - 1) * order + j)
     if (cells[1:] == cells[:-1]).any():
         return None
@@ -179,15 +164,7 @@ def _exact_columns(rows: list, kind: str, order: int) -> Columns | None:
         ok &= (sign == 0) == (num == 0)
     if not ok.all():
         return None
-    # Fraction(num, den): divide out the gcd, with its sign taken from den
-    g = np.gcd(num, den)
-    g = np.where(den < 0, -g, g)
-    vals = (num // g, den // g)
-    if kind == "sqrt":
-        vals = (sign,) + vals
-    cols = Columns(FRACTION if kind == "rational" else SURD, i, j, vals)
-    live = vals[-2] != 0
-    return cols if live.all() else cols.take(live)
+    return Columns.of_table(table)
 
 
 def _parse_rows(rows: list, kind: str, order: int) -> dict:

@@ -69,6 +69,17 @@ class TestExitCodes:
     def test_missing_subcommand_is_64(self, capcli):
         assert capcli()[0] == 64
 
+    @pytest.mark.parametrize("model, option", [
+        ("heisenberg", "--jx"), ("heisenberg", "--jy"), ("heisenberg", "--jz"),
+        ("hubbard", "--eps"), ("hubbard", "--mu"), ("hubbard", "--u"),
+        ("hubbard", "--t"),
+    ])
+    @pytest.mark.parametrize("value", ["abc", "1/0", "7/00"])
+    def test_bad_fraction_option_is_64(self, capcli, model, option, value):
+        code, out, err = capcli(model, "--sites", "2", option, value)
+        assert code == 64 and not out
+        assert f"argument {option}: invalid Fraction value: '{value}'" in err
+
     def test_help_is_0(self, capcli):
         for argv in (("--help",), ("cg", "--help"), ("verify", "--help")):
             code, out, _ = capcli(*argv)

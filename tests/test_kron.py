@@ -27,6 +27,7 @@ from _oracles import (
 )
 from kronx.exactnum import SqrtRational, scalar_mul
 from kronx.hubbard import (
+    _KINDS,
     ResourceError,
     XSum,
     dagger,
@@ -432,7 +433,11 @@ def test_hadamard_power_over_cap_fails_before_building(small_cap, monkeypatch):
 
 # --- column-backed and dict-backed sums of one operator agree -----------------
 
-_EXACT_KINDS = ("int", "fraction", "surd", "surds")
+# the coefficient type each exact kind of _COEFFICIENTS draws; a kind
+# added to the column store's table must be drawn here too
+_EXACT_KINDS = {"int": int, "fraction": Fraction, "surd": SqrtRational,
+                "surds": SqrtRational}
+assert set(_EXACT_KINDS.values()) == {k.scalar for k in _KINDS.values()}
 
 
 def _outcome(f, *args):
@@ -488,8 +493,8 @@ _BINARY = {
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(_EXACT_KINDS),
-    st.sampled_from(_EXACT_KINDS),
+    st.sampled_from(tuple(_EXACT_KINDS)),
+    st.sampled_from(tuple(_EXACT_KINDS)),
     st.data(),
 )
 def test_column_store_matches_dict_store(kind_a, kind_b, data):
@@ -499,6 +504,7 @@ def test_column_store_matches_dict_store(kind_a, kind_b, data):
                               max_size=n * n, unique=True))
     y = XSum(n, {key: data.draw(_COEFFICIENTS[kind_b]) for key in keys})
     assert x.columns() is not None
+    assert set(map(type, x.values())) <= {_EXACT_KINDS[kind_a]}
     for name, f in _UNARY.items():
         # a fresh copy for each method, so no call sees a form another built
         assert _outcome(f, column_copy(x)) == _outcome(f, dict_copy(x)), name

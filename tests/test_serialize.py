@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from _oracles import per_term_matrix_obj
 from kronx.exactnum import DomainError, SqrtRational, scalar_mul
-from kronx.hubbard import ResourceError, XSum, identity, x_op
+from kronx.hubbard import _KINDS, Columns, ResourceError, XSum, identity, x_op
 from kronx.kron import kron
 from kronx.serialize import (
-    _exact_table,
     _parse_rows,
     load_matrix,
     matrix_from_json,
@@ -381,16 +380,20 @@ _SIGNS = st.sampled_from([-1, 1])
 
 
 def _scalars(magnitudes):
+    """A strategy for each exact coefficient type, by the type's name."""
     return {
         "int": st.builds(lambda s, m: s * m, _SIGNS, magnitudes),
-        "fraction": st.builds(lambda s, n, d: Fraction(s * n, d), _SIGNS,
+        "Fraction": st.builds(lambda s, n, d: Fraction(s * n, d), _SIGNS,
                               magnitudes, magnitudes),
-        "surd": st.builds(lambda s, n, d: SqrtRational(s, Fraction(n, d)),
-                          _SIGNS, magnitudes, magnitudes),
+        "SqrtRational": st.builds(
+            lambda s, n, d: SqrtRational(s, Fraction(n, d)),
+            _SIGNS, magnitudes, magnitudes),
     }
 
 
 _SCALARS = _scalars(_MAGNITUDES)
+# a kind added to the column store's table must be drawn here too
+assert set(_SCALARS) == {k.scalar.__name__ for k in _KINDS.values()}
 
 
 def _per_term_json(x):
@@ -412,6 +415,7 @@ class TestExactWriter:
             unique=True, max_size=order * order if kinds else 0))
         values = st.one_of(*(_SCALARS[k] for k in sorted(kinds)))
         x = XSum(order, {cell: data.draw(values) for cell in cells})
+        assert {type(c).__name__ for c in x.values()} <= kinds
         assert matrix_to_json(x) == _per_term_json(x)
 
     @pytest.mark.parametrize("twoj", range(7))
@@ -465,7 +469,7 @@ class TestTextWriter:
             "past int64 surd"])
     def test_edge_tables(self, terms, route):
         for x in (XSum(2, terms), matrix_from_json(_per_term_json(XSum(2, terms)))):
-            assert _exact_table(x)[1].dtype == route
+            assert Columns.table_of(x).dtype == route
             assert matrix_to_json(x) == _dumps(x) == _per_term_json(x)
 
 
