@@ -5,10 +5,13 @@ three coupled generators.  Entries are built by pure index arithmetic
 through three nested closed forms: the first block (binomial ratios),
 the first column of each block (alternating signs), and the general
 entry (a terminating alternating sum F against a factored radical
-Theta).  Each entry is computed in Python integers and becomes one
-Fraction, its radicand; only the top half of each block is computed,
-and the Condon-Shortley reflection m -> -m gives the rest.  Every matrix
-is verified against the intertwining law before it is returned: each
+Theta).  Each entry is computed as three Python ints, its sign and the
+numerator and denominator of its radicand, F by the ratio of its
+successive terms; S holds them as integer Columns, and no per-entry
+scalar is built.  Only the top half of each block is computed, and the
+Condon-Shortley reflection m -> -m, a reversal of those arrays, gives the
+rest.  Every matrix is verified against the intertwining law, on floats
+read from the columns, before it is returned: each
 generator is a diagonal or one or two fixed bands, so J_a S and S Jtilde_a
 are S's own terms shifted one band step and scaled by band entries from
 the index formulas.  A miss raises VerificationError.  An independent
@@ -29,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import CouplingLayout, layout, product_gen
-from .exactnum import DomainError, SqrtRational
-from .hubbard import XSum, check_order
+from .exactnum import DomainError, SqrtRational, coprime_fraction
+from .hubbard import SURD, Columns, XSum, check_order, int_column
 
 _ZERO = SqrtRational(0, Fraction(0))
 
@@ -49,56 +52,73 @@ def _falling(x: int, n: int) -> int:
 
 
 # The entries below are integer arithmetic: every rising factorial
-# (x)_n with x >= 1 is perm(x + n - 1, n), every falling one with x >= 0
-# is perm(x, n), and each entry builds a single Fraction, its radicand.
+# (x)_n with x >= 1 is perm(x + n - 1, n), and every falling one with
+# x >= 0 is perm(x, n).  Each kernel returns an entry's integer parts
+# (sign, num, den): the entry is sign * sqrt(num/den), the fraction in
+# lowest terms, and num == 0 for a zero entry.  build_S stores the parts
+# as they come; the public lemmas wrap them as one SqrtRational.
 
 
-def s_first_block(
-    two_j1: int, two_j2: int, alpha: int, beta: int
-) -> SqrtRational:
-    """S^{1,r} with r = alpha + beta: a positive binomial ratio."""
-    if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
+def _reduced(sign: int, num: int, den: int) -> tuple:
+    g = math.gcd(num, den)
+    return sign, num // g, den // g
+
+
+def _surd(parts: tuple) -> SqrtRational:
+    sign, num, den = parts
+    if not num:
         return _ZERO
+    return SqrtRational._trusted(sign, coprime_fraction(num, den))
+
+
+def _first_block_parts(two_j1: int, two_j2: int, alpha: int, beta: int) -> tuple:
     num = math.comb(two_j1, alpha) * math.comb(two_j2, beta - 1)
     den = math.comb(two_j1 + two_j2, alpha + beta - 1)
-    return SqrtRational._trusted(1, Fraction(num, den))
+    return _reduced(1, num, den)
 
 
-def s_rone(
-    two_j1: int, two_j2: int, k: int, alpha: int, beta: int
-) -> SqrtRational:
-    """S^{k,1}: first column of block k, alternating in alpha."""
-    if alpha + beta != k:
-        return _ZERO
-    if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
-        return _ZERO
-    two_j = two_j1 + two_j2
+def _rone_parts(two_j1: int, two_j2: int, k: int, alpha: int, beta: int) -> tuple:
     # (beta)_alpha rising / alpha! * (2j2-beta+1)_alpha falling
     #   * (2j1-alpha)_{k-1-alpha} falling / (2j-k+2)_{k-1} falling
-    radicand = Fraction(
+    num = (
         math.comb(alpha + beta - 1, alpha)
         * math.perm(two_j2 - beta + 1, alpha)
-        * math.perm(two_j1 - alpha, k - 1 - alpha),
-        math.perm(two_j - k + 2, k - 1),
+        * math.perm(two_j1 - alpha, k - 1 - alpha)
     )
-    if not radicand:
-        return _ZERO
-    return SqrtRational._trusted(-1 if alpha % 2 else 1, radicand)
+    den = math.perm(two_j1 + two_j2 - k + 2, k - 1)
+    return _reduced(-1 if alpha % 2 else 1, num, den)
 
 
-def s_general(
+def _alternating_sum(two_j1: int, two_j2: int, rr: int, alpha: int, beta: int) -> int:
+    """F = sum_s (-1)^s C(rr,s) (alpha)_s (beta-1)_{rr-s} falling
+                     * (2j1-alpha+1)_s (2j2-beta+2)_{rr-s} rising,
+    over its live terms lo <= s <= hi; past them a factor vanishes.
+
+    F is hypergeometric: every live term is nonzero, and the next one is
+    this one times a ratio of linear factors, so each step is one multiply
+    and one exact integer division."""
+    lo, hi = max(0, rr - beta + 1), min(rr, alpha)
+    if lo > hi:
+        return 0
+    t = (
+        math.comb(rr, lo)
+        * math.perm(alpha, lo)
+        * math.perm(beta - 1, rr - lo)
+        * math.perm(two_j1 - alpha + lo, lo)
+        * math.perm(two_j2 - beta + 1 + rr - lo, rr - lo)
+    )
+    f = t = -t if lo % 2 else t
+    for s in range(lo, hi):
+        t = -t * ((rr - s) * (alpha - s) * (two_j1 - alpha + 1 + s)) // (
+            (s + 1) * (beta - rr + s) * (two_j2 - beta + 1 + rr - s)
+        )
+        f += t
+    return f
+
+
+def _general_parts(
     two_j1: int, two_j2: int, k: int, r: int, alpha: int, beta: int
-) -> SqrtRational:
-    """S^{k,r} for any admissible index, via the F * Theta split.
-
-    F is the terminating alternating sum, an integer; Theta^2 is one
-    integer ratio and carries the radical.  Reduces to s_first_block at
-    k = 1 and to s_rone at r = 1.
-    """
-    if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
-        return _ZERO
-    if k + r != alpha + beta + 1:
-        return _ZERO
+) -> tuple:
     two_j = two_j1 + two_j2
     rr = r - 1  # the sum order; row r is built from r-1 lowering steps
     # Theta^2 = (2j2-beta+1)_{alpha-rr} (k-1)! (2j1)_{k-1}
@@ -122,33 +142,61 @@ def s_general(
         raise DomainError(
             f"negative radicand at k={k}, r={r}, alpha={alpha}, beta={beta}"
         )
-    # F = sum_s (-1)^s C(rr,s) (alpha)_s (beta-1)_{rr-s} falling
-    #                   * (2j1-alpha+1)_s (2j2-beta+2)_{rr-s} rising;
-    # terms with s > alpha or rr - s > beta - 1 vanish.
-    f = 0
-    for s in range(max(0, rr - beta + 1), min(rr, alpha) + 1):
-        term = (
-            math.comb(rr, s)
-            * math.perm(alpha, s)
-            * math.perm(beta - 1, rr - s)
-            * math.perm(two_j1 - alpha + s, s)
-            * math.perm(two_j2 - beta + 1 + rr - s, rr - s)
-        )
-        f += -term if s % 2 else term
-    radicand = Fraction(num * f * f, den)
-    if not radicand:
-        return _ZERO
+    f = _alternating_sum(two_j1, two_j2, rr, alpha, beta)
     sign = 1 if f > 0 else -1
-    return SqrtRational._trusted(-sign if alpha % 2 else sign, radicand)
+    return _reduced(-sign if alpha % 2 else sign, num * f * f, den)
+
+
+def s_first_block(
+    two_j1: int, two_j2: int, alpha: int, beta: int
+) -> SqrtRational:
+    """S^{1,r} with r = alpha + beta: a positive binomial ratio."""
+    if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
+        return _ZERO
+    return _surd(_first_block_parts(two_j1, two_j2, alpha, beta))
+
+
+def s_rone(
+    two_j1: int, two_j2: int, k: int, alpha: int, beta: int
+) -> SqrtRational:
+    """S^{k,1}: first column of block k, alternating in alpha."""
+    if alpha + beta != k:
+        return _ZERO
+    if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
+        return _ZERO
+    return _surd(_rone_parts(two_j1, two_j2, k, alpha, beta))
+
+
+def s_general(
+    two_j1: int, two_j2: int, k: int, r: int, alpha: int, beta: int
+) -> SqrtRational:
+    """S^{k,r} for any admissible index, via the F * Theta split.
+
+    F is the terminating alternating sum, an integer; Theta^2 is one
+    integer ratio and carries the radical.  Reduces to s_first_block at
+    k = 1 and to s_rone at r = 1.
+    """
+    if not (0 <= alpha <= two_j1 and 1 <= beta <= two_j2 + 1):
+        return _ZERO
+    if k + r != alpha + beta + 1:
+        return _ZERO
+    return _surd(_general_parts(two_j1, two_j2, k, r, alpha, beta))
 
 
 @dataclass(frozen=True)
 class CGMatrix:
     layout: CouplingLayout
     matrix: XSum
-    # a field, not a cached_property: writing through __dict__ would slow
+    # the cell keys (q - 1) n + p of S's terms in storage order, ascending
+    # when the terms are stored column by column, rows ascending, as
+    # build_S stores them; None for any other S
+    _cells: "np.ndarray | None" = field(default=None, repr=False, compare=False)
+    # fields, not cached_properties: writing through __dict__ would slow
     # every later attribute read of the instance
     _report: "IntertwiningReport | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _table: "tuple | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -156,7 +204,16 @@ class CGMatrix:
         return self.matrix.is_exact()
 
     def entry(self, p: int, q: int):
-        return self.matrix.coeff(p, q)
+        """S's entry (p, q).  With sorted cell keys it is one binary search
+        and one term's scalar, so a lookup builds no term dict."""
+        cells = self._cells
+        if cells is None:
+            return self.matrix.coeff(p, q)
+        key = (q - 1) * self.layout.total + p
+        i = int(cells.searchsorted(key))
+        if i == len(cells) or cells[i] != key:
+            return 0
+        return self.matrix.columns().scalar(i)
 
     @property
     def report(self) -> "IntertwiningReport":
@@ -199,53 +256,67 @@ def _check_twoj(two_j1: int, two_j2: int):
 def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     """Assemble S from the closed forms; columns indexed q = z_{k-1} + r.
 
-    S's terms are stored column by column, rows ascending; cg_table
-    lists them in that order.
+    S's terms are stored column by column, rows ascending, as integer
+    Columns of kind SURD (sign, radicand numerator and denominator);
+    cg_table lists them in that order.
 
-    The closed forms fill the top half of each block, rows r <= ceil(d_k/2);
-    the Condon-Shortley reflection fills the rest with the same radicands.
-    The result is checked against the intertwining law; a residual above
-    1e-8 or a weight mismatch raises VerificationError.
+    The closed forms fill the top half of each block, rows r <= ceil(d_k/2),
+    one entry's integer parts at a time; the Condon-Shortley reflection
+    fills the rest with the same radicands, as a reversal of the top half's
+    arrays.  The result is checked against the intertwining law; a residual
+    above 1e-8 or a weight mismatch raises VerificationError.
     """
     _check_twoj(two_j1, two_j2)
     lay = layout(two_j1, two_j2)
     n = lay.total
     check_order(n)  # before any entry is computed
     n2 = lay.n2
-    terms = {}
+    # the nonzero entries of every block's top half, in storage order, and
+    # per block (first entry, first entry past column d // 2, end, z, d, k)
+    rows, cols, signs, nums, dens, spans = [], [], [], [], [], []
     for k, (d, z) in enumerate(zip(lay.dims, (0,) + lay.offsets), start=1):
+        first = half = len(rows)
         # rows r <= ceil(d/2) from the closed forms: cell (alpha, beta)
-        # with 1 <= beta = k + r - 1 - alpha <= n2, alpha in increasing
-        # order; zeros are skipped
-        rows = []
+        # with 1 <= beta = k + r - 1 - alpha <= n2, alpha in increasing order
         for r in range(1, (d + 1) // 2 + 1):
             top = k + r - 1
-            row = []
             for alpha in range(max(0, top - n2), min(two_j1, top - 1) + 1):
                 beta = top - alpha
                 if k == 1:
-                    c = s_first_block(two_j1, two_j2, alpha, beta)
+                    sign, num, den = _first_block_parts(two_j1, two_j2, alpha, beta)
                 elif r == 1:
-                    c = s_rone(two_j1, two_j2, k, alpha, beta)
+                    sign, num, den = _rone_parts(two_j1, two_j2, k, alpha, beta)
                 else:
-                    c = s_general(two_j1, two_j2, k, r, alpha, beta)
-                if c:
-                    row.append((alpha * n2 + beta, c))
-            rows.append(row)
-        # rows past the middle by the Condon-Shortley reflection
-        # <j1 -m1; j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1; j2 m2 | J M>:
-        # row p = alpha n2 + beta goes to n + 1 - p, column r to d + 1 - r,
-        # and (-1)^(j1+j2-J) = (-1)^(k-1)
-        for r in range(d // 2, 0, -1):
-            rows.append([
-                (n + 1 - p, -c if k % 2 == 0 else c)
-                for p, c in reversed(rows[r - 1])
-            ])
-        for q, row in enumerate(rows, start=z + 1):
-            for p, c in row:
-                terms[(p, q)] = c
+                    sign, num, den = _general_parts(
+                        two_j1, two_j2, k, r, alpha, beta)
+                if num:
+                    rows.append(alpha * n2 + beta)
+                    cols.append(z + r)
+                    signs.append(sign)
+                    nums.append(num)
+                    dens.append(den)
+            if r == d // 2:
+                half = len(rows)
+        spans.append((first, half, len(rows), z, d, k))
+    rows, cols, signs = (np.array(v, dtype=np.int64) for v in (rows, cols, signs))
+    nums, dens = int_column(nums), int_column(dens)
+    # each block is its top half, then the Condon-Shortley reflection
+    # <j1 -m1; j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1; j2 m2 | J M> of its
+    # columns r <= d/2 in reverse storage order: row p goes to n + 1 - p,
+    # column z + r to z + d + 1 - r, and (-1)^(j1+j2-J) = (-1)^(k-1)
+    take, out_rows, out_cols, out_signs = [], [], [], []
+    for first, half, end, z, d, k in spans:
+        top, back = np.arange(first, end), np.arange(half - 1, first - 1, -1)
+        take += [top, back]
+        out_rows += [rows[top], n + 1 - rows[back]]
+        out_cols += [cols[top], 2 * z + d + 1 - cols[back]]
+        out_signs += [signs[top], signs[back] if k % 2 else -signs[back]]
+    take = np.concatenate(take)
+    out_rows, out_cols = np.concatenate(out_rows), np.concatenate(out_cols)
+    store = Columns(SURD, out_rows, out_cols,
+                    (np.concatenate(out_signs), nums[take], dens[take]))
     # the cells are distinct and in range, and zeros are skipped
-    cand = CGMatrix(lay, XSum._trusted(n, terms))
+    cand = CGMatrix(lay, XSum._from_columns(n, store), (out_cols - 1) * n + out_rows)
     report = cand.report
     if report.max_residual > 1e-8 or not report.diagonal_exact:
         raise VerificationError(
@@ -430,19 +501,22 @@ def cg_table(two_j1: int, two_j2: int):
     """All coefficients grouped by (2J, 2M), highest J first, as rows
     (two_j, two_m, two_m1, two_m2, coefficient): the terms of one cached
     S in their stored order, each with the labels of its row (2m1, 2m2)
-    and column (2J, 2M)."""
+    and column (2J, 2M).  The rows are built once per cached S; each call
+    returns a new list of them."""
     _check_twoj(two_j1, two_j2)
     s = _cached_S(two_j1, two_j2)
-    n2 = s.layout.n2
-    # (2J, 2M) of column q at index q - 1; 2J = d - 1 in a d-level block
-    col_labels = [
-        (d - 1, d - 1 - 2 * r) for d in s.layout.dims for r in range(d)
-    ]
-    rows = []
-    # build_S stores S column by column, rows ascending: that is 2J
-    # descending, then 2M descending, then 2m1 descending
-    for (p, q), c in s.matrix.term_map().items():
-        alpha, beta = divmod(p - 1, n2)
-        rows.append((*col_labels[q - 1], two_j1 - 2 * alpha,
-                     two_j2 - 2 * beta, c))
-    return rows
+    if s._table is None:
+        n2 = s.layout.n2
+        # (2J, 2M) of column q at index q - 1; 2J = d - 1 in a d-level block
+        col_labels = [
+            (d - 1, d - 1 - 2 * r) for d in s.layout.dims for r in range(d)
+        ]
+        # build_S stores S column by column, rows ascending: that is 2J
+        # descending, then 2M descending, then 2m1 descending
+        rows = []
+        for (p, q), c in s.matrix.columns().terms().items():
+            alpha, beta = divmod(p - 1, n2)
+            rows.append((*col_labels[q - 1], two_j1 - 2 * alpha,
+                         two_j2 - 2 * beta, c))
+        object.__setattr__(s, "_table", tuple(rows))
+    return list(s._table)

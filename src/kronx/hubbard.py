@@ -7,9 +7,10 @@ delta rule X^(i,j) X^(k,l) = delta_jk X^(i,l), so the whole algebra runs on
 subscripts without ever materializing dense arrays.
 
 An XSum whose coefficients share one exact kind can also hold its terms as
-integer Columns.  The JSON reader, kron, xsum_mul, perm_matrix and dagger
-build that form directly, the writer and the float conversion read it, and
-the term dict is made from it only when a term is first read one by one.
+integer Columns.  The JSON reader, kron, xsum_mul, perm_matrix, dagger and
+cg.build_S build that form directly, the writer and the float conversion
+read it, and the term dict is made from it only when a term is first read
+one by one.
 This module alone knows the exact value format: the table of kinds and
 their integer parts, promotion, the value products and fraction reduction.
 """
@@ -229,6 +230,10 @@ class Columns:
         keys = zip(self.rows.tolist(), self.cols.tolist())
         scalars = map(_KINDS[self.kind].build, *(v.tolist() for v in self.vals))
         return dict(zip(keys, scalars))
+
+    def scalar(self, i: int) -> Scalar:
+        """The coefficient of term i alone, as terms() gives it."""
+        return _KINDS[self.kind].build(*[v.item(i) for v in self.vals])
 
     def times(self, other: "Columns", rows: np.ndarray,
               cols: np.ndarray) -> "Columns":

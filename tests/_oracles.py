@@ -248,6 +248,25 @@ def admissible(lay):
                 yield alpha, top - alpha, k, r
 
 
+def direct_alternating_sum(two_j1: int, two_j2: int, rr: int, alpha: int,
+                           beta: int) -> int:
+    """s_general's F by its definition: every term of
+    sum_s (-1)^s C(rr,s) (alpha)_s (beta-1)_{rr-s} falling
+                   * (2j1-alpha+1)_s (2j2-beta+2)_{rr-s} rising
+    from its five factors, over every s where none of them vanishes."""
+    f = 0
+    for s in range(max(0, rr - beta + 1), min(rr, alpha) + 1):
+        term = (
+            math.comb(rr, s)
+            * math.perm(alpha, s)
+            * math.perm(beta - 1, rr - s)
+            * math.perm(two_j1 - alpha + s, s)
+            * math.perm(two_j2 - beta + 1 + rr - s, rr - s)
+        )
+        f += -term if s % 2 else term
+    return f
+
+
 def full_assembly_terms(two_j1: int, two_j2: int) -> dict:
     """S's nonzero terms, every admissible cell from its own closed-form
     call (no reflection), in block, row, alpha order."""

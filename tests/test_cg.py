@@ -8,6 +8,7 @@ import pytest
 from _oracles import (
     admissible,
     dense_intertwining_residuals,
+    direct_alternating_sum,
     full_assembly_terms,
 )
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from kronx.cg import (
 from kronx.cli import EX_VERIFY, run
 from kronx.coupling import block_gen, layout, product_gen
 from kronx.exactnum import DomainError, SqrtRational
-from kronx.hubbard import ResourceError, XSum
+from kronx.hubbard import Columns, ResourceError, XSum
 
 
 def H(x):
@@ -218,7 +219,8 @@ def test_build_S_over_order_cap_fails_before_any_entry(monkeypatch):
         raise AssertionError("entry computed")
 
     monkeypatch.setenv("KRONX_MAX_DIM", "24")
-    for name in ("s_first_block", "s_rone", "s_general"):
+    # the integer kernels build_S calls, one per closed form
+    for name in ("_first_block_parts", "_rone_parts", "_general_parts"):
         monkeypatch.setattr(kronx.cg, name, refuse)
     with pytest.raises(ResourceError):
         build_S(4, 4)  # order 25
@@ -411,7 +413,8 @@ def test_intertwining_builds_no_dense_matrix(monkeypatch):
 
 
 def test_closed_form_miss_raises_instead_of_falling_back(monkeypatch, capsys):
-    monkeypatch.setattr(kronx.cg, "s_general", lambda *args: Fraction(1, 3))
+    # every general entry reads sqrt(1/3): the parts (sign, num, den)
+    monkeypatch.setattr(kronx.cg, "_general_parts", lambda *args: (1, 1, 3))
     with pytest.raises(VerificationError, match="max residual") as exc:
         build_S(2, 2)
     assert not isinstance(exc.value, ValueError)
@@ -520,38 +523,35 @@ def test_cg_against_symbolic_reference():
                         assert abs(got - float(ref)) < 1e-12
 
 
-def test_cg_exact_against_symbolic_reference_at_bench_sizes():
+def _assert_exact_against_sympy(pairs, samples: int, rng: random.Random):
+    """cg_coefficient on random admissible entries of each (2j1, 2j2)
+    equals sympy's CG exactly: the sign, and the radicand as CG^2."""
     sympy = pytest.importorskip("sympy")
     from sympy.physics.quantum.cg import CG
 
     half = sympy.Rational(1, 2)
-    rng = random.Random(20131)
-    for two_j1 in (10, 12, 14):
-        for two_j2 in (10, 12, 14):
-            for _ in range(40):
-                two_m1 = rng.randrange(-two_j1, two_j1 + 1, 2)
-                two_m2 = rng.randrange(-two_j2, two_j2 + 1, 2)
-                two_m = two_m1 + two_m2
-                lo = max(abs(two_j1 - two_j2), abs(two_m))
-                lo += (two_j1 + two_j2 - lo) % 2
-                two_j = rng.randrange(lo, two_j1 + two_j2 + 1, 2)
-                ours = cg_coefficient(
-                    two_j1, two_m1, two_j2, two_m2, two_j, two_m
-                )
-                ref = CG(
-                    two_j1 * half,
-                    two_m1 * half,
-                    two_j2 * half,
-                    two_m2 * half,
-                    two_j * half,
-                    two_m * half,
-                ).doit()
-                if ref == 0:
-                    assert not ours
-                    continue
-                assert ours.sign == (1 if ref > 0 else -1)
-                rad = ours.radicand
-                assert sympy.Rational(rad.numerator, rad.denominator) == ref**2
+    for two_j1, two_j2 in pairs:
+        for _ in range(samples):
+            two_m1 = rng.randrange(-two_j1, two_j1 + 1, 2)
+            two_m2 = rng.randrange(-two_j2, two_j2 + 1, 2)
+            two_m = two_m1 + two_m2
+            lo = max(abs(two_j1 - two_j2), abs(two_m))
+            lo += (two_j1 + two_j2 - lo) % 2
+            two_j = rng.randrange(lo, two_j1 + two_j2 + 1, 2)
+            args = (two_j1, two_m1, two_j2, two_m2, two_j, two_m)
+            ours = cg_coefficient(*args)
+            ref = CG(*(a * half for a in args)).doit()
+            if ref == 0:
+                assert not ours
+                continue
+            assert ours.sign == (1 if ref > 0 else -1)
+            rad = ours.radicand
+            assert sympy.Rational(rad.numerator, rad.denominator) == ref**2
+
+
+def test_cg_exact_against_symbolic_reference_at_bench_sizes():
+    pairs = [(a, b) for a in (10, 12, 14) for b in (10, 12, 14)]
+    _assert_exact_against_sympy(pairs, 40, random.Random(20131))
 
 
 @pytest.mark.parametrize(("two_j1", "two_j2"), [
@@ -590,3 +590,70 @@ def test_cg_table_half_half():
     assert by_cell[(2, 2, 1)] == 1
     assert by_cell[(0, 0, 1)] == H("1/2")
     assert by_cell[(0, 0, -1)] == -H("1/2")
+
+
+def test_term_ratio_sum_matches_direct_sum():
+    # every general entry (k, r >= 2) of every S up to 2j = 16
+    count = 0
+    for two_j1 in range(0, 17):
+        for two_j2 in range(0, 17):
+            for alpha, beta, k, r in admissible(layout(two_j1, two_j2)):
+                if k == 1 or r == 1:
+                    continue
+                args = (two_j1, two_j2, r - 1, alpha, beta)
+                assert kronx.cg._alternating_sum(*args) == direct_alternating_sum(*args)
+                count += 1
+    assert count > 100_000
+
+
+@pytest.mark.parametrize("two_j", [30, 40])
+def test_cg_exact_against_symbolic_reference_past_int64(two_j):
+    # the radicand parts of S at 2j1 = 2j2 = 40 pass int64, so its
+    # columns hold Python ints
+    if two_j == 40:
+        vals = build_S(two_j, two_j).matrix.columns().vals
+        assert vals[1].dtype == object and vals[2].dtype == object
+    _assert_exact_against_sympy([(two_j, two_j)], 12, random.Random(two_j))
+
+
+def test_cold_lookup_builds_no_term_dict(monkeypatch):
+    def refuse(self):
+        raise AssertionError("term dict built")
+
+    two_j1, two_j2 = 5, 4
+    args = [
+        (two_j1, m1, two_j2, m2, tj, m1 + m2)
+        for m1 in range(-two_j1, two_j1 + 1, 2)
+        for m2 in range(-two_j2, two_j2 + 1, 2)
+        for tj in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)
+        if abs(m1 + m2) <= tj
+    ]
+    kronx.cg._cached_S.cache_clear()
+    s = build_S(two_j1, two_j2)
+    n = s.layout.total
+    with monkeypatch.context() as m:
+        m.setattr(Columns, "terms", refuse)
+        cold = [cg_coefficient(*a) for a in args]
+        cells = [s.entry(p, q) for q in range(1, n + 1) for p in range(1, n + 1)]
+    hot = [cg_coefficient(*a) for a in args]
+
+    def typed(values):
+        return [(type(c), repr(c)) for c in values]
+
+    # the dict route: the term dict of the same S
+    terms = s.matrix.term_map()
+    want = [terms.get((p, q), 0) for q in range(1, n + 1) for p in range(1, n + 1)]
+    assert typed(cells) == typed(want)
+    assert typed(hot) == typed(cold)
+    # and cg_table's rows, by their labels
+    listed = {(tj, m1, m2): c for tj, _tm, m1, m2, c in cg_table(two_j1, two_j2)}
+    assert typed(cold) == typed(listed.get((a[4], a[1], a[3]), 0) for a in args)
+
+
+def test_cg_table_returns_a_new_list_each_call():
+    first = cg_table(3, 2)
+    second = cg_table(3, 2)
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert cg_table(3, 2) == second
