@@ -6,8 +6,8 @@ through three nested closed forms: the first block (binomial ratios),
 the first column of each block (alternating signs), and the general
 entry (a terminating alternating sum F against a factored radical
 Theta).  Each entry is computed as three Python ints, its sign and the
-numerator and denominator of its radicand, F by the ratio of its
-successive terms; S holds them as integer Columns, and no per-entry
+numerator and denominator of its radicand, F by exactnum's 3F2
+term-ratio kernel; S holds them as integer Columns, and no per-entry
 scalar is built.  Only the top half of each block is computed, and the
 Condon-Shortley reflection m -> -m, a reversal of those arrays, gives the
 rest.  Every matrix is verified against the intertwining law, on floats
@@ -32,7 +32,13 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import CouplingLayout, layout, product_gen
-from .exactnum import DomainError, SqrtRational, coprime_fraction
+from .exactnum import (
+    DomainError,
+    SqrtRational,
+    _term_ratio_sum,
+    coprime_fraction,
+    pochhammer,
+)
 from .hubbard import SURD, Columns, XSum, check_order, int_column
 
 _ZERO = SqrtRational(0, Fraction(0))
@@ -42,21 +48,12 @@ class VerificationError(RuntimeError):
     """A built matrix failed its own verification; names the residual."""
 
 
-def _falling(x: int, n: int) -> int:
-    """The falling factorial x(x-1)...(x-n+1) of an int x of either sign;
-    for x < 0 it is (-1)^n (-x)(-x+1)...(-x+n-1).  s_general's guard
-    admits k beyond the last block, where 2j - 2k + 2 is negative."""
-    if x >= 0:
-        return math.perm(x, n)
-    return (-1) ** n * math.perm(n - 1 - x, n)
-
-
-# The entries below are integer arithmetic: every rising factorial
-# (x)_n with x >= 1 is perm(x + n - 1, n), and every falling one with
-# x >= 0 is perm(x, n).  Each kernel returns an entry's integer parts
-# (sign, num, den): the entry is sign * sqrt(num/den), the fraction in
-# lowest terms, and num == 0 for a zero entry.  build_S stores the parts
-# as they come; the public lemmas wrap them as one SqrtRational.
+# The entries below are integer arithmetic: a rising or falling factorial
+# is one math.perm, as in exactnum.pochhammer, which takes the one whose x
+# may be negative.  Each kernel returns an entry's integer parts (sign,
+# num, den): the entry is sign * sqrt(num/den), the fraction in lowest
+# terms, and num == 0 for a zero entry.  build_S stores the parts as they
+# come; the public lemmas wrap them as one SqrtRational.
 
 
 def _reduced(sign: int, num: int, den: int) -> tuple:
@@ -92,11 +89,10 @@ def _rone_parts(two_j1: int, two_j2: int, k: int, alpha: int, beta: int) -> tupl
 def _alternating_sum(two_j1: int, two_j2: int, rr: int, alpha: int, beta: int) -> int:
     """F = sum_s (-1)^s C(rr,s) (alpha)_s (beta-1)_{rr-s} falling
                      * (2j1-alpha+1)_s (2j2-beta+2)_{rr-s} rising,
-    over its live terms lo <= s <= hi; past them a factor vanishes.
-
-    F is hypergeometric: every live term is nonzero, and the next one is
-    this one times a ratio of linear factors, so each step is one multiply
-    and one exact integer division."""
+    over its live terms lo <= s <= hi; past them a factor vanishes.  F is
+    (d)_rr (e)_rr falling 3F2(-rr, -alpha, c; d, -e; 1) at c = 2j1-alpha+1,
+    d = beta-rr, e = 2j2-beta+1+rr: the first live term comes from the five
+    factors, and hyp3f2_terminating's kernel adds the rest."""
     lo, hi = max(0, rr - beta + 1), min(rr, alpha)
     if lo > hi:
         return 0
@@ -107,13 +103,8 @@ def _alternating_sum(two_j1: int, two_j2: int, rr: int, alpha: int, beta: int) -
         * math.perm(two_j1 - alpha + lo, lo)
         * math.perm(two_j2 - beta + 1 + rr - lo, rr - lo)
     )
-    f = t = -t if lo % 2 else t
-    for s in range(lo, hi):
-        t = -t * ((rr - s) * (alpha - s) * (two_j1 - alpha + 1 + s)) // (
-            (s + 1) * (beta - rr + s) * (two_j2 - beta + 1 + rr - s)
-        )
-        f += t
-    return f
+    return _term_ratio_sum(-t if lo % 2 else t, lo, hi, rr, alpha,
+                           two_j1 - alpha + 1, beta - rr, two_j2 - beta + 1 + rr)
 
 
 def _general_parts(
@@ -131,7 +122,7 @@ def _general_parts(
         * math.factorial(beta - 1)
         * math.perm(two_j1, alpha)
         * math.factorial(rr)
-        * _falling(two_j - 2 * k + 2, rr)
+        * pochhammer(two_j - 2 * k + 2, rr, "falling")
         * math.perm(two_j - k + 2, k - 1)
     )
     if alpha >= rr:
@@ -246,13 +237,6 @@ class IntertwiningReport:
         return self.max_residual < tol and self.diagonal_exact
 
 
-def _check_twoj(two_j1: int, two_j2: int):
-    # No cap on 2j itself: S is limited by the order cap (check_order),
-    # and a single entry costs integer arithmetic only.
-    if two_j1 < 0 or two_j2 < 0:
-        raise ValueError("twoJ must be nonnegative")
-
-
 def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     """Assemble S from the closed forms; columns indexed q = z_{k-1} + r.
 
@@ -266,8 +250,7 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     arrays.  The result is checked against the intertwining law; a residual
     above 1e-8 or a weight mismatch raises VerificationError.
     """
-    _check_twoj(two_j1, two_j2)
-    lay = layout(two_j1, two_j2)
+    lay = layout(two_j1, two_j2)  # refuses a negative 2j
     n = lay.total
     check_order(n)  # before any entry is computed
     n2 = lay.n2
@@ -419,8 +402,7 @@ def ladder_oracle_S(two_j1: int, two_j2: int) -> CGMatrix:
     vector orthogonal to every previously built column of that weight;
     the rest of the block is repeated normalized lowering.  Sign fixed
     by a positive alpha = 0 component of each top state."""
-    _check_twoj(two_j1, two_j2)
-    lay = layout(two_j1, two_j2)
+    lay = layout(two_j1, two_j2)  # refuses a negative 2j
     n = lay.total
     check_order(n)  # before the dense n x n array
     jm = product_gen(two_j1, two_j2, "minus").to_numpy().real
@@ -475,7 +457,8 @@ def cg_coefficient(
     two_m: int,
 ):
     """<j1 m1; j2 m2 | J M> with all six arguments doubled."""
-    _check_twoj(two_j1, two_j2)
+    if two_j1 < 0 or two_j2 < 0:
+        raise ValueError("twoJ must be nonnegative")
     for tj, tm in ((two_j1, two_m1), (two_j2, two_m2), (two_j, two_m)):
         if (tj - tm) % 2:
             raise DomainError("m must differ from j by an integer")
@@ -503,7 +486,6 @@ def cg_table(two_j1: int, two_j2: int):
     S in their stored order, each with the labels of its row (2m1, 2m2)
     and column (2J, 2M).  The rows are built once per cached S; each call
     returns a new list of them."""
-    _check_twoj(two_j1, two_j2)
     s = _cached_S(two_j1, two_j2)
     if s._table is None:
         n2 = s.layout.n2

@@ -415,12 +415,13 @@ def build_parser() -> _Parser:
                        help="sparse Cooley-Tukey factorization of F_n")
     p.add_argument("--n", type=int, required=True,
                    help="transform size (power of two)")
-    p.add_argument("--verify", action="store_true",
-                   help="print stage sparsity and reconstruction error")
-    p.add_argument("--stage", type=int,
-                   help="emit one butterfly stage as a JSON matrix")
-    p.add_argument("--perm", action="store_true",
-                   help="emit the bit-reversal permutation matrix")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--verify", action="store_true",
+                      help="print stage sparsity and reconstruction error")
+    mode.add_argument("--stage", type=int,
+                      help="emit one butterfly stage as a JSON matrix")
+    mode.add_argument("--perm", action="store_true",
+                      help="emit the bit-reversal permutation matrix")
     p.set_defaults(func=cmd_fft_factor)
 
     p = sub.add_parser("su2", parents=[common],

@@ -3,7 +3,9 @@
 Everything downstream (index formulas, ladder coefficients, coupling
 matrices) reduces to the handful of functions here: ceiling/floor
 quotients, Pochhammer symbols, binomials, a terminating 3F2 sum, and a
-signed-square-root scalar that stays exact under multiplication.
+signed-square-root scalar that stays exact under multiplication.  The
+3F2 is summed on ints by one term-ratio kernel, which the Clebsch-Gordan
+entries' alternating sum F (cg) runs as well.
 """
 
 from __future__ import annotations
@@ -46,12 +48,16 @@ def pochhammer(x: Rational, n: int, direction: str = "rising") -> Rational:
     """Rising x(x+1)...(x+n-1) or falling x(x-1)...(x-n+1) factorial."""
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    if direction == "rising":
-        step = 1
-    elif direction == "falling":
-        step = -1
-    else:
+    if direction not in ("rising", "falling"):
         raise ValueError("direction must be 'rising' or 'falling'")
+    step = 1 if direction == "rising" else -1
+    if isinstance(x, int):
+        # (x)_n rising = (x+n-1)_n falling, and (-y)_n falling =
+        # (-1)^n (y+n-1)_n falling, so every int case is one math.perm
+        top = x + n - 1 if step == 1 else x
+        if top >= 0:
+            return math.perm(top, n)
+        return (-1) ** n * math.perm(n - 1 - top, n)
     out: Rational = 1
     for s in range(n):
         out = out * (x + step * s)
@@ -65,32 +71,41 @@ def binomial(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
+def _term_ratio_sum(
+    t: int, lo: int, hi: int, r: int, b: int, c: int, d: int, e: int
+) -> int:
+    """t_lo + ... + t_hi for the 3F2(-r, -b, c; d, -e; 1) term ratio
+    t_{s+1} / t_s = (s-r)(s-b)(s+c) / ((s+1)(s+d)(s-e)), from t = t_lo.
+
+    The caller scales the terms so that every one is an int; then each
+    step is one multiply and one exact integer division."""
+    f = t
+    for s in range(lo, hi):
+        t = t * ((s - r) * (s - b) * (s + c)) // ((s + 1) * (s + d) * (s - e))
+        f += t
+    return f
+
+
 def hyp3f2_terminating(r: int, b: int, c: int, d: int, e: int) -> Fraction:
     """Terminating 3F2(-r, -b, c; d, -e; 1) as an exact finite sum.
 
-    The -r upper parameter cuts the series after r+1 terms.  Terms whose
-    numerator vanishes are skipped outright, so lower-parameter zeros only
-    matter when they sit under a live term; those raise DomainError.
+    The -r upper parameter cuts the series after r+1 terms; b >= 0 or
+    c <= 0 can cut it sooner, at the last live term s = hi.  A zero lower
+    parameter under a live term raises DomainError.  Times hi! (d)_hi
+    (-e)_hi, the live terms are ints, which _term_ratio_sum adds.
     """
+    if not all(isinstance(v, int) for v in (r, b, c, d, e)):
+        raise TypeError("3F2 parameters must be ints")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    total = Fraction(0)
-    for s in range(r + 1):
-        num = (
-            pochhammer(-r, s)
-            * pochhammer(-b, s)
-            * pochhammer(c, s)
+    hi = min(r, b if b >= 0 else r, -c if c <= 0 else r)
+    scale = math.factorial(hi) * pochhammer(d, hi) * pochhammer(-e, hi)
+    if not scale:  # name the first term whose (d)_s (-e)_s vanishes
+        s = min(1 - d if d <= 0 else hi, e + 1 if e >= 0 else hi)
+        raise DomainError(
+            f"3F2 lower parameter vanishes at term s={s} (d={d}, e={e})"
         )
-        if num == 0:
-            continue
-        den = pochhammer(d, s) * pochhammer(-e, s) * math.factorial(s)
-        if den == 0:
-            raise DomainError(
-                f"3F2 lower parameter vanishes at term s={s} "
-                f"(d={d}, e={e})"
-            )
-        total += Fraction(num) / den
-    return total
+    return Fraction(_term_ratio_sum(scale, 0, hi, r, b, c, d, e), scale)
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:

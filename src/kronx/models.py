@@ -214,6 +214,8 @@ def diagonalize(
     the residual, reproducing the plain n-1 rotation construction.
     eigenvalues() is the production kernel; this is its cross-check.
     """
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
     a = h.to_xsum().to_numpy()
     n = len(a)
     u = np.eye(n, dtype=complex)

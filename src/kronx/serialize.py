@@ -33,6 +33,7 @@ from .exactnum import DomainError, SqrtRational, complex_float
 from .hubbard import Columns, XSum, check_order, int_column
 
 KINDS = ("rational", "sqrt", "complex")
+_MERGE_TOL = 1e-9  # merge_spectrum's level width
 
 
 def _finite(re: float, im: float, i: int, j: int) -> complex:
@@ -232,16 +233,14 @@ def load_matrix(path: str) -> XSum:
         return matrix_from_json(fh.read())
 
 
-def merge_spectrum(
-    values: Iterable[float], tol: float = 1e-9
-) -> List[Tuple[float, int]]:
+def merge_spectrum(values: Iterable[float]) -> List[Tuple[float, int]]:
     """Ascending (eigenvalue, multiplicity) pairs, grouping values that
-    sit within tol of the first member of their group."""
+    sit within _MERGE_TOL of the first member of their group."""
     out: List[Tuple[float, int]] = []
     anchor = None
     count = 0
     for v in sorted(float(x) for x in values):
-        if anchor is not None and v - anchor <= tol:
+        if anchor is not None and v - anchor <= _MERGE_TOL:
             count += 1
             continue
         if anchor is not None:
@@ -252,11 +251,11 @@ def merge_spectrum(
     return out
 
 
-def spectrum_to_csv(values: Iterable[float], tol: float = 1e-9) -> str:
+def spectrum_to_csv(values: Iterable[float]) -> str:
     """One line per merged level.  Levels merge on the raw values, and each
     prints rounded to 12 decimals (+ 0.0 turns -0.0 into 0.0), so round-off
     noise far below the merge tolerance does not reach the output."""
     lines = ["eigenvalue,multiplicity"]
-    for v, mult in merge_spectrum(values, tol):
+    for v, mult in merge_spectrum(values):
         lines.append(f"{round(v, 12) + 0.0!r},{mult}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kronx.exactnum import SqrtRational, scalar_add, scalar_mul
+from kronx.exactnum import DomainError, SqrtRational, scalar_add, scalar_mul
 from kronx.hubbard import (
     Columns,
     DimensionError,
@@ -265,6 +265,40 @@ def direct_alternating_sum(two_j1: int, two_j2: int, rr: int, alpha: int,
         )
         f += -term if s % 2 else term
     return f
+
+
+def _rising(x: int, n: int) -> int:
+    """x(x+1)...(x+n-1), one factor at a time."""
+    out = 1
+    for s in range(n):
+        out = out * (x + s)
+    return out
+
+
+def termwise_hyp3f2(r: int, b: int, c: int, d: int, e: int) -> Fraction:
+    """3F2(-r, -b, c; d, -e; 1) term by term: each term's Pochhammer
+    products and factorial anew, summed as Fractions, skipping
+    terms whose numerator vanishes and raising DomainError at a pole
+    under a live term."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    total = Fraction(0)
+    for s in range(r + 1):
+        num = (
+            _rising(-r, s)
+            * _rising(-b, s)
+            * _rising(c, s)
+        )
+        if num == 0:
+            continue
+        den = _rising(d, s) * _rising(-e, s) * math.factorial(s)
+        if den == 0:
+            raise DomainError(
+                f"3F2 lower parameter vanishes at term s={s} "
+                f"(d={d}, e={e})"
+            )
+        total += Fraction(num) / den
+    return total
 
 
 def full_assembly_terms(two_j1: int, two_j2: int) -> dict:

@@ -242,6 +242,15 @@ class TestFftFactor:
         assert (capcli("fft-factor", "--n", "8", "--format", "json")
                 == capcli("fft-factor", "--n", "8"))
 
+    @pytest.mark.parametrize("modes", [
+        ("--stage", "0", "--verify"),
+        ("--perm", "--verify"),
+        ("--stage", "0", "--perm"),
+    ])
+    def test_modes_mutually_exclusive(self, capcli, modes):
+        code, out, err = capcli("fft-factor", "--n", "4", *modes)
+        assert code == 64 and out == "" and "not allowed with" in err
+
 
 class TestSu2AndCouple:
     def test_jplus_matrix(self, capcli):
@@ -377,6 +386,11 @@ class TestDiag:
         path = write_matrix(tmp_path, "h.json", SWEPT)
         code, out, err = capcli("diag", path, *JACOBI, "--max-sweeps", "0")
         assert code == 2 and out == "" and "after 0 sweeps" in err
+
+    def test_negative_max_sweeps_is_2(self, capcli, tmp_path):
+        path = write_matrix(tmp_path, "h.json", SWEPT)
+        code, out, err = capcli("diag", path, *JACOBI, "--max-sweeps", "-1")
+        assert code == 2 and out == "" and "max_sweeps" in err
 
     def test_large_tol_changes_the_spectrum(self, capcli, tmp_path):
         # every off-diagonal entry is below 1, so no rotation runs at all

@@ -25,6 +25,8 @@ from kronx.exactnum import (
     scalar_mul,
 )
 
+from _oracles import termwise_hyp3f2
+
 
 # --- ceiling / floor quotients ----------------------------------------------
 
@@ -100,6 +102,16 @@ def test_pochhammer_rising_falling_mirror(x, n):
     assert pochhammer(x, n, "rising") == pochhammer(x + n - 1, n, "falling")
 
 
+def test_pochhammer_int_route_matches_the_loop():
+    # ints take math.perm; a Fraction of the same value takes the loop
+    for x in range(-30, 31):
+        for n in range(13):
+            for direction in ("rising", "falling"):
+                got = pochhammer(x, n, direction)
+                assert type(got) is int
+                assert got == pochhammer(Fraction(x), n, direction), (x, n)
+
+
 def test_binomial_values():
     assert binomial(5, 0) == 1
     assert binomial(4, 2) == 6
@@ -157,6 +169,28 @@ def test_hyp3f2_pole_raises():
 def test_hyp3f2_numerator_zero_shields_pole():
     # b = 0 kills every s >= 1 term, so d = 0 never gets evaluated
     assert hyp3f2_terminating(3, 0, 5, 0, 0) == 1
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def test_hyp3f2_matches_termwise_sum():
+    # value and type, or exception type and message, on a seeded sample
+    rng = random.Random(33)
+    for _ in range(20_000):
+        args = (rng.randint(0, 8), *(rng.randint(-12, 12) for _ in range(4)))
+        assert _outcome(hyp3f2_terminating, *args) == _outcome(
+            termwise_hyp3f2, *args), args
+
+
+def test_hyp3f2_refuses_non_int_parameters():
+    with pytest.raises(TypeError):
+        hyp3f2_terminating(2, 1, Fraction(1, 2), 3, 4)
 
 
 def test_hyp3f2_binomial_sum_identity():

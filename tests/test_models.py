@@ -228,6 +228,11 @@ class TestDiagonalize:
         assert exc.value.residual == 1.0
         assert exc.value.sweeps == 0
 
+    def test_negative_max_sweeps_is_refused(self):
+        h = NLevelHamiltonian((0.0, 0.0), {(1, 2): 1.0})
+        with pytest.raises(ValueError, match="max_sweeps"):
+            diagonalize(h, max_sweeps=-1)
+
     def test_single_sweep_stops_after_one_pass(self):
         rng = np.random.default_rng(8)
         h = random_hermitian(6, rng)
