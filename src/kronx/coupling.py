@@ -11,6 +11,7 @@ cumulative offsets z_k the S-matrix column indexing relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence, Tuple
 
 from .exactnum import ceil_ratio
@@ -131,28 +132,19 @@ def _product_ceiling(two_j1: int, two_j2: int, which: str) -> XSum:
     r1, r2 = Irrep(two_j1), Irrep(two_j2)
     n1, n2 = r1.dim, r2.dim
     n = n1 * n2
-    terms = {}
+    # the bands are lazy: XSum checks the order before it draws a term
     if which == "3":
-        for p in range(1, n + 1):
-            pp = ceil_ratio(p, n2)
-            m = weight(r1, pp) + weight(r2, p + n2 - n2 * pp)
-            if m:
-                terms[(p, p)] = m
-        return XSum(n, terms)
+        levels = ((p, ceil_ratio(p, n2)) for p in range(1, n + 1))
+        return XSum(n, (((p, p), weight(r1, pp) + weight(r2, p + n2 - n2 * pp))
+                        for p, pp in levels))
     # plus: a stride-n2 band from the first factor and a stride-1 band
     # from the second; the in-block boundary coefficients c_{n2} vanish
     # on their own since c_k^2 = k(2j+1-k).
-    for p in range(1, n2 * (n1 - 1) + 1):
-        c = ladder_coeff(r1, ceil_ratio(p, n2))
-        if c:
-            terms[(p, p + n2)] = c
-    for p in range(1, n - 1 + 1):
-        pp = ceil_ratio(p, n2)
-        c = ladder_coeff(r2, p + n2 - n2 * pp)
-        if c:
-            key = (p, p + 1)
-            terms[key] = terms.get(key, 0) + c
-    return XSum(n, terms)
+    first = (((p, p + n2), ladder_coeff(r1, ceil_ratio(p, n2)))
+             for p in range(1, n2 * (n1 - 1) + 1))
+    second = (((p, p + 1), ladder_coeff(r2, p + n2 - n2 * ceil_ratio(p, n2)))
+              for p in range(1, n))
+    return XSum(n, chain(first, second))
 
 
 def block_gen(two_j1: int, two_j2: int, which: str) -> BlockOp:

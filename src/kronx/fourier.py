@@ -48,7 +48,7 @@ def omega_diag(k: int, n: int | None = None) -> XSum:
     if n is None:
         n = 2 * k
     w = cmath.exp(2j * cmath.pi / n)
-    return XSum(k, {(i, i): w ** (i - 1) for i in range(1, k + 1)})
+    return XSum(k, (((i, i), w ** (i - 1)) for i in range(1, k + 1)))
 
 
 def butterfly(n: int) -> XSum:
@@ -56,6 +56,7 @@ def butterfly(n: int) -> XSum:
     entries per row."""
     if n < 2 or n % 2:
         raise DomainError("butterfly order must be even")
+    check_order(n)
     m = n // 2
     om = omega_diag(m, n)
     terms = {}
@@ -126,6 +127,7 @@ class FourierFactorization:
 def cooley_tukey(n: int) -> FourierFactorization:
     """Stages I_(2^s) (x) B_(n/2^s) for s = 0..t-1 plus bit reversal."""
     t = _log2_exact(n)
+    check_order(n)
     if t == 0:
         return FourierFactorization(
             1, (identity(1),), Permutation.identity(1)

@@ -4,7 +4,9 @@ X_n^(i,j) is the n x n matrix with a lone 1 at row i, column j.  Every
 matrix here is an XSum: a weighted sum of such terms, stored as a map from
 1-based (row, col) pairs to scalar coefficients.  Products contract by the
 delta rule X^(i,j) X^(k,l) = delta_jk X^(i,l), so the whole algebra runs on
-subscripts without ever materializing dense arrays.
+subscripts without ever materializing dense arrays.  Terms that land on one
+cell add by one rule, _summed: exact values add exactly, a float makes the
+cell complex, and a cell whose sum cancels is dropped.
 
 An XSum whose coefficients share one exact kind can also hold its terms as
 integer Columns.  The JSON reader, kron, xsum_mul, perm_matrix, dagger and
@@ -20,7 +22,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, truediv
+from operator import attrgetter, mul, truediv
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
                     Tuple)
 
@@ -76,11 +78,32 @@ def check_order(order: int) -> None:
         raise ResourceError(f"order {order} exceeds {MAX_DIM_ENV}={cap}")
 
 
-def _as_scalar(c: object) -> Scalar:
-    # numpy scalars leak in via from_dense; keep the coefficient tower pure
-    if isinstance(c, np.generic):
-        return c.item()
-    return c  # type: ignore[return-value]
+def _checked(order: int, items: Iterable) -> Iterator:
+    """The ((i, j), c) pairs of items, each subscript checked to lie in
+    [1, order] and each numpy scalar (from_dense reads arrays) made a
+    Python scalar, to keep the coefficient tower pure."""
+    for (i, j), c in items:
+        if not (1 <= i <= order and 1 <= j <= order):
+            raise IndexError(f"term ({i}, {j}) outside [1, {order}]^2")
+        yield (i, j), c.item() if isinstance(c, np.generic) else c
+
+
+def _summed(pairs: Iterable) -> dict:
+    """The term dict of ((i, j), c) pairs summed in the order given: a zero
+    c is skipped, a c on a stored cell adds by scalar_add, and a cell whose
+    sum is zero is deleted, so that a later term starts it again.  Every
+    route that can put two terms on one cell sums through here."""
+    store: dict = {}
+    for key, c in pairs:
+        if not c:
+            continue
+        if key in store:
+            c = scalar_add(store[key], c)
+            if not c:
+                del store[key]
+                continue
+        store[key] = c
+    return store
 
 
 def magnitude(col: np.ndarray) -> int:
@@ -296,8 +319,12 @@ _NO_COLUMNS = object()
 class XSum:
     """A square matrix as a weighted sum of Hubbard operators.
 
-    Immutable once built.  Zero coefficients are pruned eagerly; tiny
-    nonzero float/complex coefficients are kept, never dropped implicitly.
+    Immutable once built.  The constructor checks the order before it
+    reads a term, so a builder that passes a lazy iterable allocates
+    nothing for a refused order; then it checks every subscript and sums
+    the terms in the order given by _summed, so zero coefficients and
+    cancelled cells are pruned eagerly.  Tiny nonzero float/complex
+    coefficients are kept, never dropped implicitly.
 
     The terms live in a dict, in Columns, or in both: _terms builds the
     dict from the columns on first use, and columns() builds the columns
@@ -315,24 +342,8 @@ class XSum:
     ) -> None:
         check_order(order)
         object.__setattr__(self, "order", order)
-        store: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for (i, j), c in items:
-                if not (1 <= i <= order and 1 <= j <= order):
-                    raise IndexError(
-                        f"term ({i}, {j}) outside [1, {order}]^2"
-                    )
-                c = _as_scalar(c)
-                if not c:
-                    continue
-                if (i, j) in store:
-                    c = scalar_add(store[(i, j)], c)
-                    if not c:
-                        del store[(i, j)]
-                        continue
-                store[(i, j)] = c
-        object.__setattr__(self, "_store", store)
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        object.__setattr__(self, "_store", _summed(_checked(order, items)))
         object.__setattr__(self, "_cols", None)
 
     @classmethod
@@ -504,7 +515,7 @@ def x_op(n: int, i: int, j: int) -> XSum:
 
 
 def identity(n: int) -> XSum:
-    return XSum(n, {(k, k): 1 for k in range(1, n + 1)})
+    return XSum(n, (((k, k), 1) for k in range(1, n + 1)))
 
 
 def xsum_mul(a: XSum, b: XSum) -> XSum:
@@ -525,41 +536,36 @@ def xsum_mul(a: XSum, b: XSum) -> XSum:
     rows_of_b: dict = {}
     for (k, l), c in b._terms.items():
         rows_of_b.setdefault(k, []).append((l, c))
-    acc: dict = {}
-    for (i, j), ca in a._terms.items():
-        for l, cb in rows_of_b.get(j, ()):
-            c = scalar_mul(ca, cb)
-            key = (i, l)
-            if key in acc:
-                c = scalar_add(acc[key], c)
-            acc[key] = c
-    # subscripts come from the operands; only the sums can be zero
-    return XSum._trusted(a.order, {key: c for key, c in acc.items() if c})
+    # scalar_mul is * once neither side is float or complex; calling *
+    # itself pays for the generator step per product on exact operands
+    times = mul if a.is_exact() and b.is_exact() else scalar_mul
+    products = (((i, l), times(ca, cb)) for (i, j), ca in a._terms.items()
+                for l, cb in rows_of_b.get(j, ()))
+    # subscripts come from the operands; only the sums need the rule
+    return XSum._trusted(a.order, _summed(products))
 
 
 def xsum_linear(op: str, a: XSum, other) -> XSum:
     """Coefficient-wise add/sub of two sums, or scaling by a scalar."""
     if op == "scale":
-        c = other
-        if not c:
+        if not other:
             return XSum(a.order)
-        return XSum(
-            a.order,
-            {k: scalar_mul(c, v) for k, v in a._terms.items()},
-        )
-    if op not in ("add", "sub"):
-        raise ValueError(f"unknown linear op {op!r}")
-    b: XSum = other
-    if a.order != b.order:
-        raise DimensionError(f"order mismatch: {a.order} vs {b.order}")
-    acc = dict(a._terms)
-    for key, c in b._terms.items():
+        # a numpy factor would put numpy scalars in the coefficient tower
+        if isinstance(other, np.generic):
+            other = other.item()
+        terms = ((key, scalar_mul(other, v)) for key, v in a._terms.items())
+    elif op in ("add", "sub"):
+        b: XSum = other
+        if a.order != b.order:
+            raise DimensionError(f"order mismatch: {a.order} vs {b.order}")
+        theirs = b._terms.items()
         if op == "sub":
-            c = -c
-        if key in acc:
-            c = scalar_add(acc[key], c)
-        acc[key] = c
-    return XSum(a.order, acc)
+            theirs = ((key, -v) for key, v in theirs)
+        terms = chain(a._terms.items(), theirs)
+    else:
+        raise ValueError(f"unknown linear op {op!r}")
+    # subscripts come from the operands
+    return XSum._trusted(a.order, _summed(terms))
 
 
 def bracket(a: XSum, b: XSum, sign: str = "commutator") -> XSum:
@@ -625,14 +631,7 @@ def to_dense(a: XSum) -> list:
 def from_dense(m) -> XSum:
     """XSum from a square nested sequence or numpy array."""
     n = len(m)
-    terms = {}
-    for i in range(n):
-        row = m[i]
-        if len(row) != n:
-            raise DimensionError("dense input must be square")
-        for j in range(n):
-            c = _as_scalar(row[j])
-            if c:
-                terms[(i + 1, j + 1)] = c
-    return XSum(n, terms)
-
+    if any(len(row) != n for row in m):
+        raise DimensionError("dense input must be square")
+    return XSum(n, (((i, j), c) for i, row in enumerate(m, 1)
+                    for j, c in enumerate(row, 1)))

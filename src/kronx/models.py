@@ -18,9 +18,9 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .exactnum import DomainError, scalar_add, scalar_mul
+from .exactnum import DomainError, scalar_mul
 # unused here; perfbench/smoke.py checks that its tracer wraps xsum_mul here
-from .hubbard import XSum, check_order, from_dense, x_op, xsum_mul
+from .hubbard import XSum, _summed, check_order, from_dense, x_op, xsum_mul
 from .kron import kron
 from .perm import _digits
 from .su2 import pauli
@@ -241,14 +241,14 @@ def _site_sum(n: int, d: int, terms, parity=None) -> XSum:
     ...)) terms on n sites of d levels; a local op has at most one entry
     per column.
 
-    For each column q the site digits of q are read once, the factors'
-    columns are applied right to left, and every X^{p,q} goes straight into
-    one dict.  With a level parity, an entry that changes the parity at
+    For each column q the site digits of q are read once and the factors'
+    columns are applied right to left, giving one X^{p,q} per term that
+    acts on q.  With a level parity, an entry that changes the parity at
     site s picks up the Jordan-Wigner sign (-1)^(odd levels on sites < s)
     of the state it acts on.  Entries are promoted as kron promotes them
-    beside an identity (1 * v), add in term order, and a sum that cancels
-    is dropped at once: spin sums equal the kron_many/xsum_mul composition
-    term for term."""
+    beside an identity (1 * v), and the X^{p,q} of all columns are summed
+    in that order by hubbard's one rule, _summed: spin sums equal the
+    kron_many/xsum_mul composition term for term."""
     order = d**n
     check_order(order)
     plan = []
@@ -260,27 +260,26 @@ def _site_sum(n: int, d: int, terms, parity=None) -> XSum:
                 raise ValueError("a local op has two entries in one column")
             steps.append((site - 1, d ** (n - site), col))
         plan.append((coef, steps))
-    acc: dict = {}
-    for q in range(1, order + 1):
-        digits = _digits(q, d, n)
-        for coef, steps in plan:
-            state, p, amp = list(digits), q, None
-            for s, stride, col in steps:
-                if state[s] not in col:
-                    break
-                r, v = col[state[s]]
-                if (parity and parity[r - 1] != parity[state[s] - 1]
-                        and sum(parity[x - 1] for x in state[:s]) % 2):
-                    v = -v
-                amp = v if amp is None else scalar_mul(v, amp)
-                p += (r - state[s]) * stride
-                state[s] = r
-            else:
-                c = scalar_mul(coef, amp)
-                c = scalar_add(acc.pop((p, q)), c) if (p, q) in acc else c
-                if c:
-                    acc[p, q] = c
-    return XSum._trusted(order, acc)
+
+    def contributions():
+        for q in range(1, order + 1):
+            digits = _digits(q, d, n)
+            for coef, steps in plan:
+                state, p, amp = list(digits), q, None
+                for s, stride, col in steps:
+                    if state[s] not in col:
+                        break
+                    r, v = col[state[s]]
+                    if (parity and parity[r - 1] != parity[state[s] - 1]
+                            and sum(parity[x - 1] for x in state[:s]) % 2):
+                        v = -v
+                    amp = v if amp is None else scalar_mul(v, amp)
+                    p += (r - state[s]) * stride
+                    state[s] = r
+                else:
+                    yield (p, q), scalar_mul(coef, amp)
+
+    return XSum._trusted(order, _summed(contributions()))
 
 
 @dataclass(frozen=True)
@@ -404,7 +403,7 @@ def jc_lowering(cfg: JCConfig) -> XSum:
     nd = cfg.fock_dim
     return XSum(
         nd,
-        {(f + 1, f): math.sqrt(nd - f) for f in range(1, nd)},
+        (((f + 1, f), math.sqrt(nd - f)) for f in range(1, nd)),
     )
 
 
@@ -427,6 +426,7 @@ def jc_evolution(cfg: JCConfig, t: float) -> XSum:
     """
     nd = cfg.fock_dim
     n = cfg.order
+    check_order(n)
     terms: Dict[Tuple[int, int], complex] = {
         (1, 1): 1.0,
         (n, n): 1.0,

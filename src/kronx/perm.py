@@ -19,7 +19,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .exactnum import ceil_ratio
-from .hubbard import INT, Columns, DimensionError, XSum
+from .hubbard import INT, Columns, DimensionError, XSum, check_order
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,7 @@ def swap_perm(n: int) -> Permutation:
     pi(p) = n(p+n-1) - (n^2-1) ceil(p/n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_order(n * n)
     images = []
     for p in range(1, n * n + 1):
         pp = ceil_ratio(p, n)
@@ -105,6 +106,7 @@ def kron_perm(pi: Permutation, sigma: Permutation) -> Permutation:
     """Permutation whose matrix is perm_matrix(pi) (x) perm_matrix(sigma):
     alpha(p) = m[pi(p') - 1] + sigma(p - mp' + m) with p' = ceil(p/m)."""
     n, m = pi.degree, sigma.degree
+    check_order(n * m)
     images = []
     for p in range(1, n * m + 1):
         pp = ceil_ratio(p, m)
@@ -117,6 +119,7 @@ def commutation_perm(n: int, m: int) -> Permutation:
     P^T (A (x) B) P = B (x) A for any n-square A and m-square B."""
     if n < 1 or m < 1:
         raise ValueError("orders must be at least 1")
+    check_order(n * m)
     images = [0] * (n * m)
     for i in range(1, n + 1):
         for k in range(1, m + 1):
@@ -134,6 +137,7 @@ def factor_perm(pi: Permutation, n: int) -> Permutation:
     if n < 1:
         raise ValueError("factor order must be at least 1")
     total = n**p
+    check_order(total)
     images = []
     for q in range(1, total + 1):
         digits = _digits(q, n, p)
@@ -170,14 +174,16 @@ def antisymmetrizer(p: int, n: int) -> XSum:
 
 
 def _group_average(p: int, n: int, signed: bool) -> XSum:
+    """(1/p!) sum over pi of (parity of pi, if signed) times the matrix of
+    factor_perm(pi, n), summed as one XSum of all p! matrices' terms."""
     if p < 1 or n < 1:
         raise ValueError("rank and order must be at least 1")
-    total = XSum(n**p)  # raises ResourceError early when n^p over cap
     weight = Fraction(1, math.factorial(p))
-    for images in itertools.permutations(range(1, p + 1)):
-        pi = Permutation(images)
-        term = perm_matrix(factor_perm(pi, n))
-        if signed and pi.parity() < 0:
-            term = term.scale(-1)
-        total = total + term
-    return total.scale(weight)
+    perms = map(Permutation, itertools.permutations(range(1, p + 1)))
+    weights = ((pi, -weight if signed and pi.parity() < 0 else weight)
+               for pi in perms)
+    # the terms of each perm_matrix(factor_perm(pi, n)), weighted; they are
+    # lazy, so XSum checks the order before the first permutation is built
+    terms = (((j, k), w) for pi, w in weights
+             for j, k in enumerate(factor_perm(pi, n).images, 1))
+    return XSum(n**p, terms)

@@ -51,7 +51,7 @@ def j3(rep: RepLike) -> XSum:
     rep = _as_irrep(rep)
     return XSum(
         rep.dim,
-        {(k, k): weight(rep, k) for k in range(1, rep.dim + 1)},
+        (((k, k), weight(rep, k)) for k in range(1, rep.dim + 1)),
     )
 
 
@@ -65,9 +65,9 @@ def jpm(rep: RepLike, sign: str) -> XSum:
     rep = _as_irrep(rep)
     n = rep.dim
     if sign == "plus":
-        terms = {(k, k + 1): ladder_coeff(rep, k) for k in range(1, n)}
+        terms = (((k, k + 1), ladder_coeff(rep, k)) for k in range(1, n))
     elif sign == "minus":
-        terms = {(k + 1, k): ladder_coeff(rep, k) for k in range(1, n)}
+        terms = (((k + 1, k), ladder_coeff(rep, k)) for k in range(1, n))
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
     return XSum(n, terms)

@@ -8,17 +8,20 @@ is independence from the index arithmetic under test.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from kronx.exactnum import DomainError, SqrtRational, scalar_add, scalar_mul
+from kronx.exactnum import (DomainError, SqrtRational, ceil_ratio, scalar_add,
+                            scalar_mul)
 from kronx.hubbard import (
     Columns,
     DimensionError,
     XSum,
+    dagger,
     from_dense,
     identity,
     to_dense,
@@ -26,7 +29,8 @@ from kronx.hubbard import (
     xsum_mul,
 )
 from kronx.kron import kron_many
-from kronx.su2 import pauli
+from kronx.perm import Permutation, factor_perm, perm_matrix
+from kronx.su2 import Irrep, ladder_coeff, pauli, weight
 
 
 def dense_kron(a: list, b: list) -> list:
@@ -140,25 +144,129 @@ def per_term_matrix_obj(x: XSum) -> dict:
     return {"order": x.order, "kind": kind, "terms": terms}
 
 
-def per_term_product(a: XSum, b: XSum) -> XSum:
-    """The operator product one term pair at a time by the delta rule:
-    a's terms in storage order, each met by b's terms of its column's row
-    in storage order, sums accumulated per cell and zeros pruned by
-    XSum(...)."""
+def delta_products(a: XSum, b: XSum) -> list:
+    """The ((i, l), a_ij * b_jl) products of the delta rule one term pair at
+    a time: a's terms in storage order, each met by b's terms of its
+    column's row in storage order."""
     if a.order != b.order:
         raise DimensionError(f"order mismatch: {a.order} vs {b.order}")
     rows_of_b: dict = {}
     for (k, l), c in b.term_map().items():
         rows_of_b.setdefault(k, []).append((l, c))
+    return [((i, l), scalar_mul(ca, cb)) for (i, j), ca in a.term_map().items()
+            for l, cb in rows_of_b.get(j, ())]
+
+
+def per_term_product(a: XSum, b: XSum) -> XSum:
+    """The operator product one term pair at a time: delta_products summed
+    per cell in their order, a zero product skipped and a cell whose sum
+    cancels deleted, so that a later product starts it again."""
     acc: dict = {}
-    for (i, j), ca in a.term_map().items():
+    for key, c in delta_products(a, b):
+        if not c:
+            continue
+        if key in acc:
+            c = scalar_add(acc[key], c)
+            if not c:
+                del acc[key]
+                continue
+        acc[key] = c
+    return XSum._trusted(a.order, acc)
+
+
+# --- term sums as they were written before hubbard._summed -------------------
+# Copies of the hand-written summing loops that hubbard._summed replaced,
+# kept as references for the fold.  One difference is by design: the
+# product loop kept a cancelled cell at 0 until the end, so a later term
+# added to that 0 (scalar_add(0, c)), where _summed starts the cell again
+# from c.
+
+def product_by_hand(a: XSum, b: XSum) -> XSum:
+    """xsum_mul's per-term route with its own summing loop."""
+    rows_of_b: dict = {}
+    for (k, l), c in b._terms.items():
+        rows_of_b.setdefault(k, []).append((l, c))
+    acc: dict = {}
+    for (i, j), ca in a._terms.items():
         for l, cb in rows_of_b.get(j, ()):
             c = scalar_mul(ca, cb)
             key = (i, l)
             if key in acc:
                 c = scalar_add(acc[key], c)
             acc[key] = c
+    # subscripts come from the operands; only the sums can be zero
+    return XSum._trusted(a.order, {key: c for key, c in acc.items() if c})
+
+
+def linear_by_hand(op: str, a: XSum, other) -> XSum:
+    """xsum_linear with its own summing loop."""
+    if op == "scale":
+        c = other
+        if not c:
+            return XSum(a.order)
+        return XSum(
+            a.order,
+            {k: scalar_mul(c, v) for k, v in a._terms.items()},
+        )
+    if op not in ("add", "sub"):
+        raise ValueError(f"unknown linear op {op!r}")
+    b: XSum = other
+    if a.order != b.order:
+        raise DimensionError(f"order mismatch: {a.order} vs {b.order}")
+    acc = dict(a._terms)
+    for key, c in b._terms.items():
+        if op == "sub":
+            c = -c
+        if key in acc:
+            c = scalar_add(acc[key], c)
+        acc[key] = c
     return XSum(a.order, acc)
+
+
+def product_ceiling_by_hand(two_j1: int, two_j2: int, which: str) -> XSum:
+    """coupling._product_ceiling with its own sum of the two bands."""
+    if which == "minus":
+        return dagger(product_ceiling_by_hand(two_j1, two_j2, "plus"), "transpose")
+    r1, r2 = Irrep(two_j1), Irrep(two_j2)
+    n1, n2 = r1.dim, r2.dim
+    n = n1 * n2
+    terms = {}
+    if which == "3":
+        for p in range(1, n + 1):
+            pp = ceil_ratio(p, n2)
+            m = weight(r1, pp) + weight(r2, p + n2 - n2 * pp)
+            if m:
+                terms[(p, p)] = m
+        return XSum(n, terms)
+    # plus: a stride-n2 band from the first factor and a stride-1 band
+    # from the second; the in-block boundary coefficients c_{n2} vanish
+    # on their own since c_k^2 = k(2j+1-k).
+    for p in range(1, n2 * (n1 - 1) + 1):
+        c = ladder_coeff(r1, ceil_ratio(p, n2))
+        if c:
+            terms[(p, p + n2)] = c
+    for p in range(1, n - 1 + 1):
+        pp = ceil_ratio(p, n2)
+        c = ladder_coeff(r2, p + n2 - n2 * pp)
+        if c:
+            key = (p, p + 1)
+            terms[key] = terms.get(key, 0) + c
+    return XSum(n, terms)
+
+
+def group_average_by_hand(p: int, n: int, signed: bool) -> XSum:
+    """perm._group_average as p! running sums and a trailing scale."""
+    if p < 1 or n < 1:
+        raise ValueError("rank and order must be at least 1")
+    total = XSum(n**p)  # raises ResourceError early when n^p over cap
+    weight = Fraction(1, math.factorial(p))
+    for images in itertools.permutations(range(1, p + 1)):
+        pi = Permutation(images)
+        term = perm_matrix(factor_perm(pi, n))
+        if signed and pi.parity() < 0:
+            term = term.scale(-1)
+        total = total + term
+    return total.scale(weight)
 
 
 def as_listed(x: XSum) -> list:

@@ -4,6 +4,7 @@ action, dense round trips, and the exact determinant."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronx.hubbard as hubbard_module
+from kronx import coupling, fourier, models, perm, su2
 from _oracles import (
     allclose,
     as_listed,
@@ -302,6 +304,43 @@ def test_dimension_cap(monkeypatch):
     with pytest.raises(ResourceError):
         identity(17)
     assert identity(16).order == 16
+
+
+_P300 = perm.Permutation.identity(300)
+
+# each builds an order of 2**14 or more under a cap of 64; unchecked, each
+# would allocate megabytes of terms or images before the order was refused
+_OVER_CAP = {
+    "identity": lambda: identity(2**15),
+    "j3": lambda: su2.j3(2**14),
+    "jpm plus": lambda: su2.jpm(2**14, "plus"),
+    "jpm minus": lambda: su2.jpm(2**14, "minus"),
+    "omega_diag": lambda: fourier.omega_diag(2**14),
+    "butterfly": lambda: fourier.butterfly(2**15),
+    "cooley_tukey": lambda: fourier.cooley_tukey(2**15),
+    "jc_lowering": lambda: models.jc_lowering(models.JCConfig(1.0, 2**15)),
+    "jc_evolution": lambda: models.jc_evolution(models.JCConfig(1.0, 2**14), 0.5),
+    "ceiling 3": lambda: coupling.product_gen(127, 127, "3", "ceiling"),
+    "ceiling plus": lambda: coupling.product_gen(127, 127, "plus", "ceiling"),
+    "ceiling minus": lambda: coupling.product_gen(127, 127, "minus", "ceiling"),
+    "swap_perm": lambda: perm.swap_perm(300),
+    "commutation_perm": lambda: perm.commutation_perm(300, 300),
+    "kron_perm": lambda: perm.kron_perm(_P300, _P300),
+    "factor_perm": lambda: perm.factor_perm(perm.Permutation((3, 1, 2)), 45),
+}
+
+
+@pytest.mark.parametrize("build", _OVER_CAP.values(), ids=_OVER_CAP)
+def test_builders_refuse_before_they_allocate(monkeypatch, build):
+    monkeypatch.setenv("KRONX_MAX_DIM", "64")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-1", " ", "1e3"])
