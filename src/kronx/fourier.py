@@ -20,7 +20,7 @@ import numpy as np
 from .exactnum import DomainError
 from .hubbard import XSum, check_order, dagger, identity, xsum_mul
 from .kron import kron
-from .perm import Permutation, perm_matrix
+from .perm import Permutation, factor_perm, perm_matrix
 
 
 def _dft(n: int) -> np.ndarray:
@@ -73,23 +73,17 @@ def odd_even_perm(k: int) -> Permutation:
     """Odd indices first, then even: the decimation reindexing."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    check_order(k)
     odds = list(range(1, k + 1, 2))
     evens = list(range(2, k + 1, 2))
     return Permutation(tuple(odds + evens))
 
 
 def bit_reversal_perm(n: int) -> Permutation:
-    """Image of p reverses the t-bit binary expansion of p-1 (n = 2^t)."""
+    """Image of p reverses the t-bit binary expansion of p-1 (n = 2^t): the
+    reversal of t two-level tensor factors (n = 1: one one-level factor)."""
     t = _log2_exact(n)
-    images = []
-    for p in range(1, n + 1):
-        v = p - 1
-        r = 0
-        for _ in range(t):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        images.append(r + 1)
-    return Permutation(tuple(images))
+    return factor_perm(Permutation(range(max(t, 1), 0, -1)), min(n, 2))
 
 
 def _log2_exact(n: int) -> int:

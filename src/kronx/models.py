@@ -22,7 +22,7 @@ from .exactnum import DomainError, scalar_mul
 # unused here; perfbench/smoke.py checks that its tracer wraps xsum_mul here
 from .hubbard import XSum, _summed, check_order, from_dense, x_op, xsum_mul
 from .kron import kron
-from .perm import _digits
+from .perm import _digit_table
 from .su2 import pauli
 
 
@@ -241,14 +241,15 @@ def _site_sum(n: int, d: int, terms, parity=None) -> XSum:
     ...)) terms on n sites of d levels; a local op has at most one entry
     per column.
 
-    For each column q the site digits of q are read once and the factors'
-    columns are applied right to left, giving one X^{p,q} per term that
-    acts on q.  With a level parity, an entry that changes the parity at
-    site s picks up the Jordan-Wigner sign (-1)^(odd levels on sites < s)
-    of the state it acts on.  Entries are promoted as kron promotes them
-    beside an identity (1 * v), and the X^{p,q} of all columns are summed
-    in that order by hubbard's one rule, _summed: spin sums equal the
-    kron_many/xsum_mul composition term for term."""
+    For each column q the site digits of q are read from one digit table
+    (perm._digit_table) and the factors' columns are applied right to
+    left, giving one X^{p,q} per term that acts on q.  With a level
+    parity, an entry that changes the parity at site s picks up the
+    Jordan-Wigner sign (-1)^(odd levels on sites < s) of the state it acts
+    on.  Entries are promoted as kron promotes them beside an identity
+    (1 * v), and the X^{p,q} of all columns are summed in that order by
+    hubbard's one rule, _summed: spin sums equal the kron_many/xsum_mul
+    composition term for term."""
     order = d**n
     check_order(order)
     plan = []
@@ -262,8 +263,7 @@ def _site_sum(n: int, d: int, terms, parity=None) -> XSum:
         plan.append((coef, steps))
 
     def contributions():
-        for q in range(1, order + 1):
-            digits = _digits(q, d, n)
+        for q, digits in enumerate((_digit_table(d, n) + 1).tolist(), 1):
             for coef, steps in plan:
                 state, p, amp = list(digits), q, None
                 for s, stride, col in steps:

@@ -4,22 +4,22 @@ A permutation pi on {1..n} becomes the matrix P = sum_j X^(j, pi(j)), so
 P acts on vectors by y_j = x_pi(j) and P e_t = e_(pi^-1(t)).  On top of
 that sit the closed-form index bijections for tensor spaces: the swap
 permutation, Kronecker products of permutations, the commutation
-permutation relating A(x)B to B(x)A, factor rearrangements for rank-p
-tensors, and the (anti)symmetrizers built from them.
+permutation relating A(x)B to B(x)A, and factor rearrangements for rank-p
+tensors.  These and the (anti)symmetrizers act on the digits of flat
+indices, which one table (_digit_table) holds; the (anti)symmetrizers are
+read off it in closed form, by orbit counting, and the tests keep their
+definition, the average over all p! rearrangements, as the reference.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .exactnum import ceil_ratio
-from .hubbard import INT, Columns, DimensionError, XSum, check_order
+from .hubbard import FRACTION, INT, Columns, DimensionError, XSum, check_order
 
 
 @dataclass(frozen=True)
@@ -136,54 +136,59 @@ def factor_perm(pi: Permutation, n: int) -> Permutation:
     p = pi.degree
     if n < 1:
         raise ValueError("factor order must be at least 1")
-    total = n**p
-    check_order(total)
-    images = []
-    for q in range(1, total + 1):
-        digits = _digits(q, n, p)
-        rearranged = tuple(digits[pi(s) - 1] for s in range(1, p + 1))
-        images.append(_flat(rearranged, n))
-    return Permutation(tuple(images))
+    check_order(n**p)
+    digits = _digit_table(n, p)[:, np.array(pi.images) - 1]
+    return Permutation(tuple((digits @ _places(n, p) + 1).tolist()))
 
 
-def _digits(q: int, n: int, p: int) -> Tuple[int, ...]:
-    """Per-factor indices of flat index q in an n^p product space."""
-    out = [0] * p
-    u = q - 1
-    for r in range(p - 1, -1, -1):
-        out[r] = u % n + 1
-        u //= n
-    return tuple(out)
+def _digit_table(n: int, p: int) -> np.ndarray:
+    """Row q-1 holds the p digits of flat index q in an n^p product space,
+    0-based, first factor first: q-1 is their product with _places."""
+    return np.arange(n**p)[:, None] // _places(n, p) % n
 
 
-def _flat(digits: Sequence[int], n: int) -> int:
-    q = 0
-    for d in digits:
-        q = q * n + (d - 1)
-    return q + 1
+def _places(n: int, p: int) -> np.ndarray:
+    return n ** np.arange(p - 1, -1, -1)
 
 
 def symmetrizer(p: int, n: int) -> XSum:
     """(1/p!) sum of the rank-p factor-permutation matrices."""
-    return _group_average(p, n, signed=False)
+    return _orbit_sum(p, n, signed=False)
 
 
 def antisymmetrizer(p: int, n: int) -> XSum:
     """(1/p!) parity-weighted sum of the factor-permutation matrices."""
-    return _group_average(p, n, signed=True)
+    return _orbit_sum(p, n, signed=True)
 
 
-def _group_average(p: int, n: int, signed: bool) -> XSum:
-    """(1/p!) sum over pi of (parity of pi, if signed) times the matrix of
-    factor_perm(pi, n), summed as one XSum of all p! matrices' terms."""
+def _orbit_sum(p: int, n: int, signed: bool) -> XSum:
+    """The (anti)symmetrizer in closed form, with no sum over permutations.
+
+    Entry (q, r) is nonzero only when r's digits rearrange q's, so the
+    basis states fall into orbits of one sorted digit key each.  It is 1/g,
+    g the orbit's size p!/prod m_k!, in the symmetrizer.  In the
+    antisymmetrizer an orbit with a repeated digit cancels, the others
+    have g = p!, and the entry is sign(q) sign(r) / g, where sign(q) is the
+    parity of the inversions among q's digits.
+    """
     if p < 1 or n < 1:
         raise ValueError("rank and order must be at least 1")
-    weight = Fraction(1, math.factorial(p))
-    perms = map(Permutation, itertools.permutations(range(1, p + 1)))
-    weights = ((pi, -weight if signed and pi.parity() < 0 else weight)
-               for pi in perms)
-    # the terms of each perm_matrix(factor_perm(pi, n)), weighted; they are
-    # lazy, so XSum checks the order before the first permutation is built
-    terms = (((j, k), w) for pi, w in weights
-             for j, k in enumerate(factor_perm(pi, n).images, 1))
-    return XSum(n**p, terms)
+    check_order(n**p)
+    digits = _digit_table(n, p)
+    ordered = np.sort(digits, axis=1)
+    states, sign = np.arange(n**p), np.ones(n**p, dtype=np.int64)
+    if signed:
+        states = states[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        upper = np.triu(digits[states, :, None] > digits[states, None, :], 1)
+        sign = 1 - 2 * (upper.sum(axis=(1, 2)) % 2)
+    # the states of each orbit side by side; orbit k has g = size[k]
+    # members from first[k], and its pair t is (member t // g, member t % g)
+    key = ordered[states] @ _places(n, p)
+    by_orbit = np.argsort(key, kind="stable")
+    _, first, size = np.unique(key[by_orbit], return_index=True, return_counts=True)
+    pairs = size * size
+    g, start = np.repeat(size, pairs), np.repeat(first, pairs)
+    t = np.arange(len(g)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    a, b = by_orbit[start + t // g], by_orbit[start + t % g]
+    cols = Columns(FRACTION, states[a] + 1, states[b] + 1, (sign[a] * sign[b], g))
+    return XSum._from_columns(n**p, cols)

@@ -21,6 +21,7 @@ from kronx.hubbard import (
     Columns,
     DimensionError,
     XSum,
+    check_order,
     dagger,
     from_dense,
     identity,
@@ -29,7 +30,8 @@ from kronx.hubbard import (
     xsum_mul,
 )
 from kronx.kron import kron_many
-from kronx.perm import Permutation, factor_perm, perm_matrix
+from kronx.fourier import _log2_exact
+from kronx.perm import Permutation, perm_matrix
 from kronx.su2 import Irrep, ladder_coeff, pauli, weight
 
 
@@ -254,15 +256,65 @@ def product_ceiling_by_hand(two_j1: int, two_j2: int, which: str) -> XSum:
     return XSum(n, terms)
 
 
+def factor_perm_by_hand(pi: Permutation, n: int) -> Permutation:
+    """perm.factor_perm one flat index at a time: split q into its digits,
+    rearrange them, and join them again."""
+    p = pi.degree
+    if n < 1:
+        raise ValueError("factor order must be at least 1")
+    total = n**p
+    check_order(total)
+    images = []
+    for q in range(1, total + 1):
+        digits = _digits(q, n, p)
+        rearranged = tuple(digits[pi(s) - 1] for s in range(1, p + 1))
+        images.append(_flat(rearranged, n))
+    return Permutation(tuple(images))
+
+
+def _digits(q: int, n: int, p: int) -> tuple:
+    """Per-factor indices of flat index q in an n^p product space."""
+    out = [0] * p
+    u = q - 1
+    for r in range(p - 1, -1, -1):
+        out[r] = u % n + 1
+        u //= n
+    return tuple(out)
+
+
+def _flat(digits, n: int) -> int:
+    q = 0
+    for d in digits:
+        q = q * n + (d - 1)
+    return q + 1
+
+
+def bit_reversal_by_hand(n: int) -> Permutation:
+    """Image of p reverses the t-bit binary expansion of p-1 (n = 2^t), one
+    bit at a time."""
+    t = _log2_exact(n)
+    images = []
+    for p in range(1, n + 1):
+        v = p - 1
+        r = 0
+        for _ in range(t):
+            r = (r << 1) | (v & 1)
+            v >>= 1
+        images.append(r + 1)
+    return Permutation(tuple(images))
+
+
 def group_average_by_hand(p: int, n: int, signed: bool) -> XSum:
-    """perm._group_average as p! running sums and a trailing scale."""
+    """The (anti)symmetrizer by its definition: (1/p!) times the running
+    sum over all p! permutations pi of (parity of pi, if signed) times the
+    matrix of factor_perm_by_hand(pi, n)."""
     if p < 1 or n < 1:
         raise ValueError("rank and order must be at least 1")
     total = XSum(n**p)  # raises ResourceError early when n^p over cap
     weight = Fraction(1, math.factorial(p))
     for images in itertools.permutations(range(1, p + 1)):
         pi = Permutation(images)
-        term = perm_matrix(factor_perm(pi, n))
+        term = perm_matrix(factor_perm_by_hand(pi, n))
         if signed and pi.parity() < 0:
             term = term.scale(-1)
         total = total + term

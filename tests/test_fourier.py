@@ -16,7 +16,7 @@ from kronx.fourier import (
     odd_even_perm,
     omega_diag,
 )
-from _oracles import allclose, dense_dft_reconstruction_error
+from _oracles import allclose, bit_reversal_by_hand, dense_dft_reconstruction_error
 from kronx.hubbard import ResourceError, XSum, dagger, identity, xsum_mul
 from kronx.kron import kron
 from kronx.perm import Permutation, perm_matrix
@@ -136,6 +136,11 @@ def test_bit_reversal_fixture_and_involution():
     for n in (2, 4, 8, 16, 32):
         pi = bit_reversal_perm(n)
         assert pi.compose(pi).images == Permutation.identity(n).images
+
+
+def test_bit_reversal_matches_the_bit_loop():
+    for t in range(13):
+        assert bit_reversal_perm(2**t).images == bit_reversal_by_hand(2**t).images
 
 
 def test_bit_reversal_rejects_non_power_of_two():

@@ -327,6 +327,8 @@ _OVER_CAP = {
     "commutation_perm": lambda: perm.commutation_perm(300, 300),
     "kron_perm": lambda: perm.kron_perm(_P300, _P300),
     "factor_perm": lambda: perm.factor_perm(perm.Permutation((3, 1, 2)), 45),
+    "bit_reversal_perm": lambda: fourier.bit_reversal_perm(2**16),
+    "odd_even_perm": lambda: fourier.odd_even_perm(2**16),
 }
 
 

@@ -637,9 +637,9 @@ class TestHubbardH:
         assert hubbard_h(HubbardParams(5, 0, 1, 2)).order == 4**5
 
         def no_digits(*args):
-            raise AssertionError("a term was emitted past the order cap")
+            raise AssertionError("a digit was computed past the order cap")
 
-        monkeypatch.setattr(kronx.models, "_digits", no_digits)
+        monkeypatch.setattr(kronx.models, "_digit_table", no_digits)
         with pytest.raises(ResourceError):
             hubbard_h(HubbardParams(7, 0, 1, 2, {(1, 2): 1}))
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -13,6 +15,8 @@ from _oracles import (
     as_listed,
     column_copy,
     dict_copy,
+    factor_perm_by_hand,
+    group_average_by_hand,
     kron_oracle,
     per_term_product,
     random_rational_xsum,
@@ -258,6 +262,56 @@ def test_factor_perm_action_permutes_kets():
         inv = pi.inverse()
         want = [xs[inv(s) - 1] for s in (1, 2, 3)]
         assert got == kron_vec(kron_vec(want[0], want[1]), want[2])
+
+
+def test_factor_perm_matches_the_per_state_reference():
+    for p in range(1, 6):
+        for images in itertools.permutations(range(1, p + 1)):
+            pi = Permutation(images)
+            for n in (1, 2, 3):
+                assert factor_perm(pi, n).images == factor_perm_by_hand(pi, n).images
+    rng = random.Random(68)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        pi = _random_perm(rng, rng.randint(1, 12))
+        while n**pi.degree > 4096:
+            n -= 1
+        assert factor_perm(pi, n).images == factor_perm_by_hand(pi, n).images
+
+
+def _ranks_and_orders(limit):
+    """Every (p, n) with p <= 6 and n^p <= limit."""
+    return [(p, n) for p in range(1, 7) for n in range(1, limit + 1) if n**p <= limit]
+
+
+def test_symmetrizers_match_the_definition():
+    # sorted by cell: the closed form stores its terms in orbit order
+    for p, n in _ranks_and_orders(256):
+        for build, signed in ((symmetrizer, False), (antisymmetrizer, True)):
+            got, want = build(p, n), group_average_by_hand(p, n, signed)
+            assert sorted(as_listed(got)) == sorted(as_listed(want))
+
+
+def test_symmetrizer_counts_in_closed_form():
+    for p in range(1, 13):
+        assert symmetrizer(p, 2).nnz() == comb(2 * p, p)
+    for p, n in _ranks_and_orders(4096):
+        if p == 1 and n > 64:
+            continue  # the identity again, at 1.4 s for the rest
+        s, a = symmetrizer(p, n), antisymmetrizer(p, n)
+        assert a.nnz() == comb(n, p) * factorial(p) ** 2
+        # the dimensions of the symmetric and antisymmetric subspaces
+        assert s.trace() == comb(n + p - 1, p)
+        assert a.trace() == comb(n, p)
+
+
+@pytest.mark.parametrize("build,p,n", [(symmetrizer, 9, 1), (antisymmetrizer, 9, 1),
+                                       (symmetrizer, 7, 2)])
+def test_symmetrizers_build_without_the_permutation_sum(build, p, n):
+    # the sum over all p! permutations took 4-8 s on each of these
+    start = time.perf_counter()
+    build(p, n)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_symmetrizer_p2_closed_form():
