@@ -496,7 +496,7 @@ def cg_table(two_j1: int, two_j2: int):
         # build_S stores S column by column, rows ascending: that is 2J
         # descending, then 2M descending, then 2m1 descending
         rows = []
-        for (p, q), c in s.matrix.columns().terms().items():
+        for (p, q), c in s.matrix.columns().pairs():
             alpha, beta = divmod(p - 1, n2)
             rows.append((*col_labels[q - 1], two_j1 - 2 * alpha,
                          two_j2 - 2 * beta, c))

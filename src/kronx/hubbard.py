@@ -9,10 +9,10 @@ cell add by one rule, _summed: exact values add exactly, a float makes the
 cell complex, and a cell whose sum cancels is dropped.
 
 An XSum whose coefficients share one exact kind can also hold its terms as
-integer Columns.  The JSON reader, kron, xsum_mul, perm_matrix, dagger and
-cg.build_S build that form directly, the writer and the float conversion
-read it, and the term dict is made from it only when a term is first read
-one by one.
+integer Columns.  The JSON reader, kron, perm_matrix, dagger, cg.build_S
+and xsum_mul (where no two products share a cell) build that form directly,
+the writer, trace and the float conversion read it, and the term dict is
+made from it only when a term is first read one by one.
 This module alone knows the exact value format: the table of kinds and
 their integer parts, promotion, the value products and fraction reduction.
 """
@@ -22,13 +22,14 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, mul, truediv
+from operator import attrgetter, truediv
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
                     Tuple)
 
 import numpy as np
 
 from .exactnum import (
+    DomainError,
     Scalar,
     SqrtRational,
     coprime_fraction,
@@ -248,11 +249,15 @@ class Columns:
             vals = _KINDS[up].lift(*vals)
         return vals
 
-    def terms(self) -> dict:
-        """The term dict, its coefficients the kind's Python scalars."""
+    def pairs(self) -> Iterator:
+        """The terms in storage order as ((i, j), c), c the kind's scalar."""
         keys = zip(self.rows.tolist(), self.cols.tolist())
         scalars = map(_KINDS[self.kind].build, *(v.tolist() for v in self.vals))
-        return dict(zip(keys, scalars))
+        return zip(keys, scalars)
+
+    def terms(self) -> dict:
+        """The term dict of pairs()."""
+        return dict(self.pairs())
 
     def scalar(self, i: int) -> Scalar:
         """The coefficient of term i alone, as terms() gives it."""
@@ -271,12 +276,12 @@ class Columns:
         return Columns(kind, rows.ravel(), cols.ravel(),
                        tuple(v.ravel() for v in vals))
 
-    def matmul(self, other: "Columns", order: int) -> "Columns | None":
+    def matmul(self, other: "Columns", order: int) -> "XSum":
         """The delta rule on whole columns: term (i, j) of self meets each
         term (j, l) of other, self's terms in storage order and other's
         terms of row j in storage order, as the per-term product loop
-        visits them.  None when two products land on one cell: such sums
-        can cancel, or surds fail to add, so they are left to that loop."""
+        visits them.  Products on distinct cells stay columns; otherwise
+        _summed adds them in that order, as they can cancel or fail to add."""
         # other's terms grouped by row, each row in storage order: row r
         # is by_row[first[r]:first[r] + per_row[r]]
         by_row = np.argsort(other.rows, kind="stable")
@@ -290,10 +295,12 @@ class Columns:
         start = first[self.cols] - ends + counts
         ib = by_row[np.repeat(start, counts) + np.arange(len(ia))]
         a, b = self.take(ia), other.take(ib)
+        products = a.times(b, a.rows, b.cols)
         cells = np.sort((a.rows - 1) * order + b.cols)
         if np.any(cells[1:] == cells[:-1]):
-            return None
-        return a.times(b, a.rows, b.cols)
+            # subscripts come from the operands; only the sums need the rule
+            return XSum._trusted(order, _summed(products.pairs()))
+        return XSum._from_columns(order, products)
 
     def floats(self) -> np.ndarray:
         """Each coefficient as float() of its scalar gives it, bit for bit.
@@ -483,13 +490,23 @@ class XSum:
 
     def triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """0-based rows, 0-based columns and complex values of the terms in
-        storage order: the one route from terms to float arrays."""
+        storage order: the one route from terms to float arrays.  An exact
+        entry past float range raises DomainError, which names it."""
         c = self._held_columns()
-        if c is not None:
-            return c.rows - 1, c.cols - 1, c.floats().astype(complex)
-        nnz = len(self._terms)
+        try:
+            if c is not None:
+                return c.rows - 1, c.cols - 1, c.floats().astype(complex)
+            nnz = len(self._terms)
+            vals = np.fromiter(map(complex, self.values()), complex, nnz)
+        except OverflowError:
+            for (i, j), v in self._terms.items() if c is None else c.pairs():
+                try:
+                    complex(v)
+                except OverflowError:
+                    raise DomainError(
+                        f"entry ({i},{j}) is too large for a float") from None
+            raise
         cells = np.fromiter(chain.from_iterable(self._terms), np.intp, 2 * nnz)
-        vals = np.fromiter(map(complex, self.values()), complex, nnz)
         cells -= 1
         return cells[0::2], cells[1::2], vals
 
@@ -521,25 +538,19 @@ def identity(n: int) -> XSum:
 def xsum_mul(a: XSum, b: XSum) -> XSum:
     """Operator product by delta contraction on inner subscripts.
 
-    Operands that each hold one exact kind, whose products land on distinct
-    cells, multiply as Columns; every other pair term by term."""
+    Operands that each hold one exact kind multiply as Columns; any other
+    pair (mixed kinds, float or complex) term by term."""
     if a.order != b.order:
         raise DimensionError(
             f"order mismatch: {a.order} vs {b.order}"
         )
     cols_a = a.columns()
-    cols_b = None if cols_a is None else b.columns()
-    if cols_b is not None:
-        cols = cols_a.matmul(cols_b, a.order)
-        if cols is not None:
-            return XSum._from_columns(a.order, cols)
+    if cols_a is not None and (cols_b := b.columns()) is not None:
+        return cols_a.matmul(cols_b, a.order)
     rows_of_b: dict = {}
     for (k, l), c in b._terms.items():
         rows_of_b.setdefault(k, []).append((l, c))
-    # scalar_mul is * once neither side is float or complex; calling *
-    # itself pays for the generator step per product on exact operands
-    times = mul if a.is_exact() and b.is_exact() else scalar_mul
-    products = (((i, l), times(ca, cb)) for (i, j), ca in a._terms.items()
+    products = (((i, l), scalar_mul(ca, cb)) for (i, j), ca in a._terms.items()
                 for l, cb in rows_of_b.get(j, ()))
     # subscripts come from the operands; only the sums need the rule
     return XSum._trusted(a.order, _summed(products))
@@ -597,8 +608,11 @@ def dagger(a: XSum, mode: str = "adjoint") -> XSum:
 
 
 def trace(a: XSum) -> Scalar:
+    held = a._held_columns()
+    terms = a._terms.items() if held is None else (
+        held.take(held.rows == held.cols).pairs())
     t: Scalar = 0
-    for (i, j), c in a._terms.items():
+    for (i, j), c in terms:
         if i == j:
             t = scalar_add(t, c)
     return t

@@ -387,6 +387,8 @@ class JCConfig:
     def __post_init__(self):
         if self.fock_cutoff < 1:
             raise ValueError("fock_cutoff must be at least 1")
+        if not math.isfinite(self.gamma):
+            raise DomainError(f"gamma must be finite, not {self.gamma}")
 
     @property
     def fock_dim(self) -> int:
@@ -424,6 +426,8 @@ def jc_evolution(cfg: JCConfig, t: float) -> XSum:
     at the top Fock level, ground atom in vacuum) stay fixed, the first
     as a truncation artifact.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"time t must be finite, not {t}")
     nd = cfg.fock_dim
     n = cfg.order
     check_order(n)
@@ -435,6 +439,8 @@ def jc_evolution(cfg: JCConfig, t: float) -> XSum:
         i = f            # |excited, f>
         j = nd + f - 1   # |ground, f-1>
         th = cfg.gamma * t * math.sqrt(nd + 1 - f)
+        if not math.isfinite(th):
+            raise DomainError(f"Rabi angle gamma*t*N_{f} = {th} is not finite")
         cos_t, sin_t = math.cos(th), math.sin(th)
         terms[(i, i)] = cos_t
         terms[(j, j)] = cos_t

@@ -364,6 +364,25 @@ class TestDiag:
         code, out, err = capcli("kron", path, path)
         assert code == 2 and out == "" and "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("heisenberg", "--sites", "2", "--jx", "1e400", "--diag"),
+        ("hubbard", "--sites", "2", "--u", "1e400", "--diag"),
+        ("diag", "F"),
+        ("diag", "F", *JACOBI),
+    ])
+    def test_exact_entry_past_float_range_is_2(self, capcli, tmp_path, argv):
+        path = tmp_path / "f.json"
+        path.write_text('{"kind":"rational","order":2,"terms":'
+                        f'[[1,1,{10**400},1],[2,2,1,1]]}}')
+        argv = [str(path) if a == "F" else a for a in argv]
+        code, out, err = capcli(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: entry (") and err.count("\n") == 1
+        assert "too large for a float" in err
+        # the exact matrix itself still writes
+        if argv[0] != "diag":
+            assert capcli(*argv[:-1])[0] == 0
+
     def test_degenerate_multiplicity_merged(self, capcli, tmp_path):
         h = XSum(3, {(1, 1): 2, (2, 2): 2, (3, 3): 5})
         path = write_matrix(tmp_path, "h.json", h)
@@ -576,6 +595,22 @@ class TestHeisenbergHubbardJc:
     def test_jc_bad_cutoff_is_2(self, capcli):
         assert capcli("jc", "--gamma", "1", "--cutoff", "0",
                       "--time", "1")[0] == 2
+
+    @pytest.mark.parametrize("gamma, time, extra, named", [
+        ("nan", "1", (), "gamma"),
+        ("inf", "1", (), "gamma"),
+        ("1", "nan", (), "time"),
+        ("1", "inf", (), "time"),
+        ("nan", "1", ("--two-cavity",), "gamma"),
+        ("1", "nan", ("--two-cavity",), "time"),
+        ("1e200", "1e200", (), "Rabi angle"),
+        ("1e200", "-1e200", ("--two-cavity",), "Rabi angle"),
+    ])
+    def test_jc_non_finite_input_is_2(self, capcli, gamma, time, extra, named):
+        code, out, err = capcli("jc", "--gamma", gamma, "--cutoff", "2",
+                                f"--time={time}", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
 
 
 class TestVerify:

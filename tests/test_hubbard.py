@@ -22,7 +22,7 @@ from _oracles import (
     dict_copy,
     per_term_product,
 )
-from kronx.exactnum import ClosureError, SqrtRational
+from kronx.exactnum import ClosureError, DomainError, SqrtRational
 from kronx.hubbard import (
     Columns,
     DimensionError,
@@ -469,6 +469,71 @@ def test_products_past_int64_stay_exact_on_columns():
     assert got._store is None and got._cols.vals[0].dtype == object
     assert as_listed(got) == as_listed(per_term_product(a, b))
     assert got.coeff(1, 2) == Fraction(2**132, 3)
+
+
+# dense 3 x 3 operands of one kind: every cell of their product collects
+# three products; the surds' radicands make every colliding sum like
+_DENSE = {
+    "int": lambda i, j, s: s * (i + 2 * j),
+    "fraction": lambda i, j, s: Fraction(s * i, j + 1),
+    "surd": lambda i, j, s: SqrtRational(s, Fraction(2 * s * s * i * i, j * j)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSE))
+def test_colliding_products_stay_on_the_columns(kind, monkeypatch):
+    value = _DENSE[kind]
+    a = column_copy(XSum(3, {(i, j): value(i, j, (-1) ** j)
+                             for i in range(1, 4) for j in range(1, 4)}))
+    b = column_copy(XSum(3, {(i, j): value(j, i, (-1) ** (i * j))
+                             for i in range(1, 4) for j in range(1, 4)}))
+    # one-kind operands never reach the per-term loop, nor build term dicts
+    monkeypatch.setattr(hubbard_module, "scalar_mul", _refuse)
+    got = xsum_mul(a, b)
+    assert a._store is None and b._store is None
+    monkeypatch.undo()
+    assert _collide(a, b)
+    assert as_listed(got) == as_listed(per_term_product(a, b))
+
+
+def _jx_plus_jminus(two_j):
+    return su2.jpm(two_j, "plus") + su2.jpm(two_j, "minus")
+
+
+def _heisenberg(sites):
+    return models.heisenberg_h(models.SpinChainParams(sites, 1, 1, Fraction(3, 2)))
+
+
+# cell (1, 1) of its square collects 1, -1 and 5/2: the sum cancels, then
+# starts again behind the cells stored meanwhile
+_RESTART = {(1, 1): Fraction(1), (1, 2): Fraction(1), (1, 3): Fraction(1),
+            (2, 1): Fraction(-1), (3, 1): Fraction(5, 2), (2, 2): Fraction(2)}
+
+
+@pytest.mark.parametrize("build, arg", [
+    (_heisenberg, 6), (_heisenberg, 8), (_jx_plus_jminus, 3),
+    (_jx_plus_jminus, 6), (column_copy, XSum(3, _RESTART)),
+], ids=["heisenberg6", "heisenberg8", "jx3", "jx6", "restart"])
+def test_structured_collisions_match_the_per_term_reference(build, arg,
+                                                             monkeypatch):
+    a = build(arg)
+    assert a.columns() is not None and _collide(a, a)
+    monkeypatch.setattr(hubbard_module, "scalar_mul", _refuse)
+    got = xsum_mul(a, a)
+    monkeypatch.undo()
+    assert as_listed(got) == as_listed(per_term_product(a, a))
+
+
+@pytest.mark.parametrize("small, big", [
+    (Fraction(1, 2), Fraction(-10**400, 3)),
+    (1, 10**309),
+    (SqrtRational(1, Fraction(2)), SqrtRational(-1, Fraction(10**700))),
+], ids=["fraction", "int", "surd"])
+def test_float_step_names_an_entry_past_float_range(small, big):
+    x = XSum(3, {(1, 2): small, (3, 1): big, (2, 2): small})
+    for y in (dict_copy(x), column_copy(x)):
+        with pytest.raises(DomainError, match=r"entry \(3,1\)"):
+            y.triplets()
 
 
 def test_empty_products_are_empty():

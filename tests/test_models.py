@@ -733,6 +733,16 @@ class TestJaynesCummings:
         )
         assert bracket(jc_hamiltonian(cfg), excit) == XSum(2 * nd, {})
 
+    def test_non_finite_inputs_are_refused(self):
+        for gamma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="gamma"):
+                JCConfig(gamma, 2)
+        cfg = JCConfig(1e200, 2)
+        for t, named in ((math.nan, "time"), (-math.inf, "time"),
+                         (1e200, "Rabi angle")):
+            with pytest.raises(DomainError, match=named):
+                jc_evolution(cfg, t)
+
     def test_zero_time_is_identity(self):
         cfg = JCConfig(1.7, 5)
         assert jc_evolution(cfg, 0.0) == identity(cfg.order)

@@ -357,6 +357,18 @@ def test_antisymmetrizer_trace_counts_dimension():
     assert antisymmetrizer(3, 2).trace() == 0  # p > n kills everything
 
 
+def test_trace_reads_the_diagonal_off_the_columns():
+    s = symmetrizer(2, 64)
+    # the dimension of the symmetric subspace, C(65, 2)
+    assert s.trace() == 2080
+    assert s._store is None
+    for x in (s, antisymmetrizer(3, 4), column_copy(random_rational_xsum(
+            random.Random(7), 6))):
+        got = x.trace()
+        want = dict_copy(x).trace()
+        assert (type(got), repr(got)) == (type(want), repr(want))
+
+
 def test_inverse_matrix_is_transpose():
     rng = random.Random(67)
     for _ in range(40):
