@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -49,6 +50,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-3/2" or "-1e3" for a flag: its negative-number
+        # pattern knows only -N and -N.N.  No kronx flag looks like a
+        # number, so every token that float or Fraction reads is a value.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
     # argparse wants to sys.exit(2) on bad flags; route that to 64 instead
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")

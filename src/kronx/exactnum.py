@@ -311,9 +311,10 @@ def complex_float(re: float, im: float = 0.0) -> complex:
 # Coefficients in operator sums are int, Fraction, SqrtRational, float or
 # complex.  Every kind converts with complex() and is zero exactly when
 # bool() is False.  The helpers below add one rule to the operators: any
-# float/complex participant drags the result to complex.  Exact kinds stay
-# exact through their own operators, where SqrtRational._coerce is the one
-# place a rational becomes a surd.
+# float/complex participant drags the result to complex, and an exact one
+# past float range then raises DomainError.  Exact kinds stay exact
+# through their own operators, where SqrtRational._coerce is the one place
+# a rational becomes a surd.
 
 Scalar = Union[int, Fraction, SqrtRational, float, complex]
 
@@ -329,9 +330,15 @@ def scalar_to_float(c: Scalar) -> float:
     return z.real
 
 
+_PAST_FLOAT = "an exact value is too large for a float"
+
+
 def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return complex(a) * complex(b)
+        try:
+            return complex(a) * complex(b)
+        except OverflowError:
+            raise DomainError(_PAST_FLOAT) from None
     return a * b
 
 
@@ -339,7 +346,10 @@ def scalar_add(a: Scalar, b: Scalar) -> Scalar:
     """Exact when both sides are exact; raises ClosureError if the square
     roots cannot combine. Callers that can tolerate floats must convert."""
     if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return complex(a) + complex(b)
+        try:
+            return complex(a) + complex(b)
+        except OverflowError:
+            raise DomainError(_PAST_FLOAT) from None
     return a + b
 
 

@@ -19,7 +19,6 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from .exactnum import DomainError, scalar_mul
-# unused here; perfbench/smoke.py checks that its tracer wraps xsum_mul here
 from .hubbard import XSum, _summed, check_order, from_dense, x_op, xsum_mul
 from .kron import kron
 from .perm import _digit_table
@@ -236,46 +235,42 @@ def diagonalize(
     return tuple(eps[i] for i in order), from_dense(u[:, order].tolist())
 
 
-def _site_sum(n: int, d: int, terms, parity=None) -> XSum:
+def _site_sum(n: int, d: int, terms) -> XSum:
     """Sum of coef * op_1(site_1) ... op_m(site_m) over (coef, ((site, op),
-    ...)) terms on n sites of d levels; a local op has at most one entry
-    per column.
+    ...)) terms on n sites of d levels; a term's sites are distinct, in
+    1..n, and a local op has order d and at most one entry per column.
 
     For each column q the site digits of q are read from one digit table
-    (perm._digit_table) and the factors' columns are applied right to
-    left, giving one X^{p,q} per term that acts on q.  With a level
-    parity, an entry that changes the parity at site s picks up the
-    Jordan-Wigner sign (-1)^(odd levels on sites < s) of the state it acts
-    on.  Entries are promoted as kron promotes them beside an identity
-    (1 * v), and the X^{p,q} of all columns are summed in that order by
-    hubbard's one rule, _summed: spin sums equal the kron_many/xsum_mul
-    composition term for term."""
+    (perm._digit_table); each factor maps its own site's digit to one
+    entry, one X^{p,q} per term that acts on q.  Entries, promoted as kron
+    promotes them beside an identity (1 * v), multiply right to left, and
+    the X^{p,q} of all columns are summed in that order by _summed: spin
+    sums equal the kron_many/xsum_mul composition term for term."""
     order = d**n
     check_order(order)
     plan = []
     for coef, factors in terms:
         steps = []
         for site, op in reversed(factors):
-            col = {c: (r, scalar_mul(1, v)) for (r, c), v in op.items()}
-            if len(col) < op.nnz():
-                raise ValueError("a local op has two entries in one column")
-            steps.append((site - 1, d ** (n - site), col))
+            col = {c: ((r - c) * d ** (n - site), scalar_mul(1, v))
+                   for (r, c), v in op.items()}
+            if op.order != d or len(col) < op.nnz():
+                raise ValueError(f"local ops are {d}x{d}, one entry per column")
+            steps.append((site - 1, col))
+        if len({s for s, _ in steps}.intersection(range(n))) < len(steps):
+            raise ValueError(f"a term's sites are not distinct sites in 1..{n}")
         plan.append((coef, steps))
 
     def contributions():
         for q, digits in enumerate((_digit_table(d, n) + 1).tolist(), 1):
             for coef, steps in plan:
-                state, p, amp = list(digits), q, None
-                for s, stride, col in steps:
-                    if state[s] not in col:
+                p, amp = q, None
+                for s, col in steps:
+                    if digits[s] not in col:
                         break
-                    r, v = col[state[s]]
-                    if (parity and parity[r - 1] != parity[state[s] - 1]
-                            and sum(parity[x - 1] for x in state[:s]) % 2):
-                        v = -v
+                    shift, v = col[digits[s]]
                     amp = v if amp is None else scalar_mul(v, amp)
-                    p += (r - state[s]) * stride
-                    state[s] = r
+                    p += shift
                 else:
                     yield (p, q), scalar_mul(coef, amp)
 
@@ -366,17 +361,21 @@ class HubbardParams:
 def hubbard_h(params: HubbardParams) -> XSum:
     """H0 + H1 on sites x (0,+,-,2): on-site energies plus the hopping
     sum t_ij (c+_{i s} c_{j s} + c+_{j s} c_{i s}) of a fermionic cluster,
-    Jordan-Wigner ordered 1 up, 1 down, 2 up, ... (levels + and - are odd);
-    hubbard_site_ops carries the sign within a site."""
+    Jordan-Wigner ordered 1 up, 1 down, 2 up, ...: c+_i c_j = (c+ P)_i
+    P_{i+1} ... P_{j-1} c_j for i < j, P the site parity (-1)^(n_up+n_dn)."""
     ops = hubbard_site_ops()
     onsite = XSum(4, {(1, 1): params.e0, (2, 2): params.e1,
                       (3, 3): params.e1, (4, 4): params.e2})
+    parity = XSum(4, {(1, 1): 1, (2, 2): -1, (3, 3): -1, (4, 4): 1})
+    cdag_p = {s: xsum_mul(ops[f"cdag_{s}"], parity) for s in ("up", "dn")}
+    p_c = {s: op.dagger() for s, op in cdag_p.items()}  # P c = (c+ P)^dagger
     terms = [(1, ((i, onsite),)) for i in range(1, params.sites + 1)]
     for (i, j), tij in params.t.items():
-        for spin in ("up", "dn"):
-            cdag, c = ops[f"cdag_{spin}"], ops[f"c_{spin}"]
-            terms += [(tij, ((i, cdag), (j, c))), (tij, ((j, cdag), (i, c)))]
-    return _site_sum(params.sites, 4, terms, parity=(0, 1, 1, 0))
+        string = tuple((k, parity) for k in range(i + 1, j))
+        for s in ("up", "dn"):
+            terms += [(tij, ((i, cdag_p[s]), *string, (j, ops[f"c_{s}"]))),
+                      (tij, ((j, ops[f"cdag_{s}"]), *string, (i, p_c[s])))]
+    return _site_sum(params.sites, 4, terms)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from kronx.hubbard import (
     Columns,
     DimensionError,
     XSum,
+    _summed,
     check_order,
     dagger,
     from_dense,
@@ -30,6 +31,7 @@ from kronx.hubbard import (
     xsum_mul,
 )
 from kronx.kron import kron_many
+from kronx.models import hubbard_site_ops
 from kronx.fourier import _log2_exact
 from kronx.perm import Permutation, perm_matrix
 from kronx.su2 import Irrep, ladder_coeff, pauli, weight
@@ -535,6 +537,60 @@ def dense_hubbard_jw(sites: int, eps: float, u: float, hops: dict):
             k, l = 2 * (i - 1) + spin, 2 * (j - 1) + spin
             h = h + t * (c[k].T @ c[l] + c[l].T @ c[k])
     return h
+
+
+def site_sum_by_parity_rule(n: int, d: int, terms, parity=None) -> XSum:
+    """The models' site-sum kernel with the fermion sign as a rule of the
+    kernel, not a factor of the term: for each column q the term's factors
+    act right to left on a copy of q's digits, a factor may meet a site an
+    earlier one changed, and with a level parity an entry that changes the
+    parity at site s picks up the sign (-1)^(odd levels on sites < s) of
+    the state it acts on.  Contributions reach _summed in the same order
+    as the production kernel's."""
+    order = d**n
+    check_order(order)
+    plan = []
+    for coef, factors in terms:
+        steps = []
+        for site, op in reversed(factors):
+            col = {c: (r, scalar_mul(1, v)) for (r, c), v in op.items()}
+            steps.append((site - 1, d ** (n - site), col))
+        plan.append((coef, steps))
+
+    def contributions():
+        for q in range(1, order + 1):
+            digits = _digits(q, d, n)
+            for coef, steps in plan:
+                state, p, amp = list(digits), q, None
+                for s, stride, col in steps:
+                    if state[s] not in col:
+                        break
+                    r, v = col[state[s]]
+                    if (parity and parity[r - 1] != parity[state[s] - 1]
+                            and sum(parity[x - 1] for x in state[:s]) % 2):
+                        v = -v
+                    amp = v if amp is None else scalar_mul(v, amp)
+                    p += (r - state[s]) * stride
+                    state[s] = r
+                else:
+                    yield (p, q), scalar_mul(coef, amp)
+
+    return XSum._trusted(order, _summed(contributions()))
+
+
+def hubbard_by_parity_rule(params) -> XSum:
+    """hubbard_h with each hop c+_i c_j a two-factor term, its
+    Jordan-Wigner sign left to site_sum_by_parity_rule's level parity
+    (0, 1, 1, 0) on (0, +, -, 2)."""
+    ops = hubbard_site_ops()
+    onsite = XSum(4, {(1, 1): params.e0, (2, 2): params.e1,
+                      (3, 3): params.e1, (4, 4): params.e2})
+    terms = [(1, ((i, onsite),)) for i in range(1, params.sites + 1)]
+    for (i, j), tij in params.t.items():
+        for spin in ("up", "dn"):
+            cdag, c = ops[f"cdag_{spin}"], ops[f"c_{spin}"]
+            terms += [(tij, ((i, cdag), (j, c))), (tij, ((j, cdag), (i, c)))]
+    return site_sum_by_parity_rule(params.sites, 4, terms, (0, 1, 1, 0))
 
 
 def free_fermion_levels(modes) -> np.ndarray:

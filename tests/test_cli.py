@@ -80,6 +80,24 @@ class TestExitCodes:
         assert code == 64 and not out
         assert f"argument {option}: invalid Fraction value: '{value}'" in err
 
+    @pytest.mark.parametrize("head, option, value", [
+        (("heisenberg", "--sites", "2"), "--jx", "-3/2"),
+        (("heisenberg", "--sites", "2"), "--jz", "-1e0"),
+        (("hubbard", "--sites", "2"), "--t", "-1/2"),
+        (("jc", "--gamma", "1", "--cutoff", "2"), "--time", "-1e200"),
+        (("jc", "--cutoff", "2", "--time", "1"), "--gamma", "-2e3"),
+    ])
+    def test_negative_value_reads_as_its_equals_form(self, capcli, head,
+                                                     option, value):
+        code, out, err = capcli(*head, option, value)
+        assert (code, err) == (0, "") and out
+        assert capcli(*head, f"{option}={value}") == (code, out, err)
+
+    def test_flag_after_a_flag_is_still_64(self, capcli):
+        code, out, err = capcli("heisenberg", "--sites", "2", "--jx", "--jy", "1")
+        assert code == 64 and not out
+        assert "argument --jx: expected one argument" in err
+
     def test_help_is_0(self, capcli):
         for argv in (("--help",), ("cg", "--help"), ("verify", "--help")):
             code, out, _ = capcli(*argv)
@@ -155,6 +173,20 @@ class TestKron:
         code, out, _ = capcli("kron", pa, pa, "-o", str(dest))
         assert code == 0 and out == ""
         assert matrix_from_json(dest.read_text()).coeff(1, 1) == 4
+
+    @pytest.mark.parametrize("swap", (False, True), ids=("float-first",
+                                                        "exact-first"))
+    def test_exact_value_past_float_range_meets_a_float_is_2(
+            self, capcli, tmp_path, swap):
+        c = tmp_path / "c.json"
+        c.write_text('{"kind":"complex","order":1,"terms":[[1,1,1.5,0.5]]}')
+        big = tmp_path / "big.json"
+        big.write_text('{"kind":"rational","order":1,"terms":'
+                       f'[[1,1,{10**400},1]]}}')
+        files = [str(c), str(big)][::-1 if swap else 1]
+        code, out, err = capcli("kron", *files)
+        assert code == 2 and out == ""
+        assert err == "error: an exact value is too large for a float\n"
 
 
 class TestPerm:

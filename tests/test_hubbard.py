@@ -40,6 +40,7 @@ from kronx.hubbard import (
     xsum_linear,
     xsum_mul,
 )
+from kronx.kron import kron
 
 
 def _random_xsum(rng, n, density=0.4):
@@ -534,6 +535,18 @@ def test_float_step_names_an_entry_past_float_range(small, big):
     for y in (dict_copy(x), column_copy(x)):
         with pytest.raises(DomainError, match=r"entry \(3,1\)"):
             y.triplets()
+
+
+@pytest.mark.parametrize("big", [
+    Fraction(-10**400, 3), 10**309, SqrtRational(-1, Fraction(10**700)),
+], ids=["fraction", "int", "surd"])
+@pytest.mark.parametrize("inexact", [1.5, 1.5 + 0.5j], ids=["float", "complex"])
+def test_exact_value_past_float_range_meets_a_float(big, inexact):
+    x, y = XSum(1, {(1, 1): big}), XSum(1, {(1, 1): inexact})
+    for op in (kron, lambda a, b: a @ b, lambda a, b: a + b):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(DomainError, match="too large for a float"):
+                op(a, b)
 
 
 def test_empty_products_are_empty():

@@ -35,10 +35,13 @@ from kronx.serialize import matrix_to_json
 from kronx.su2 import pauli
 
 from _oracles import (
+    as_listed,
     dense_hubbard_jw,
     free_fermion_levels,
     heisenberg_by_site_embed,
+    hubbard_by_parity_rule,
     site_embed,
+    site_sum_by_parity_rule,
 )
 
 
@@ -516,19 +519,19 @@ class TestHubbardSiteOps:
         assert n_dn == x_op(4, 3, 3) + x_op(4, 4, 4)
 
 
-HUBBARD_PARITY = (0, 1, 1, 0)
-
-
 def kernel_mode_ops(sites):
-    """Every c_{i s} and c+_{i s} as a one-factor product term of the
-    models' digit kernel, modes ordered 1 up, 1 down, 2 up, ..."""
+    """Every c_{i s} and c+_{i s} as one product term of the models' digit
+    kernel, modes ordered 1 up, 1 down, 2 up, ...: the Jordan-Wigner string
+    P_1 ... P_{i-1} of site parities, then the site op at i."""
     ops = hubbard_site_ops()
+    parity = XSum(4, {(1, 1): 1, (2, 2): -1, (3, 3): -1, (4, 4): 1})
     c, cdag = [], []
     for i in range(1, sites + 1):
+        string = tuple((k, parity) for k in range(1, i))
         for spin in ("up", "dn"):
             for out, name in ((c, f"c_{spin}"), (cdag, f"cdag_{spin}")):
                 out.append(kronx.models._site_sum(
-                    sites, 4, [(1, ((i, ops[name]),))], HUBBARD_PARITY))
+                    sites, 4, [(1, (*string, (i, ops[name])))]))
     return c, cdag
 
 
@@ -565,6 +568,51 @@ class TestFermionKernel:
         with pytest.raises(ValueError):
             kronx.models._site_sum(
                 2, 2, [(1, ((1, pauli("x") + pauli("z")),))])
+
+
+@pytest.mark.parametrize("factors", (
+    ((1, pauli("z")), (1, pauli("z"))),
+    ((1, pauli("z")), (2, pauli("x")), (1, pauli("z"))),
+    ((0, pauli("z")),),
+    ((3, pauli("z")),),
+    ((1, x_op(4, 3, 1)),),
+), ids=("repeat", "repeat-apart", "site-0", "site-n+1", "order-4"))
+def test_site_sum_refuses_malformed_terms(factors):
+    with pytest.raises(ValueError):
+        kronx.models._site_sum(2, 2, [(1, factors)])
+
+
+HUBBARD_KINDS = {
+    "int": (1, 0, 4, -1),
+    "fraction": (Fraction(3, 10), Fraction(1, 7), Fraction(4), Fraction(-1, 2)),
+    "float": (0.3, 0.7, 4.0, 1.0),
+}
+HUBBARD_SHAPES = ([(n, "open") for n in range(1, 6)]
+                  + [(n, "ring") for n in range(3, 6)] + [(4, "all")])
+
+
+@pytest.mark.parametrize("kind", HUBBARD_KINDS.values(), ids=HUBBARD_KINDS)
+@pytest.mark.parametrize("sites, shape", HUBBARD_SHAPES,
+                         ids=[f"{shape}{n}" for n, shape in HUBBARD_SHAPES])
+def test_hubbard_strings_equal_the_parity_rule(sites, shape, kind):
+    eps, mu, u, t = kind
+    closing = (1, sites) if shape == "ring" else None
+    hops = {(i, j): t
+            for i, j in itertools.combinations(range(1, sites + 1), 2)
+            if shape == "all" or j == i + 1 or (i, j) == closing}
+    p = HubbardParams.from_physical(sites, eps, mu, u, hops)
+    assert as_listed(hubbard_h(p)) == as_listed(hubbard_by_parity_rule(p))
+
+
+@pytest.mark.parametrize("periodic", (False, True), ids=("open", "ring"))
+@pytest.mark.parametrize("kind", ("xxx", "xyz", "float"))
+@pytest.mark.parametrize("sites", range(2, 9))
+def test_heisenberg_equals_the_parity_rule_kernel(sites, kind, periodic,
+                                                 monkeypatch):
+    params = SpinChainParams(sites, *COUPLINGS[kind])
+    built = heisenberg_h(params, periodic)
+    monkeypatch.setattr(kronx.models, "_site_sum", site_sum_by_parity_rule)
+    assert as_listed(built) == as_listed(heisenberg_h(params, periodic))
 
 
 OPEN3 = {(1, 2): 1.0, (2, 3): 1.0}
