@@ -5,13 +5,20 @@ three coupled generators.  Entries are built by pure index arithmetic
 through three nested closed forms: the first block (binomial ratios),
 the first column of each block (alternating signs), and the general
 entry (a terminating alternating sum F against a factored radical
-Theta).  Each entry is computed as three Python ints, its sign and the
-numerator and denominator of its radicand, F by exactnum's 3F2
-term-ratio kernel; S holds them as integer Columns, and no per-entry
-scalar is built.  Only the top half of each block is computed, and the
-Condon-Shortley reflection m -> -m, a reversal of those arrays, gives the
-rest.  Every matrix is verified against the intertwining law, on floats
-read from the columns, before it is returned: each
+Theta).  build_S evaluates all three as one formula, a ratio of
+factorials times the square of an alternating sum of factorial ratios,
+in one array kernel over every cell at once: each factorial is its
+vector of prime exponents (Legendre's formula), and only a short sum of
+small integers per cell is left.  Each entry comes out as three
+integers, its sign and the numerator and denominator of its radicand,
+int64 where they fit and Python ints past that; S holds them as integer
+Columns, and no per-entry scalar is built.  The public lemmas
+s_first_block, s_rone and s_general keep one per-entry integer kernel
+each, F by exactnum's 3F2 term-ratio kernel, as the cross-check of the
+array kernel.  Only the top half of each block is computed, and the
+Condon-Shortley reflection m -> -m, array indexing on those cells, gives
+the rest.  Every matrix is verified against the intertwining law, on
+floats read from the columns, before it is returned: each
 generator is a diagonal or one or two fixed bands, so J_a S and S Jtilde_a
 are S's own terms shifted one band step and scaled by band entries from
 the index formulas.  A miss raises VerificationError.  An independent
@@ -39,7 +46,8 @@ from .exactnum import (
     coprime_fraction,
     pochhammer,
 )
-from .hubbard import SURD, Columns, XSum, check_order, int_column
+from .hubbard import (SURD, Columns, XSum, _product, check_order, int_column,
+                      magnitude)
 
 _ZERO = SqrtRational(0, Fraction(0))
 
@@ -48,12 +56,13 @@ class VerificationError(RuntimeError):
     """A built matrix failed its own verification; names the residual."""
 
 
-# The entries below are integer arithmetic: a rising or falling factorial
-# is one math.perm, as in exactnum.pochhammer, which takes the one whose x
-# may be negative.  Each kernel returns an entry's integer parts (sign,
-# num, den): the entry is sign * sqrt(num/den), the fraction in lowest
-# terms, and num == 0 for a zero entry.  build_S stores the parts as they
-# come; the public lemmas wrap them as one SqrtRational.
+# The per-entry kernels below are integer arithmetic: a rising or falling
+# factorial is one math.perm, as in exactnum.pochhammer, which takes the
+# one whose x may be negative.  Each returns an entry's integer parts
+# (sign, num, den): the entry is sign * sqrt(num/den), the fraction in
+# lowest terms, and num == 0 for a zero entry.  Only the public lemmas
+# call them, and wrap the parts as one SqrtRational; build_S takes the
+# same parts from the array kernel _cell_parts.
 
 
 def _reduced(sign: int, num: int, den: int) -> tuple:
@@ -174,6 +183,182 @@ def s_general(
     return _surd(_general_parts(two_j1, two_j2, k, r, alpha, beta))
 
 
+# The array kernel build_S calls.  With rho = r - 1 and 2j = 2j1 + 2j2, the
+# three closed forms are one formula: the entry at (alpha, beta) is
+# sign(F') (-1)^alpha sqrt(P F'^2), where
+#   P = (k-1)! alpha! (beta-1)! rho! (2j-2k+2-rho)! (2j-2k+3)!
+#       / ((2j1-alpha)! (2j2-beta+1)! (2j2-k+1)! (2j1-k+1)! (2j-2k+2)! (2j-k+2)!)
+#   F' = sum_{s=lo..hi} (-1)^s (2j1-alpha+s)! (2j2-beta+1+rho-s)!
+#                              / (s! (rho-s)! (alpha-s)! (beta-1-rho+s)!)
+# over lo = max(0, rho-beta+1), hi = min(rho, alpha): s_general's Theta^2 F^2
+# with F's factorial prefactor moved into P.  By Legendre's formula each
+# factorial is a vector of prime exponents, so every product is a small
+# integer vector and only F' is a sum.  Its terms share their exponent-wise
+# minimum g: F' = prod p^g * F'' with F'' a sum of small integers, and P's
+# exponents plus 2g are h.  The radicand's numerator is F''^2 times the
+# primes to h's positive part, its denominator the primes to h's negative
+# part, reduced by one gcd.
+
+# the weights of the factorials _arguments lists: +1 puts one in the
+# numerator, -1 in the denominator
+_TERM_WEIGHT = np.array([1, 1, -1, -1, -1, -1])
+_PREFACTOR_WEIGHT = np.array([1] * 6 + [-1] * 6)
+
+# exponent-array elements (terms x primes) per pass of _cell_parts: the
+# terms of a large S go through in passes, so its arrays stay near 1 MB
+_EXPONENTS_PER_PASS = 1 << 16
+
+# a product of prime powers whose log2, summed in floats, is below this is
+# below 2**63 exactly
+_INT64_BITS = 62
+
+
+@lru_cache(maxsize=64)
+def _legendre(top: int) -> tuple:
+    """(primes, their log2, E) for the primes p_i <= top, with
+    E[m, i] = v_{p_i}(m!) = sum_t floor(m / p_i^t) for 0 <= m <= top, in
+    the smallest unsigned type that holds top."""
+    sieve = np.ones(top + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    primes = np.flatnonzero(sieve)
+    m = np.arange(top + 1)
+    table = np.empty((top + 1, len(primes)), dtype=np.min_scalar_type(top))
+    for i, p in enumerate(primes.tolist()):
+        col, q = m // p, p * p
+        while q <= top:
+            col += m // q
+            q *= p
+        table[:, i] = col
+    table.flags.writeable = False
+    return primes, np.log2(primes), table
+
+
+def _exponents(table: np.ndarray, weight: np.ndarray, args: np.ndarray) -> np.ndarray:
+    """sum_a weight[a] E[args[a]]: the prime exponents of the products of
+    factorials args[:, c] (num where weight is 1, den where it is -1), one
+    row per column c of args, in a signed type that holds 32 max(E) and
+    so every sum the kernel forms from them."""
+    gathered = np.take(table, args, axis=0).reshape(len(args), -1)
+    signed = weight.astype(np.min_scalar_type(-32 * len(table)))
+    return (signed @ gathered).reshape(args.shape[1], -1)
+
+
+def _prime_power(x: np.ndarray, primes: np.ndarray, log2p: np.ndarray) -> np.ndarray:
+    """prod_i primes[i] ** x[:, i] for each row of a nonnegative exponent
+    array: int64 when every row is below 2**62, otherwise Python ints,
+    multiplied from int64 products over groups of primes that stay below
+    it (a prime whose powers alone pass it gets Python-int powers)."""
+    if not len(x) or (x @ log2p).max() < _INT64_BITS:
+        return np.prod(primes ** x, axis=1)
+    out = np.ones(len(x), dtype=object)
+    group, room = [], _INT64_BITS
+    for i, bits in enumerate((x.max(axis=0) * log2p).tolist()):
+        if bits >= _INT64_BITS:
+            p = int(primes[i])
+            powers = np.array([p ** e for e in range(int(x[:, i].max()) + 1)],
+                              dtype=object)
+            out *= powers[x[:, i]]
+            continue
+        if bits > room:
+            out *= np.prod(primes[group] ** x[:, group], axis=1)
+            group, room = [], _INT64_BITS
+        group.append(i)
+        room -= bits
+    if group:
+        out *= np.prod(primes[group] ** x[:, group], axis=1)
+    return out
+
+
+def _arguments(two_j1: int, two_j2: int) -> np.ndarray:
+    """The factorial arguments of the formula above as coefficient rows on
+    (1, k, alpha, r, s), with beta = k + r - 1 - alpha and rho = r - 1:
+    the six of a term of F', then the twelve of P."""
+    j1, j2, j = two_j1, two_j2, two_j1 + two_j2
+    return np.array([
+        [j1, 0, -1, 0, 1],  # (2j1-alpha+s)!
+        [j2 + 1, -1, 1, 0, -1],  # (2j2-beta+1+rho-s)!
+        [0, 0, 0, 0, 1],  # s!
+        [-1, 0, 0, 1, -1],  # (rho-s)!
+        [0, 0, 1, 0, -1],  # (alpha-s)!
+        [-1, 1, -1, 0, 1],  # (beta-1-rho+s)!
+        [-1, 1, 0, 0, 0],  # (k-1)!
+        [0, 0, 1, 0, 0],  # alpha!
+        [-2, 1, -1, 1, 0],  # (beta-1)!
+        [-1, 0, 0, 1, 0],  # rho!
+        [j + 3, -2, 0, -1, 0],  # (2j-2k+2-rho)!
+        [j + 3, -2, 0, 0, 0],  # (2j-2k+3)!
+        [j1, 0, -1, 0, 0],  # (2j1-alpha)!
+        [j2 + 2, -1, 1, -1, 0],  # (2j2-beta+1)!
+        [j2 + 1, -1, 0, 0, 0],  # (2j2-k+1)!
+        [j1 + 1, -1, 0, 0, 0],  # (2j1-k+1)!
+        [j + 2, -2, 0, 0, 0],  # (2j-2k+2)!
+        [j + 2, -1, 0, 0, 0],  # (2j-k+2)!
+    ])
+
+
+def _ragged(first, count):
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for each i, in
+    one array."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+
+
+def _pass_parts(args, cells, lo, count, primes, log2p, table):
+    """(sign, num, den) of the cells (rows k, alpha, r) of one pass, see
+    _cell_parts; F' sums count terms from s = lo."""
+    starts = np.cumsum(count) - count
+    s = _ragged(lo, count)
+    term_args = (args[:6, 1:4] @ np.repeat(cells, count, axis=1)
+                 + args[:6, :1] + args[:6, 4:] * s)
+    e = _exponents(table, _TERM_WEIGHT, term_args)
+    g = np.minimum.reduceat(e, starts)
+    terms = _prime_power(e - np.repeat(g, count, axis=0), primes, log2p)
+    if terms.dtype != object and magnitude(terms) * int(count.max()) >= 2**63:
+        terms = terms.astype(object)
+    # f = (-1)^alpha F'': each term signed by (-1)^(alpha-s), from its
+    # factorial (alpha-s)!
+    f = np.add.reduceat(np.where(term_args[4] % 2, -terms, terms), starts)
+    h = _exponents(table, _PREFACTOR_WEIGHT,
+                   args[6:, 1:4] @ cells + args[6:, :1]) + 2 * g
+    # the primes to h's positive and to its negative entries, in one call
+    up, den = _prime_power(np.maximum([h, -h], 0).reshape(2 * len(h), -1),
+                           primes, log2p).reshape(2, -1)
+    num = _product(_product(f, f), up)
+    common = np.gcd(num, den)
+    return np.where(f > 0, 1, -1), num // common, den // common
+
+
+def _cell_parts(two_j1: int, two_j2: int, k, r, alpha) -> tuple:
+    """The integer parts (sign, num, den) of S^{k,r} at (alpha, beta =
+    k + r - 1 - alpha), for int64 arrays of admissible cells: the closed
+    forms of s_first_block, s_rone and s_general as arrays, each entry
+    sign * sqrt(num/den) in lowest terms, num == 0 for a zero entry.  num
+    and den are int64 when every value fits and Python ints otherwise, as
+    int_column stores them."""
+    primes, log2p, table = _legendre(two_j1 + two_j2 + 1)
+    args = _arguments(two_j1, two_j2)
+    cells = np.array([k, alpha, r])
+    lo = np.maximum(0, alpha - k + 1)  # max(0, rho - beta + 1)
+    count = np.minimum(r - 1, alpha) - lo + 1  # F' has a live term at least
+    # pass i takes the cells whose first term is in [i per, (i + 1) per)
+    per = max(1, _EXPONENTS_PER_PASS // max(1, len(primes)))
+    cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // per)) + 1
+    edges = [0, *cuts.tolist(), len(count)]
+    parts = [
+        _pass_parts(args, cells[:, a:b], lo[a:b], count[a:b], primes, log2p,
+                    table)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    sign, num, den = (np.concatenate(c) for c in zip(*parts))
+    if num.dtype == object:
+        num = int_column(num.tolist())
+    if den.dtype == object:
+        den = int_column(den.tolist())
+    return sign, num, den
+
+
 @dataclass(frozen=True)
 class CGMatrix:
     layout: CouplingLayout
@@ -237,6 +422,47 @@ class IntertwiningReport:
         return self.max_residual < tol and self.diagonal_exact
 
 
+def _assembled(lay: CouplingLayout) -> CGMatrix:
+    """S from _cell_parts, unverified; its temporaries are freed on return,
+    before build_S verifies it."""
+    two_j1, two_j2, n, n2 = lay.twoJ1, lay.twoJ2, lay.total, lay.n2
+    dims = np.array(lay.dims)
+    # the top half of every block, rows r <= ceil(d/2), column by column:
+    # cell (alpha, beta) with 1 <= beta = k + r - 1 - alpha <= n2, alpha
+    # ascending
+    half = (dims + 1) // 2
+    col_k = np.repeat(np.arange(1, lay.n0 + 1), half)
+    col_r = _ragged(1, half)
+    top = col_k + col_r - 1
+    first = np.maximum(0, top - n2)
+    count = np.minimum(two_j1, top - 1) - first + 1
+    k, r = np.repeat(col_k, count), np.repeat(col_r, count)
+    alpha = _ragged(first, count)
+    sign, num, den = _cell_parts(two_j1, two_j2, k, r, alpha)
+    kept = np.flatnonzero(num)
+    k, r, alpha = k[kept], r[kept], alpha[kept]
+    d, z = dims[k - 1], (np.cumsum(dims) - dims)[k - 1]
+    rows, cols = alpha * (n2 - 1) + k + r - 1, z + r  # p = alpha n2 + beta
+    # each block is its top half and the Condon-Shortley reflection
+    # <j1 -m1; j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1; j2 m2 | J M> of its
+    # columns r <= d/2: row p goes to n + 1 - p, column z + r to
+    # z + d + 1 - r, and (-1)^(j1+j2-J) = (-1)^(k-1)
+    mirror = r <= d // 2
+    rows = np.concatenate([rows, n + 1 - rows[mirror]])
+    cols = np.concatenate([cols, (2 * z + d + 1 - cols)[mirror]])
+    take = np.concatenate([kept, kept[mirror]])
+    signs = sign[take]
+    signs[len(kept):] *= np.where(k[mirror] % 2, 1, -1)
+    # stored column by column, rows ascending
+    cells = (cols - 1) * n + rows
+    order = np.argsort(cells)
+    take = take[order]
+    store = Columns(SURD, rows[order], cols[order],
+                    (signs[order], num[take], den[take]))
+    # the cells are distinct and in range, and zeros are skipped
+    return CGMatrix(lay, XSum._from_columns(n, store), cells[order])
+
+
 def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     """Assemble S from the closed forms; columns indexed q = z_{k-1} + r.
 
@@ -245,61 +471,17 @@ def build_S(two_j1: int, two_j2: int) -> CGMatrix:
     cg_table lists them in that order.
 
     The closed forms fill the top half of each block, rows r <= ceil(d_k/2),
-    one entry's integer parts at a time; the Condon-Shortley reflection
-    fills the rest with the same radicands, as a reversal of the top half's
-    arrays.  The result is checked against the intertwining law; a residual
-    above 1e-8 or a weight mismatch raises VerificationError.
+    every cell's integer parts at once from _cell_parts, in prime
+    exponents on int64 arrays (Python ints where a value passes int64);
+    the Condon-Shortley reflection fills the rest with the same radicands,
+    for all blocks by array indexing.  The result is checked against the
+    intertwining law; a residual above 1e-8 or a weight mismatch raises
+    VerificationError.
     """
     lay = layout(two_j1, two_j2)  # refuses a negative 2j
     n = lay.total
     check_order(n)  # before any entry is computed
-    n2 = lay.n2
-    # the nonzero entries of every block's top half, in storage order, and
-    # per block (first entry, first entry past column d // 2, end, z, d, k)
-    rows, cols, signs, nums, dens, spans = [], [], [], [], [], []
-    for k, (d, z) in enumerate(zip(lay.dims, (0,) + lay.offsets), start=1):
-        first = half = len(rows)
-        # rows r <= ceil(d/2) from the closed forms: cell (alpha, beta)
-        # with 1 <= beta = k + r - 1 - alpha <= n2, alpha in increasing order
-        for r in range(1, (d + 1) // 2 + 1):
-            top = k + r - 1
-            for alpha in range(max(0, top - n2), min(two_j1, top - 1) + 1):
-                beta = top - alpha
-                if k == 1:
-                    sign, num, den = _first_block_parts(two_j1, two_j2, alpha, beta)
-                elif r == 1:
-                    sign, num, den = _rone_parts(two_j1, two_j2, k, alpha, beta)
-                else:
-                    sign, num, den = _general_parts(
-                        two_j1, two_j2, k, r, alpha, beta)
-                if num:
-                    rows.append(alpha * n2 + beta)
-                    cols.append(z + r)
-                    signs.append(sign)
-                    nums.append(num)
-                    dens.append(den)
-            if r == d // 2:
-                half = len(rows)
-        spans.append((first, half, len(rows), z, d, k))
-    rows, cols, signs = (np.array(v, dtype=np.int64) for v in (rows, cols, signs))
-    nums, dens = int_column(nums), int_column(dens)
-    # each block is its top half, then the Condon-Shortley reflection
-    # <j1 -m1; j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1; j2 m2 | J M> of its
-    # columns r <= d/2 in reverse storage order: row p goes to n + 1 - p,
-    # column z + r to z + d + 1 - r, and (-1)^(j1+j2-J) = (-1)^(k-1)
-    take, out_rows, out_cols, out_signs = [], [], [], []
-    for first, half, end, z, d, k in spans:
-        top, back = np.arange(first, end), np.arange(half - 1, first - 1, -1)
-        take += [top, back]
-        out_rows += [rows[top], n + 1 - rows[back]]
-        out_cols += [cols[top], 2 * z + d + 1 - cols[back]]
-        out_signs += [signs[top], signs[back] if k % 2 else -signs[back]]
-    take = np.concatenate(take)
-    out_rows, out_cols = np.concatenate(out_rows), np.concatenate(out_cols)
-    store = Columns(SURD, out_rows, out_cols,
-                    (np.concatenate(out_signs), nums[take], dens[take]))
-    # the cells are distinct and in range, and zeros are skipped
-    cand = CGMatrix(lay, XSum._from_columns(n, store), (out_cols - 1) * n + out_rows)
+    cand = _assembled(lay)
     report = cand.report
     if report.max_residual > 1e-8 or not report.diagonal_exact:
         raise VerificationError(

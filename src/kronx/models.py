@@ -238,7 +238,8 @@ def diagonalize(
 def _site_sum(n: int, d: int, terms) -> XSum:
     """Sum of coef * op_1(site_1) ... op_m(site_m) over (coef, ((site, op),
     ...)) terms on n sites of d levels; a term's sites are distinct, in
-    1..n, and a local op has order d and at most one entry per column.
+    1..n, and a local op has order d and at most one entry per column.  A
+    term with no factors is coef * I, as if its one factor were I on a site.
 
     For each column q the site digits of q are read from one digit table
     (perm._digit_table); each factor maps its own site's digit to one
@@ -271,8 +272,8 @@ def _site_sum(n: int, d: int, terms) -> XSum:
                     shift, v = col[digits[s]]
                     amp = v if amp is None else scalar_mul(v, amp)
                     p += shift
-                else:
-                    yield (p, q), scalar_mul(coef, amp)
+                else:  # a term with no factors is coef times I
+                    yield (p, q), scalar_mul(coef, 1 if amp is None else amp)
 
     return XSum._trusted(order, _summed(contributions()))
 

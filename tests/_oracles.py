@@ -483,6 +483,58 @@ def full_assembly_terms(two_j1: int, two_j2: int) -> dict:
     return terms
 
 
+def per_entry_build(two_j1: int, two_j2: int) -> tuple:
+    """build_S's stored arrays (rows, cols, (signs, nums, dens), cells),
+    unverified, one entry at a time: each top-half cell from its own
+    per-entry integer kernel (_first_block_parts at k = 1, _rone_parts at
+    r = 1, _general_parts otherwise), zeros skipped, and each block's
+    Condon-Shortley reflection by a loop over the blocks."""
+    from kronx.cg import _first_block_parts, _general_parts, _rone_parts
+    from kronx.coupling import layout
+    from kronx.hubbard import int_column
+
+    lay = layout(two_j1, two_j2)
+    n, n2 = lay.total, lay.n2
+    rows, cols, signs, nums, dens, spans = [], [], [], [], [], []
+    for k, (d, z) in enumerate(zip(lay.dims, (0,) + lay.offsets), start=1):
+        first = half = len(rows)
+        for r in range(1, (d + 1) // 2 + 1):
+            top = k + r - 1
+            for alpha in range(max(0, top - n2), min(two_j1, top - 1) + 1):
+                beta = top - alpha
+                if k == 1:
+                    sign, num, den = _first_block_parts(two_j1, two_j2, alpha, beta)
+                elif r == 1:
+                    sign, num, den = _rone_parts(two_j1, two_j2, k, alpha, beta)
+                else:
+                    sign, num, den = _general_parts(
+                        two_j1, two_j2, k, r, alpha, beta)
+                if num:
+                    rows.append(alpha * n2 + beta)
+                    cols.append(z + r)
+                    signs.append(sign)
+                    nums.append(num)
+                    dens.append(den)
+            if r == d // 2:
+                half = len(rows)
+        spans.append((first, half, len(rows), z, d, k))
+    rows, cols, signs = (np.array(v, dtype=np.int64) for v in (rows, cols, signs))
+    nums, dens = int_column(nums), int_column(dens)
+    # row p -> n + 1 - p, column z + r -> z + d + 1 - r, sign (-1)^(k-1)
+    take, out_rows, out_cols, out_signs = [], [], [], []
+    for first, half, end, z, d, k in spans:
+        top, back = np.arange(first, end), np.arange(half - 1, first - 1, -1)
+        take += [top, back]
+        out_rows += [rows[top], n + 1 - rows[back]]
+        out_cols += [cols[top], 2 * z + d + 1 - cols[back]]
+        out_signs += [signs[top], signs[back] if k % 2 else -signs[back]]
+    take = np.concatenate(take)
+    out_rows, out_cols = np.concatenate(out_rows), np.concatenate(out_cols)
+    return (out_rows, out_cols,
+            (np.concatenate(out_signs), nums[take], dens[take]),
+            (out_cols - 1) * n + out_rows)
+
+
 def site_embed(op: XSum, j: int, n: int) -> XSum:
     """I x ... x op x ... x I with op in slot j of n, by kron_many."""
     if not 1 <= j <= n:

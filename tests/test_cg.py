@@ -10,6 +10,7 @@ from _oracles import (
     dense_intertwining_residuals,
     direct_alternating_sum,
     full_assembly_terms,
+    per_entry_build,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ from kronx.cg import (
 from kronx.cli import EX_VERIFY, run
 from kronx.coupling import block_gen, layout, product_gen
 from kronx.exactnum import DomainError, SqrtRational
-from kronx.hubbard import Columns, ResourceError, XSum
+from kronx.hubbard import Columns, ResourceError, XSum, int_column
 
 
 def H(x):
@@ -187,6 +188,116 @@ def test_half_block_build_equals_full_assembly(two_j1, two_j2):
     assert [(c.sign, c.radicand) for c in got.values()] == [
         (c.sign, c.radicand) for c in want.values()
     ]
+
+
+# every pair up to 2j = 16, one case per 2j1, and larger pairs on both
+# sides of the array kernel's int64 bound; (100, 2) is long and thin
+_KERNEL_PAIRS = {
+    **{f"2j1={a}": [(a, b) for b in range(17)] for a in range(17)},
+    **{f"{a}x{b}": [(a, b)] for a, b in
+       ((24, 24), (24, 7), (30, 29), (34, 34), (40, 40), (100, 2))},
+}
+
+
+def _same_array(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("pairs", list(_KERNEL_PAIRS.values()),
+                         ids=list(_KERNEL_PAIRS))
+def test_build_S_equals_the_per_entry_build(pairs):
+    # the array kernel stores what the per-entry loop stored: the same
+    # terms in the same order, the same value dtypes, the same cell keys
+    for pair in pairs:
+        s = build_S(*pair)
+        store = s.matrix.columns()
+        rows, cols, vals, cells = per_entry_build(*pair)
+        assert _same_array(store.rows, rows), pair
+        assert _same_array(store.cols, cols), pair
+        assert len(store.vals) == len(vals), pair
+        assert all(map(_same_array, store.vals, vals)), pair
+        assert _same_array(s._cells, cells), pair
+
+
+def _top_half(lay, blocks=None):
+    """(alpha, beta, k, r) of the admissible cells in the top half of each
+    block, or of the given blocks."""
+    return [c for c in admissible(lay)
+            if c[3] <= (lay.dims[c[2] - 1] + 1) // 2
+            and (blocks is None or c[2] in blocks)]
+
+
+def _assert_parts_are_the_lemmas(two_j1, two_j2, cells):
+    alpha, beta, k, r = np.array(cells).T
+    sign, num, den = kronx.cg._cell_parts(two_j1, two_j2, k, r, alpha)
+    assert num.dtype == int_column(num.tolist()).dtype
+    assert den.dtype == int_column(den.tolist()).dtype
+    for i, (a, b, kk, rr) in enumerate(cells):
+        if kk == 1:
+            want = s_first_block(two_j1, two_j2, a, b)
+        elif rr == 1:
+            want = s_rone(two_j1, two_j2, kk, a, b)
+        else:
+            want = s_general(two_j1, two_j2, kk, rr, a, b)
+        if not want:
+            assert num[i] == 0, (two_j1, two_j2, cells[i])
+            continue
+        got = (int(sign[i]), Fraction(int(num[i]), int(den[i])))
+        assert got == (want.sign, want.radicand), (two_j1, two_j2, cells[i])
+
+
+@pytest.mark.parametrize("pairs", list(_KERNEL_PAIRS.values()),
+                         ids=list(_KERNEL_PAIRS))
+def test_array_kernel_parts_equal_the_lemmas(pairs):
+    # the kernel's (sign, num, den) on every top-half cell is the entry
+    # s_first_block, s_rone or s_general gives there
+    for two_j1, two_j2 in pairs:
+        _assert_parts_are_the_lemmas(two_j1, two_j2,
+                                     _top_half(layout(two_j1, two_j2)))
+
+
+def test_array_kernel_past_int64_equals_the_lemmas():
+    # in blocks 12 and 13 of 63 x 63 some reduced terms of F' and some of
+    # their sums pass 2**62, so those go through on Python ints
+    _assert_parts_are_the_lemmas(63, 63, _top_half(layout(63, 63), (12, 13)))
+
+
+def test_prime_power_past_int64_is_exact():
+    primes = np.array([2, 3, 5])
+    log2p = np.log2(primes)
+    for rows in (
+        [[10, 3, 2], [0, 0, 0], [61, 0, 0]],  # int64
+        [[40, 20, 1], [1, 1, 1]],  # two groups of primes
+        [[70, 1, 0], [3, 50, 1]],  # 2**70 and 3**50 alone pass int64
+    ):
+        x = np.array(rows, dtype=np.int16)
+        got = kronx.cg._prime_power(x, primes, log2p)
+        want = [2**a * 3**b * 5**c for a, b, c in rows]
+        assert got.tolist() == want
+        assert got.dtype == int_column(want).dtype
+
+
+def test_build_S_memory_stays_far_below_one_unchunked_pass():
+    build_S(2, 2)
+    tracemalloc.start()
+    try:
+        build_S(40, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-entry build peaked at 8.7 MB, one pass over all 40x40
+    # terms would take about 150 MB
+    assert peak < 12e6
+
+
+def test_build_S_over_order_cap_calls_no_array_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("entry computed")
+
+    monkeypatch.setenv("KRONX_MAX_DIM", "24")
+    monkeypatch.setattr(kronx.cg, "_cell_parts", refuse)
+    with pytest.raises(ResourceError):
+        build_S(4, 4)  # order 25
 
 
 @st.composite
@@ -413,8 +524,17 @@ def test_intertwining_builds_no_dense_matrix(monkeypatch):
 
 
 def test_closed_form_miss_raises_instead_of_falling_back(monkeypatch, capsys):
-    # every general entry reads sqrt(1/3): the parts (sign, num, den)
-    monkeypatch.setattr(kronx.cg, "_general_parts", lambda *args: (1, 1, 3))
+    # every general entry (k >= 2, r >= 2) reads sqrt(1/3): the parts
+    # (sign, num, den)
+    cell_parts = kronx.cg._cell_parts
+
+    def miss(two_j1, two_j2, k, r, alpha):
+        sign, num, den = cell_parts(two_j1, two_j2, k, r, alpha)
+        general = (k >= 2) & (r >= 2)
+        return (np.where(general, 1, sign), np.where(general, 1, num),
+                np.where(general, 3, den))
+
+    monkeypatch.setattr(kronx.cg, "_cell_parts", miss)
     with pytest.raises(VerificationError, match="max residual") as exc:
         build_S(2, 2)
     assert not isinstance(exc.value, ValueError)

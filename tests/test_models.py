@@ -582,6 +582,19 @@ def test_site_sum_refuses_malformed_terms(factors):
         kronx.models._site_sum(2, 2, [(1, factors)])
 
 
+@pytest.mark.parametrize("coef", (3, Fraction(-2, 7), 0.5),
+                         ids=("int", "fraction", "float"))
+def test_site_sum_term_without_factors_is_coef_times_identity(coef):
+    ident = ((1, identity(2)),)
+    other = (Fraction(1, 3), ((1, pauli("z")), (2, pauli("x"))))
+    assert as_listed(kronx.models._site_sum(2, 2, [(coef, ())])) == as_listed(
+        kronx.models._site_sum(2, 2, [(coef, ident)]))
+    for terms in ([other, (coef, ())], [(coef, ()), other, (coef, ())]):
+        want = [(c, ident if not f else f) for c, f in terms]
+        assert as_listed(kronx.models._site_sum(2, 2, terms)) == as_listed(
+            kronx.models._site_sum(2, 2, want))
+
+
 HUBBARD_KINDS = {
     "int": (1, 0, 4, -1),
     "fraction": (Fraction(3, 10), Fraction(1, 7), Fraction(4), Fraction(-1, 2)),
