@@ -8,11 +8,12 @@ subscripts without ever materializing dense arrays.  Terms that land on one
 cell add by one rule, _summed: exact values add exactly, a float makes the
 cell complex, and a cell whose sum cancels is dropped.
 
-An XSum whose coefficients share one exact kind can also hold its terms as
-integer Columns.  The JSON reader, kron, perm_matrix, dagger, cg.build_S
-and xsum_mul (where no two products share a cell) build that form directly,
-the writer, trace and the float conversion read it, and the term dict is
-made from it only when a term is first read one by one.
+Every XSum can also hold its terms as Columns: the integer parts of one
+exact kind, or one object array of any other scalars.  The JSON reader,
+kron, perm_matrix, dagger, cg.build_S and xsum_mul (where no two products
+share a cell) build that form directly, the writer, trace and the float
+conversion read it, and the term dict is made from it only when a term is
+first read one by one.  No product runs term by term.
 This module alone knows the exact value format: the table of kinds and
 their integer parts, promotion, the value products and fraction reduction.
 """
@@ -166,15 +167,18 @@ _KINDS = {
         lambda n, d: (np.where(n < 0, -1, 1), _product(n, n), _product(d, d))),
 }
 _KIND_OF = {k.scalar: kind for kind, k in _KINDS.items()}
+# Any other coefficients (floats, complex numbers, mixed exact kinds): one
+# value column of the scalars themselves, above every kind of _KINDS.
+OBJECT = 4
 
 
 class Columns:
-    """Terms of one exact kind as parallel integer arrays, in storage order.
+    """Terms as parallel arrays, in storage order.
 
-    rows and cols are 1-based subscripts.  vals are the kind's value
-    columns, one per integer part that _KINDS names; no value is zero.
-    Value columns are int64 or, where an entry reaches 2**63, object
-    arrays of Python ints.
+    rows and cols are 1-based subscripts.  For an exact kind, vals are the
+    kind's value columns, one per integer part that _KINDS names, int64
+    or, where an entry reaches 2**63, object arrays of Python ints.  For
+    OBJECT, vals is one object array of the scalars.  No value is zero.
     """
 
     __slots__ = ("kind", "rows", "cols", "vals")
@@ -187,19 +191,16 @@ class Columns:
         self.vals = vals
 
     @classmethod
-    def of_terms(cls, store: dict) -> "Columns | None":
-        """The columns of a term dict whose coefficients all have one type
-        of _KINDS; None for any other mix."""
-        types = set(map(type, store.values()))
-        if len(types) > 1:
-            return None
-        kind = _KIND_OF.get(types.pop()) if types else INT
-        if kind is None:
-            return None
+    def of_terms(cls, store: dict) -> "Columns":
+        """The columns of a term dict: of the kind of _KINDS whose type
+        every coefficient has, INT when there is none, else OBJECT."""
+        kinds = {_KIND_OF.get(t, OBJECT) for t in set(map(type, store.values()))}
+        kind = kinds.pop() if len(kinds) == 1 else OBJECT if kinds else INT
         cells = np.fromiter(chain.from_iterable(store), np.int64, 2 * len(store))
         values = list(store.values())
-        parts = (list(map(attrgetter(p), values)) for p in _KINDS[kind].parts)
-        return cls(kind, cells[0::2], cells[1::2], tuple(map(int_column, parts)))
+        vals = (np.fromiter(values, object, len(values)),) if kind == OBJECT else tuple(
+            int_column(list(map(attrgetter(p), values))) for p in _KINDS[kind].parts)
+        return cls(kind, cells[0::2], cells[1::2], vals)
 
     @classmethod
     def of_table(cls, table: np.ndarray) -> "Columns":
@@ -219,13 +220,14 @@ class Columns:
         sum that mixes exact kinds is first widened to the highest as
         scalar_mul would: each term times that kind's one."""
         cols = x.columns()
-        if cols is None:
-            if not x.is_exact():
+        if cols.kind == OBJECT:
+            values = cols.vals[0].tolist()
+            if not all(map(scalar_is_exact, values)):
                 return None
             top = max(kind for kind, k in _KINDS.items()
-                      if any(isinstance(c, k.scalar) for c in x.values()))
+                      if any(isinstance(c, k.scalar) for c in values))
             one = _KINDS[top].build(*[1] * top)
-            cols = Columns.of_terms({key: one * c for key, c in x.term_map().items()})
+            cols = Columns.of_terms({key: one * c for key, c in cols.pairs()})
         cols = cols.row_major(x.order)
         vals = cols.promote(max(cols.kind, FRACTION))
         return np.stack((cols.rows, cols.cols) + vals, axis=1)
@@ -242,8 +244,11 @@ class Columns:
         return self.take(np.argsort((self.rows - 1) * order + self.cols - 1))
 
     def promote(self, kind: int) -> tuple:
-        """The value columns read as kind, at or above self.kind, lifted one
-        kind at a time."""
+        """The value columns read as kind, at or above self.kind: lifted
+        one exact kind at a time, or as OBJECT the kind's scalars."""
+        if kind == OBJECT and self.kind != OBJECT:
+            build = np.frompyfunc(_KINDS[self.kind].build, self.kind, 1)
+            return (build(*self.vals),)
         vals = self.vals
         for up in range(self.kind + 1, kind + 1):
             vals = _KINDS[up].lift(*vals)
@@ -252,15 +257,18 @@ class Columns:
     def pairs(self) -> Iterator:
         """The terms in storage order as ((i, j), c), c the kind's scalar."""
         keys = zip(self.rows.tolist(), self.cols.tolist())
-        scalars = map(_KINDS[self.kind].build, *(v.tolist() for v in self.vals))
-        return zip(keys, scalars)
+        vals = [v.tolist() for v in self.vals]
+        if self.kind == OBJECT:
+            return zip(keys, vals[0])
+        return zip(keys, map(_KINDS[self.kind].build, *vals))
 
     def terms(self) -> dict:
         """The term dict of pairs()."""
         return dict(self.pairs())
 
     def scalar(self, i: int) -> Scalar:
-        """The coefficient of term i alone, as terms() gives it."""
+        """The coefficient of term i of an exact kind alone, as terms()
+        gives it."""
         return _KINDS[self.kind].build(*[v.item(i) for v in self.vals])
 
     def times(self, other: "Columns", rows: np.ndarray,
@@ -268,8 +276,20 @@ class Columns:
         """The products of self's and other's values at rows and cols, all
         flattened, the values read as the higher kind and aligned by
         broadcasting.  Products of nonzero exact values are nonzero, and a
-        product of reduced fractions needs one gcd to be reduced again."""
+        product of reduced fractions needs one gcd to be reduced again.
+        OBJECT values multiply by scalar_mul, one call per pair, and a
+        product that underflows to zero is dropped; with none left the
+        product is the empty INT store, as of an empty term dict."""
         kind = max(self.kind, other.kind)
+        if kind == OBJECT:
+            # scalar_mul is read at each call, so a patched one sees every
+            # pair; a Python float product overflows to inf without a word
+            with np.errstate(all="ignore"):
+                vals = np.frompyfunc(scalar_mul, 2, 1)(
+                    *self.promote(kind), *other.promote(kind)).ravel()
+            live = vals.astype(bool)
+            products = Columns(kind, rows.ravel(), cols.ravel(), (vals,)).take(live)
+            return products if live.any() else Columns.of_terms({})
         vals = tuple(map(_product, self.promote(kind), other.promote(kind)))
         if kind > INT:
             vals = vals[:-2] + _reduced(*vals[-2:])
@@ -279,7 +299,7 @@ class Columns:
     def matmul(self, other: "Columns", order: int) -> "XSum":
         """The delta rule on whole columns: term (i, j) of self meets each
         term (j, l) of other, self's terms in storage order and other's
-        terms of row j in storage order, as the per-term product loop
+        terms of row j in storage order, as a loop over the term pairs
         visits them.  Products on distinct cells stay columns; otherwise
         _summed adds them in that order, as they can cancel or fail to add."""
         # other's terms grouped by row, each row in storage order: row r
@@ -303,11 +323,14 @@ class Columns:
         return XSum._from_columns(order, products)
 
     def floats(self) -> np.ndarray:
-        """Each coefficient as float() of its scalar gives it, bit for bit.
+        """Each exact coefficient as float() of its scalar gives it, bit
+        for bit, and each OBJECT value as complex() gives it.
 
         A quotient of two ints below 2**53 converts both exactly, so one
         IEEE division rounds it as Python's int / int does; larger ones
         take Python's division."""
+        if self.kind == OBJECT:
+            return np.fromiter(map(complex, self.vals[0].tolist()), complex, len(self))
         num, den = self.promote(max(self.kind, FRACTION))[-2:]
         if max(magnitude(num), magnitude(den)) <= 2**53:
             q = num.astype(float) / den.astype(float)
@@ -317,10 +340,6 @@ class Columns:
             return q
         root = np.sqrt(q)
         return np.where(self.vals[0] < 0, -root, root)
-
-
-# XSum._cols of a sum known to have no column form
-_NO_COLUMNS = object()
 
 
 class XSum:
@@ -335,9 +354,9 @@ class XSum:
 
     The terms live in a dict, in Columns, or in both: _terms builds the
     dict from the columns on first use, and columns() builds the columns
-    from the dict.  Each form, once built, is kept, and so is the answer
-    that there is no column form (_cols is then _NO_COLUMNS, and None
-    only while columns() has not been asked).
+    from the dict.  Each form, once built, is kept.  Every sum has a
+    column form, so the products, dagger, trace and triplets each read
+    columns() alone.
     """
 
     __slots__ = ("order", "_store", "_cols")
@@ -388,19 +407,13 @@ class XSum:
             object.__setattr__(self, "_store", store)
         return store
 
-    def columns(self) -> Columns | None:
-        """The terms as Columns when the coefficients share one exact kind,
-        else None."""
+    def columns(self) -> Columns:
+        """The terms as Columns, built from the term dict once."""
         cols = self._cols
         if cols is None:
             cols = Columns.of_terms(self._terms)
-            object.__setattr__(self, "_cols", _NO_COLUMNS if cols is None else cols)
-        return None if cols is _NO_COLUMNS else cols
-
-    def _held_columns(self) -> Columns | None:
-        """The Columns this sum already holds, without building them."""
-        cols = self._cols
-        return cols if isinstance(cols, Columns) else None
+            object.__setattr__(self, "_cols", cols)
+        return cols
 
     # frozen-ish: block accidental attribute writes
     def __setattr__(self, name: str, value: object) -> None:
@@ -411,10 +424,10 @@ class XSum:
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Scalar]]:
         """Terms in (row, col) lexicographic order."""
-        held = self._held_columns()
-        if held is not None:
-            return iter(held.row_major(self.order).terms().items())
-        return ((key, self._terms[key]) for key in sorted(self._terms))
+        store = self._store
+        if store is None:
+            return self._cols.row_major(self.order).pairs()
+        return ((key, store[key]) for key in sorted(store))
 
     def values(self) -> Iterator[Scalar]:
         """Coefficients in storage order, without sorting."""
@@ -424,14 +437,11 @@ class XSum:
         return dict(self._terms)
 
     def nnz(self) -> int:
-        held = self._held_columns()
-        if held is not None:
-            return len(held)
-        return len(self._terms)
+        return len(self._store if self._cols is None else self._cols)
 
     def is_exact(self) -> bool:
-        return self._held_columns() is not None or all(
-            scalar_is_exact(c) for c in self._terms.values())
+        cols = self.columns()
+        return cols.kind != OBJECT or all(map(scalar_is_exact, cols.vals[0].tolist()))
 
     __len__ = nnz
 
@@ -492,23 +502,17 @@ class XSum:
         """0-based rows, 0-based columns and complex values of the terms in
         storage order: the one route from terms to float arrays.  An exact
         entry past float range raises DomainError, which names it."""
-        c = self._held_columns()
+        c = self.columns()
         try:
-            if c is not None:
-                return c.rows - 1, c.cols - 1, c.floats().astype(complex)
-            nnz = len(self._terms)
-            vals = np.fromiter(map(complex, self.values()), complex, nnz)
+            return c.rows - 1, c.cols - 1, c.floats().astype(complex, copy=False)
         except OverflowError:
-            for (i, j), v in self._terms.items() if c is None else c.pairs():
+            for (i, j), v in c.pairs():
                 try:
                     complex(v)
                 except OverflowError:
                     raise DomainError(
                         f"entry ({i},{j}) is too large for a float") from None
             raise
-        cells = np.fromiter(chain.from_iterable(self._terms), np.intp, 2 * nnz)
-        cells -= 1
-        return cells[0::2], cells[1::2], vals
 
     def to_numpy(self) -> np.ndarray:
         rows, cols, vals = self.triplets()
@@ -536,24 +540,13 @@ def identity(n: int) -> XSum:
 
 
 def xsum_mul(a: XSum, b: XSum) -> XSum:
-    """Operator product by delta contraction on inner subscripts.
-
-    Operands that each hold one exact kind multiply as Columns; any other
-    pair (mixed kinds, float or complex) term by term."""
+    """Operator product by delta contraction on inner subscripts: one index
+    join on the operands' Columns, whatever their kinds."""
     if a.order != b.order:
         raise DimensionError(
             f"order mismatch: {a.order} vs {b.order}"
         )
-    cols_a = a.columns()
-    if cols_a is not None and (cols_b := b.columns()) is not None:
-        return cols_a.matmul(cols_b, a.order)
-    rows_of_b: dict = {}
-    for (k, l), c in b._terms.items():
-        rows_of_b.setdefault(k, []).append((l, c))
-    products = (((i, l), scalar_mul(ca, cb)) for (i, j), ca in a._terms.items()
-                for l, cb in rows_of_b.get(j, ()))
-    # subscripts come from the operands; only the sums need the rule
-    return XSum._trusted(a.order, _summed(products))
+    return a.columns().matmul(b.columns(), a.order)
 
 
 def xsum_linear(op: str, a: XSum, other) -> XSum:
@@ -594,27 +587,20 @@ def dagger(a: XSum, mode: str = "adjoint") -> XSum:
     """Transpose swaps subscripts, conjugate conjugates coefficients."""
     if mode not in ("transpose", "conjugate", "adjoint"):
         raise ValueError(f"unknown dagger mode {mode!r}")
-    held = a._held_columns()
-    if held is not None:
-        # exact values are their own conjugates
-        if mode != "conjugate":
-            held = Columns(held.kind, held.cols, held.rows, held.vals)
-        return XSum._from_columns(a.order, held)
-    out = {}
-    for (i, j), c in a._terms.items():
-        key = (j, i) if mode in ("transpose", "adjoint") else (i, j)
-        out[key] = scalar_conj(c) if mode in ("conjugate", "adjoint") else c
-    return XSum._trusted(a.order, out)
+    c = a.columns()
+    rows, cols = (c.rows, c.cols) if mode == "conjugate" else (c.cols, c.rows)
+    vals = c.vals
+    # exact values are their own conjugates
+    if mode != "transpose" and c.kind == OBJECT:
+        vals = (np.frompyfunc(scalar_conj, 1, 1)(vals[0]),)
+    return XSum._from_columns(a.order, Columns(c.kind, rows, cols, vals))
 
 
 def trace(a: XSum) -> Scalar:
-    held = a._held_columns()
-    terms = a._terms.items() if held is None else (
-        held.take(held.rows == held.cols).pairs())
+    cols = a.columns()
     t: Scalar = 0
-    for (i, j), c in terms:
-        if i == j:
-            t = scalar_add(t, c)
+    for _, c in cols.take(cols.rows == cols.cols).pairs():
+        t = scalar_add(t, c)
     return t
 
 

@@ -1,8 +1,9 @@
 """Kronecker products by index arithmetic on operator terms.
 
 The single-term rule X_m^(i,j) (x) X_n^(k,l) = X_mn^(n(i-1)+k, n(j-1)+l)
-drives the sparse path, as index arithmetic on the integer columns of
-exact operands whose values hubbard.Columns multiplies; the equivalent closed-form coefficient formula
+drives the sparse path, one kernel for every kind of operand: index
+arithmetic on the operands' hubbard.Columns, whose values Columns.times
+multiplies.  The equivalent closed-form coefficient formula
 c_pq = a_(p',q') b_(p+m-mp', q+m-mq') with p' = ceil(p/m) drives a second,
 independent dense path.  Both are first-class and cross-checked: the index
 formulas are the point of the library, the term path is the fast kernel.
@@ -30,30 +31,20 @@ def kron(a: XSum, b: XSum, path: str = "sparse") -> XSum:
 
 def _kron_columns(a: Columns, b: Columns, n: int) -> Columns:
     """The single-term rule on whole columns: term (i, j) of a times term
-    (k, l) of b lands at (n(i-1)+k, n(j-1)+l), a-major as the dict loop
-    ordered it."""
+    (k, l) of b lands at (n(i-1)+k, n(j-1)+l), a-major, b's terms in
+    storage order."""
     # a's terms as an (n, 1) column, so that every pair meets by broadcasting
     a = a.take(np.s_[:, None])
     return a.times(b, n * (a.rows - 1) + b.rows, n * (a.cols - 1) + b.cols)
 
 
 def _kron_sparse(a: XSum, b: XSum) -> XSum:
+    """The one sparse kernel, whatever the operands' kinds: the index rule
+    puts each product in its own cell, so its columns are the result."""
     n = b.order
     order = a.order * n
     check_order(order)
-    cols_a, cols_b = a.columns(), b.columns()
-    if cols_a is not None and cols_b is not None:
-        return XSum._from_columns(order, _kron_columns(cols_a, cols_b, n))
-    # An operand mixes kinds (the Fourier butterflies mix int and complex)
-    # or holds floats or another type: the term-by-term product.  The index
-    # rule puts each product in its own cell; only an underflow makes one 0.
-    terms_b = list(b.term_map().items())
-    products = (
-        ((n * (i - 1) + k, n * (j - 1) + l), scalar_mul(ca, cb))
-        for (i, j), ca in a.term_map().items()
-        for (k, l), cb in terms_b
-    )
-    return XSum._trusted(order, {key: c for key, c in products if c})
+    return XSum._from_columns(order, _kron_columns(a.columns(), b.columns(), n))
 
 
 def _factor_indices(p: int, orders: Sequence[int]) -> Tuple[int, ...]:

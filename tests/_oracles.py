@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from kronx.exactnum import (DomainError, SqrtRational, ceil_ratio, scalar_add,
-                            scalar_mul)
+                            scalar_conj, scalar_mul)
 from kronx.hubbard import (
     Columns,
     DimensionError,
@@ -159,6 +159,35 @@ def delta_products(a: XSum, b: XSum) -> list:
         rows_of_b.setdefault(k, []).append((l, c))
     return [((i, l), scalar_mul(ca, cb)) for (i, j), ca in a.term_map().items()
             for l, cb in rows_of_b.get(j, ())]
+
+
+def dagger_by_dict(a: XSum, mode: str) -> XSum:
+    """hubbard.dagger one term at a time, over the term dict in storage
+    order: transpose swaps the subscripts, conjugate applies scalar_conj."""
+    out = {}
+    for (i, j), c in a.term_map().items():
+        key = (j, i) if mode in ("transpose", "adjoint") else (i, j)
+        out[key] = scalar_conj(c) if mode in ("conjugate", "adjoint") else c
+    return XSum._trusted(a.order, out)
+
+
+def trace_by_dict(a: XSum):
+    """The diagonal terms added from 0 by scalar_add, in storage order."""
+    t = 0
+    for (i, j), c in a.term_map().items():
+        if i == j:
+            t = scalar_add(t, c)
+    return t
+
+
+def triplets_by_dict(a: XSum) -> tuple:
+    """XSum.triplets from the term dict: 0-based rows and columns, and
+    complex() of each coefficient, in storage order."""
+    terms = a.term_map()
+    vals = np.fromiter(map(complex, terms.values()), complex, len(terms))
+    cells = np.fromiter(itertools.chain.from_iterable(terms), np.intp, 2 * len(terms))
+    cells -= 1
+    return cells[0::2], cells[1::2], vals
 
 
 def per_term_product(a: XSum, b: XSum) -> XSum:
@@ -329,10 +358,9 @@ def as_listed(x: XSum) -> list:
 
 
 def column_copy(x: XSum) -> XSum:
-    """x held as integer columns only, its term dict not yet built."""
-    cols = Columns.of_terms(x.term_map())
-    assert cols is not None
-    return XSum._from_columns(x.order, cols)
+    """x held as Columns only, its term dict not yet built: integer
+    columns for one exact kind, the OBJECT kind's scalars otherwise."""
+    return XSum._from_columns(x.order, Columns.of_terms(x.term_map()))
 
 
 def dict_copy(x: XSum) -> XSum:

@@ -18,12 +18,16 @@ from _oracles import (
     allclose,
     as_listed,
     column_copy,
+    dagger_by_dict,
     det_dense,
     dict_copy,
     per_term_product,
+    trace_by_dict,
+    triplets_by_dict,
 )
-from kronx.exactnum import ClosureError, DomainError, SqrtRational
+from kronx.exactnum import ClosureError, DomainError, SqrtRational, scalar_mul
 from kronx.hubbard import (
+    OBJECT,
     Columns,
     DimensionError,
     ResourceError,
@@ -41,6 +45,7 @@ from kronx.hubbard import (
     xsum_mul,
 )
 from kronx.kron import kron
+from kronx.serialize import matrix_to_json
 
 
 def _random_xsum(rng, n, density=0.4):
@@ -417,8 +422,7 @@ def _factor(draw, n, kind):
         pairs = st.tuples(st.integers(1, n), st.integers(1, n))
         cells = draw(st.lists(pairs, max_size=n * n, unique=True))
     x = XSum(n, {cell: draw(_VALUES[kind]) for cell in cells})
-    one_kind = kind not in ("mixed", "complex") or x.columns() is not None
-    return column_copy(x) if one_kind and draw(st.booleans()) else dict_copy(x)
+    return column_copy(x) if draw(st.booleans()) else dict_copy(x)
 
 
 def _outcome(f, a, b):
@@ -557,6 +561,90 @@ def test_empty_products_are_empty():
         assert got == XSum(3) == per_term_product(a, b)
 
 
+# --- the OBJECT kind: floats, complex numbers and mixed kinds ------------------
+
+# every product underflows to 0j, or no term pair meets at all
+_NOTHING_LEFT = [
+    (kron, XSum(1, {(1, 1): 1e-200}), XSum(1, {(1, 1): 1e-200})),
+    (xsum_mul, XSum(1, {(1, 1): 1e-200}), XSum(1, {(1, 1): 1e-200})),
+    (xsum_mul, XSum(2, {(1, 2): 1e-200, (2, 2): 1e-200j}),
+     XSum(2, {(2, 1): 1e-200, (1, 1): Fraction(1, 3)})),
+    (xsum_mul, XSum(2, {(1, 2): 1.5}), XSum(2, {(1, 1): 2.0})),
+]
+
+
+@pytest.mark.parametrize("op, a, b", _NOTHING_LEFT,
+                         ids=["kron", "matmul", "matmul_mixed", "matmul_unmet"])
+def test_products_with_no_term_left_are_the_empty_rational_sum(op, a, b):
+    for x, y in ((column_copy(a), column_copy(b)), (dict_copy(a), dict_copy(b))):
+        got = op(x, y)
+        assert got.nnz() == 0 and got.columns().kind == hubbard_module.INT
+        assert got == XSum(got.order)
+        want = f'{{"kind":"rational","order":{got.order},"terms":[]}}'
+        assert matrix_to_json(got) == want
+
+
+def test_products_that_underflow_are_dropped_and_the_rest_kept():
+    a = XSum(2, {(1, 1): 1e-200, (2, 2): 2})
+    b = XSum(2, {(1, 1): 1e-200, (2, 2): 3.0})
+    for x, y in ((column_copy(a), column_copy(b)), (dict_copy(a), dict_copy(b))):
+        got = xsum_mul(x, y)
+        assert as_listed(got) == as_listed(per_term_product(a, b))
+        assert got.term_map() == {(2, 2): 6 + 0j}
+        got = kron(x, y)
+        assert [(key, repr(c)) for key, c in got.term_map().items()] == [
+            ((2, 2), "(3e-200+0j)"), ((3, 3), "(2e-200+0j)"), ((4, 4), "(6+0j)")]
+
+
+# one sum of each kind the OBJECT store holds; a bool is exact, as an int
+_OBJECT_SUMS = {
+    "float": {(1, 1): 1.5, (2, 3): -2, (3, 1): Fraction(1, 4), (3, 3): 1e-300},
+    "complex": {(1, 1): 1 + 2j, (2, 1): -0.5j, (3, 3): 3 + 0j, (1, 3): 2.5},
+    "mixed_exact": {(3, 3): SqrtRational(1, Fraction(9, 4)), (1, 1): 2,
+                    (1, 3): SqrtRational(1, Fraction(2)), (1, 2): Fraction(1, 3),
+                    (2, 2): -1},
+    "bool": {(2, 2): True, (1, 2): True, (3, 3): 5},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OBJECT_SUMS))
+def test_dagger_trace_and_triplets_match_the_dict_loops(kind):
+    x = XSum(3, _OBJECT_SUMS[kind])
+    for y in (column_copy(x), dict_copy(x)):
+        assert y.columns().kind == OBJECT
+        for mode in ("transpose", "conjugate", "adjoint"):
+            assert as_listed(dagger(y, mode)) == as_listed(dagger_by_dict(x, mode))
+        got, want = trace(y), trace_by_dict(x)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+        got, want = y.triplets(), triplets_by_dict(x)
+        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+        assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes()
+
+
+def _pairs_met(op, a, b):
+    """The (a_ij, b_kl) pairs op multiplies, in the per-term loop's order."""
+    return [(ca, cb) for (i, j), ca in a.term_map().items()
+            for (k, l), cb in b.term_map().items() if op is kron or j == k]
+
+
+@pytest.mark.parametrize("op", [xsum_mul, kron], ids=["matmul", "kron"])
+def test_an_object_product_calls_scalar_mul_once_per_term_pair(op, monkeypatch):
+    a = XSum(3, {(1, 1): 0.5, (1, 2): Fraction(1, 2), (2, 1): 2, (3, 3): 1j,
+                 (2, 2): SqrtRational(-1, Fraction(9))})
+    for b in (XSum(3, {(1, 1): 3, (2, 2): 1.5, (2, 3): -1, (1, 3): 4}),
+              identity(3), XSum(3, {(2, 1): Fraction(2, 5), (1, 2): 7})):
+        calls = []
+        monkeypatch.setattr(hubbard_module, "scalar_mul",
+                            lambda x, y: calls.append((x, y)) or scalar_mul(x, y))
+        got = op(column_copy(a), column_copy(b))
+        monkeypatch.undo()
+        listed = [(type(x), repr(x), type(y), repr(y)) for x, y in calls]
+        assert listed == [(type(x), repr(x), type(y), repr(y))
+                          for x, y in _pairs_met(op, a, b)]
+        if op is xsum_mul:
+            assert as_listed(got) == as_listed(per_term_product(a, b))
+
+
 def _refuse(*args):
     raise AssertionError("worked before checking the orders")
 
@@ -568,14 +656,14 @@ def test_order_mismatch_is_refused_before_any_work(monkeypatch):
         xsum_mul(x_op(2, 1, 1), x_op(3, 1, 1))
 
 
-def test_columns_remembers_that_a_sum_has_none(monkeypatch):
+def test_a_sum_builds_its_columns_once(monkeypatch):
     calls = []
     of_terms = Columns.of_terms
     monkeypatch.setattr(Columns, "of_terms",
                         lambda store: calls.append(1) or of_terms(store))
     z = XSum(2, {(1, 1): 1j, (1, 2): 1})
     for _ in range(3):
-        assert z.columns() is None
+        assert z.columns().kind == OBJECT
         xsum_mul(z, z)
     assert len(calls) == 1
     assert z.nnz() == 2 and not z.is_exact()

@@ -20,7 +20,7 @@ from _oracles import (
 )
 from kronx.coupling import product_gen
 from kronx.exactnum import ClosureError, SqrtRational, scalar_add
-from kronx.hubbard import XSum, x_op, xsum_linear, xsum_mul
+from kronx.hubbard import OBJECT, XSum, x_op, xsum_linear, xsum_mul
 from kronx.models import _site_sum
 from kronx.perm import antisymmetrizer, symmetrizer
 
@@ -55,13 +55,14 @@ def test_xsum_sums_by_the_rule():
 def test_per_term_product_sums_by_the_rule():
     # row 1 meets b's rows 1-3 and row 2 meets rows 4-5, so each cell's
     # products come from one row of a, in a's storage order; the float
-    # entries keep both operands off the column route
+    # entries put both operands in the OBJECT kind, whose products
+    # scalar_mul makes
     a = XSum(5, {(1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 4): 2, (2, 5): 1e-200})
     b = XSum(5, {(1, 1): 1, (2, 1): -1,
                  (1, 2): Fraction(1, 2), (2, 2): Fraction(-1, 2), (3, 2): 3,
                  (4, 3): 1, (5, 3): 1e-200,  # 1e-200 * 1e-200 underflows to 0j
                  (4, 4): Fraction(5, 4), (5, 4): 0.5})
-    assert a.columns() is None
+    assert a.columns().kind == OBJECT
     got = xsum_mul(a, b)
     assert _typed(got) == RULE
 
