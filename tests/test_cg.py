@@ -295,10 +295,7 @@ def test_build_S_over_order_cap_calls_no_array_kernel(monkeypatch):
         raise AssertionError("entry computed")
 
     monkeypatch.setenv("KRONX_MAX_DIM", "24")
-    # the array kernel build_S calls, and the per-entry kernels of the lemmas
-    for name in ("_cell_parts", "_first_block_parts", "_rone_parts",
-                 "_general_parts"):
-        monkeypatch.setattr(kronx.cg, name, refuse)
+    monkeypatch.setattr(kronx.cg, "_cell_parts", refuse)
     with pytest.raises(ResourceError):
         build_S(4, 4)  # order 25
 
@@ -326,6 +323,18 @@ def test_cg_coefficient_reflection_symmetry(idx):
     c = cg_coefficient(*idx)
     mirror = cg_coefficient(two_j1, -two_m1, two_j2, -two_m2, two_j, -two_m)
     assert mirror == (-c if (two_j1 + two_j2 - two_j) // 2 % 2 else c)
+
+
+def test_build_S_over_order_cap_fails_before_any_entry(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("entry computed")
+
+    monkeypatch.setenv("KRONX_MAX_DIM", "24")
+    # the per-entry kernels of the lemmas, one per closed form
+    for name in ("_first_block_parts", "_rone_parts", "_general_parts"):
+        monkeypatch.setattr(kronx.cg, name, refuse)
+    with pytest.raises(ResourceError):
+        build_S(4, 4)  # order 25
 
 
 def test_build_S_trivial_factor_is_identity():
