@@ -16,13 +16,23 @@ rational q among surds is sign(q) sqrt(q^2)), and Columns.of_table
 reduces the reader's checked rows.  Dumps are byte-stable for exact
 scalars: sorted terms, sorted keys, no whitespace variation.
 matrix_to_json formats an exact table held in int64 as ASCII digits in
-numpy; a table with a part past int64 and a complex matrix go through
-json.dumps of matrix_to_obj, which gives the same bytes.
+numpy and drops the padding with bytes.translate; a table with a part
+past int64 and a complex matrix go through json.dumps of matrix_to_obj,
+which gives the same bytes.
+
+matrix_from_json reads the compact form that matrix_to_json writes for a
+nonempty rational or sqrt matrix, every field of at most 18 digits, from
+its bytes (_compact): each pass of rows is checked against the row
+skeleton and the JSON integer rules, then parsed by np.fromstring.  Any
+other text, and any that fails a check, goes through json.loads and
+matrix_from_obj, whose row reader names the first bad row; both routes
+give the same XSum or the same error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, List, Tuple
@@ -73,7 +83,7 @@ def _int_rows(table: np.ndarray) -> str:
     Every row is laid out in one uint8 line: per column a separator slot,
     a sign slot and one slot per digit of the column's largest magnitude,
     then "],".  Digits are right-aligned, a '-' sits just before the first
-    digit of a negative entry, and one boolean gather drops the spaces
+    digit of a negative entry, and one bytes.translate drops the spaces
     that pad the rest."""
     n, width = table.shape
     if n == 0:
@@ -81,25 +91,34 @@ def _int_rows(table: np.ndarray) -> str:
     # np.abs(-2**63) wraps to -2**63, which reads as 2**63 in uint64
     mags = [np.abs(col).view(np.uint64) for col in table.T]
     digits = [len(str(int(m.max()))) for m in mags]
-    space = ord(" ")
-    text = np.full((n, sum(digits) + 2 * width + 2), space, np.uint8)
+    space, zero, ten = np.uint8(ord(" ")), np.uint8(ord("0")), np.uint64(10)
+    text = np.full((n, sum(digits) + 2 * width + 2), space)
     start = 0
     for k, (col, q, d) in enumerate(zip(table.T, mags, digits)):
         text[:, start] = ord("[" if k == 0 else ",")
         end = start + d + 1
-        q, r = np.divmod(q, np.uint64(10))
-        text[:, end] = r + ord("0")
-        # what the slot left of the leading digit gets: '-' or padding
-        lead = np.where(col < 0, ord("-"), space).astype(np.uint64)
-        for pos in range(end - 1, start, -1):
-            live = q > 0
-            q, r = np.divmod(q, np.uint64(10))
-            text[:, pos] = np.where(live, r + ord("0"), lead)
-            lead = np.where(live, lead, space)
+        # what the slot left of the leading digit gets: '-' or padding;
+        # a column without a negative entry keeps the padding there
+        lead = None
+        if col.min() < 0:
+            lead = np.where(col < 0, np.uint8(ord("-")), space)
+        for pos in range(end, start, -1):
+            # q // 10 divides by a constant; np.divmod is many times slower
+            rest = q // ten
+            digit = (q - rest * ten).astype(np.uint8) + zero
+            if pos == end:  # the last digit, written for a zero entry too
+                text[:, pos] = digit
+            elif lead is None:
+                np.copyto(text[:, pos], digit, where=q > 0)
+            else:
+                live = q > 0
+                text[:, pos] = np.where(live, digit, lead)
+                lead = np.where(live, lead, space)
+            q = rest
         start = end + 1
     text[:, start] = ord("]")
     text[:-1, start + 1] = ord(",")
-    return text[text != space].tobytes().decode("ascii")
+    return text.tobytes().translate(None, b" ").decode("ascii")
 
 
 def matrix_to_json(x: XSum) -> str:
@@ -150,7 +169,12 @@ def _exact_columns(rows: list, kind: str, order: int) -> Columns | None:
     # read as 1 and 0
     if set(map(type, chain.from_iterable(rows))) - {int}:
         return None
-    table = int_column(rows).reshape(-1, width)
+    return _table_columns(int_column(rows).reshape(-1, width), kind, order)
+
+
+def _table_columns(table: np.ndarray, kind: str, order: int) -> Columns | None:
+    """The rows [i, j, *parts] of a table as Columns when every row passes
+    the checks of _parse_rows, else None."""
     i, j = table[:, 0], table[:, 1]
     if not ((i >= 1) & (i <= order) & (j >= 1) & (j <= order)).all():
         return None
@@ -166,6 +190,92 @@ def _exact_columns(rows: list, kind: str, order: int) -> Columns | None:
     if not ok.all():
         return None
     return Columns.of_table(table)
+
+
+# The compact form matrix_to_json writes for an exact kind; the rows follow
+# the match, then "]}" and optional JSON whitespace.
+_COMPACT_HEAD = re.compile(
+    rb'\{"kind":"(rational|sqrt)","order":([1-9][0-9]{0,17}),"terms":\[')
+_JSON_SPACE = b" \t\n\r"
+_DIGITS = b"0123456789"
+_ALL_ZERO = bytes.maketrans(_DIGITS, b"0" * 10)
+# text bytes per pass of _compact: a large file goes through in passes of
+# whole rows, so the arrays of a pass stay near 1 MB
+_BYTES_PER_PASS = 1 << 20
+
+
+def _compact(text: str) -> XSum | None:
+    """The matrix of a nonempty rational or sqrt file in the compact form,
+    parsed from its bytes; None for any other text.
+
+    Each pass of rows is checked before it is parsed: without its digits
+    and '-' it is the row skeleton "[,,,]" (or "[,,,,]") joined by ',',
+    with no digit outside a row; and each field is a JSON integer of 1 to
+    18 digits, '-' only in front and no leading zero.  So the text is
+    valid JSON, and np.fromstring, which would also take '01', '+2', a bare
+    '-' or a 20-digit field, reads each field as json.loads does.  The
+    order is checked against the cap only then, as matrix_from_obj checks
+    it after json.loads."""
+    if type(text) is not str or not text.isascii():
+        return None
+    data = text.encode("ascii")
+    head = _COMPACT_HEAD.match(data)
+    stop = len(data)
+    while stop and data[stop - 1] in _JSON_SPACE:
+        stop -= 1
+    # "terms":[] fails this test too, so at least one row is checked below
+    if head is None or not data.endswith(b"]]}", head.end(), stop):
+        return None
+    kind = head[1].decode("ascii")
+    row = b"[" + b"," * (_WIDTH[kind] - 1) + b"]"
+    passes = []
+    pos, stop = head.end(), stop - 2  # the rows, "[...],...,[...]"
+    while pos < stop:
+        cut = data.find(b"],[", pos + _BYTES_PER_PASS, stop)
+        cut = stop if cut < 0 else cut + 1
+        fields = _compact_fields(data[pos:cut], row)
+        if fields is None:
+            return None
+        passes.append(fields)
+        pos = cut + 1
+    order = int(head[2])
+    check_order(order)
+    table = np.concatenate(passes).reshape(-1, len(row) - 1)
+    del passes, data  # freed before the column checks, whose peak is higher
+    cols = _table_columns(table, kind, order)
+    return None if cols is None else XSum._from_columns(order, cols)
+
+
+def _compact_fields(rows: bytes, row: bytes) -> np.ndarray | None:
+    """The fields of whole rows "[...],...,[...]" as int64, or None when
+    the rows fail a check of _compact."""
+    # any byte but a digit, '-', ',', '[' or ']' stays in the skeleton
+    skeleton = rows.translate(None, _DIGITS + b"-")
+    count = (len(skeleton) + 1) // (len(row) + 1)
+    if (row + b",") * count != skeleton + b",":
+        return None
+    # and no digit or '-' outside a row: each row is "[" ... "]", and
+    # between two rows stands "],[" alone
+    if not (rows[0] == ord("[") and rows[-1] == ord("]")
+            and rows.count(b"],[") == count - 1):
+        return None
+    flat = rows.translate(None, b"[]")
+    if b"0" * 19 in flat.translate(_ALL_ZERO):  # a field of 19+ digits
+        return None
+    text = np.frombuffer(flat, np.uint8)
+    comma, minus = text == ord(","), text == ord("-")
+    digit = ~(comma | minus)
+    # no empty field; a '-' only first in its field and before a digit
+    if (comma[0] or comma[-1] or minus[-1] or (comma[1:] & comma[:-1]).any()
+            or (minus[1:] & ~comma[:-1]).any()
+            or (minus[:-1] & ~digit[1:]).any()):
+        return None
+    # no leading zero: no '0' that starts a field's digits and is followed
+    # by a digit (a row has at least four fields, so text has 7+ bytes)
+    zero = text == ord("0")
+    if (zero[0] and digit[1]) or (zero[1:-1] & digit[2:] & ~digit[:-2]).any():
+        return None
+    return np.fromstring(flat, np.int64, sep=",")
 
 
 def _parse_rows(rows: list, kind: str, order: int) -> dict:
@@ -221,6 +331,9 @@ def _parse_rows(rows: list, kind: str, order: int) -> dict:
 
 
 def matrix_from_json(text: str) -> XSum:
+    x = _compact(text)
+    if x is not None:
+        return x
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

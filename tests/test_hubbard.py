@@ -449,9 +449,9 @@ def test_product_matches_the_per_term_reference(kind_a, kind_b, n, data):
             xsum_mul(a, b)
         return
     got = xsum_mul(a, b)
-    # the column route leaves the term dict unbuilt; the per-term route
-    # builds nothing else
-    if a.columns() is not None and b.columns() is not None and not _collide(a, b):
+    # products on distinct cells stay columns and leave the term dict
+    # unbuilt; colliding ones are summed into a term dict alone
+    if not _collide(a, b):
         assert got._store is None
     else:
         assert got._store is not None and got._cols is None
@@ -459,7 +459,7 @@ def test_product_matches_the_per_term_reference(kind_a, kind_b, n, data):
     assert got == per_term_product(a, b)
 
 
-def test_cancelling_products_take_the_per_term_route():
+def test_cancelling_products_take_the_summed_branch_of_matmul():
     a = column_copy(XSum(2, {(1, 1): Fraction(1), (1, 2): Fraction(1, 2)}))
     b = column_copy(XSum(2, {(1, 2): Fraction(3), (2, 2): Fraction(-6)}))
     got = xsum_mul(a, b)
@@ -522,7 +522,7 @@ _RESTART = {(1, 1): Fraction(1), (1, 2): Fraction(1), (1, 3): Fraction(1),
 def test_structured_collisions_match_the_per_term_reference(build, arg,
                                                              monkeypatch):
     a = build(arg)
-    assert a.columns() is not None and _collide(a, a)
+    assert _collide(a, a)
     monkeypatch.setattr(hubbard_module, "scalar_mul", _refuse)
     got = xsum_mul(a, a)
     monkeypatch.undo()

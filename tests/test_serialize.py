@@ -1,6 +1,8 @@
 import json
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 from _oracles import per_term_matrix_obj
 from kronx.exactnum import DomainError, SqrtRational, scalar_mul
 from kronx.hubbard import _KINDS, Columns, ResourceError, XSum, identity, x_op
+import kronx.serialize as serialize_module
 from kronx.kron import kron
 from kronx.serialize import (
+    _WIDTH,
     _parse_rows,
     load_matrix,
     matrix_from_json,
@@ -507,3 +511,237 @@ class TestSpectrumCsv:
     def test_empty(self):
         assert merge_spectrum([]) == []
         assert spectrum_to_csv([]) == "eigenvalue,multiplicity\n"
+
+
+def _json_route(text):
+    """matrix_from_json with the compact reader switched off: every text
+    goes through json.loads and matrix_from_obj."""
+    with mock.patch.object(serialize_module, "_compact", lambda text: None):
+        return matrix_from_json(text)
+
+
+def _outcome(read, text):
+    """What read(text) gives: the sum, or the type and message it raised."""
+    try:
+        return read(text)
+    except (DomainError, ResourceError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(text):
+    """matrix_from_json(text) gives what the json.loads route gives: the
+    same values in the same storage order, column kind and dtypes, or the
+    same exception and message.  True when the compact reader took it."""
+    calls, loads = [], json.loads
+    with mock.patch.object(serialize_module.json, "loads",
+                           lambda t: calls.append(t) or loads(t)):
+        got = _outcome(matrix_from_json, text)
+    want = _outcome(_json_route, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, XSum) and got.order == want.order
+        assert _listed(got) == _listed(want)
+        g, w = got.columns(), want.columns()
+        assert (g.kind, g.rows.dtype, g.cols.dtype) == (w.kind, w.rows.dtype,
+                                                       w.cols.dtype)
+        assert [v.dtype for v in g.vals] == [v.dtype for v in w.vals]
+        assert np.array_equal(g.rows, w.rows) and np.array_equal(g.cols, w.cols)
+    return not calls
+
+
+def _compact_text(kind, order, rows):
+    return (f'{{"kind":"{kind}","order":{order},"terms":'
+            f'{json.dumps(rows, separators=(",", ":"))}}}')
+
+
+_ONE = _compact_text("rational", 2, [[1, 1, 1, 2], [2, 1, -3, 1]])
+_BIG = 2**63 - 1
+
+
+class TestCompactReader:
+    """The bytes route for the compact form against the json.loads route."""
+
+    @pytest.mark.parametrize("text, fast", [
+        (_ONE, True),
+        (_ONE + "\n", True),
+        (_ONE + " \t\r\n ", True),
+        (" " + _ONE, False),
+        (_ONE.replace("[[", "[ ["), False),
+        (_ONE.replace(",-3", ", -3"), False),
+        (json.dumps(json.loads(_ONE), indent=2, sort_keys=True), False),
+        (_compact_text("rational", 2, [[1, 1, 10**17 + 3, 10**18 - 1]]), True),
+        (_compact_text("rational", 2, [[1, 1, -(10**18 - 1), 7]]), True),
+        (_compact_text("rational", 2, [[1, 1, 10**18, 3]]), False),
+        (_compact_text("rational", 2, [[1, 1, -(10**19) - 7, 3]]), False),
+        (_compact_text("sqrt", 2, [[1, 1, 1, 10**19, 3]]), False),
+        (_compact_text("rational", 2, [[1, 1, _BIG, -_BIG]]), False),
+        (_compact_text("rational", 2, [[1, 1, -(2**63), 5]]), False),
+        (_compact_text("sqrt", 2, [[1, 2, -1, -(2**63), -_BIG]]), False),
+        (_compact_text("rational", 2, [[1, 1, 2**64 + 1, 3]]), False),
+        (_ONE.replace("-3", "-0"), True),
+        (_ONE.replace("[2,1", "[2,-0"), False),  # column 0: the row is named
+        (_compact_text("sqrt", 2, [[1, 1, 0, 0, 2]]).replace("1,0,0", "1,-0,-0"),
+         True),
+        (_ONE.replace(",2]", ",02]"), False),
+        (_ONE.replace(",2]", ",00]"), False),
+        (_ONE.replace("-3", "-03"), False),
+        (_ONE.replace("-3", "--3"), False),
+        (_ONE.replace("-3", "-"), False),
+        (_ONE.replace("-3", "3-"), False),
+        (_ONE.replace("-3", "+3"), False),
+        (_ONE.replace("-3", ""), False),
+        (_ONE.replace("[2,1,", "[2,1,,"), False),
+        (_ONE.replace(",1]]", ",]]"), False),
+        (_ONE.replace("[2,1,", "[,2,1,"), False),
+        (_ONE.replace("],[", "]5,["), False),
+        (_ONE.replace("],[", "],-["), False),
+        (_ONE.replace("[[", "[7["), False),
+        (_ONE.replace("]]", "]]]"), False),
+        (_ONE.replace("-3", "true"), False),
+        (_ONE.replace("-3", "null"), False),
+        (_ONE.replace("[1,1,1,2]", "[1,1,false,2]"), False),
+        (_ONE.replace("-3", "-3.0"), False),
+        (_ONE.replace("-3", "3e2"), False),
+        (_ONE.replace("-3", "-3 "), False),
+        (_ONE.replace("rational", "r\\u0061tional"), False),
+        (_ONE.replace("rational", "rätional"), False),
+        (_ONE.replace("-3", "٣"), False),
+        (_ONE + "\u00a0", False),  # no-break space: not JSON whitespace
+        (_compact_text("rational", 2, []), False),
+        (_compact_text("sqrt", 2, []), False),
+        (_ONE.replace('"rational"', '"complex"'), False),
+        (_ONE.replace('"kind":"rational",', ""), False),
+        (_ONE.replace('"order":2', '"order":02'), False),
+        (_ONE.replace('"order":2', '"order":0'), False),
+        (_ONE.replace('"order":2', '"order":-2'), False),
+        (_ONE.replace('"order":2', f'"order":{10**19}'), False),
+        (_ONE[:-1], False),
+        (_ONE + "]", False),
+        (_ONE + "{}", False),
+        (_ONE.replace("[1,1,1,2]", "[1,1,1,2,3]"), False),
+        (_ONE.replace("[1,1,1,2]", "[1,1,1]"), False),
+        (_ONE.replace("[1,1,1,2]", "1,1,1,2"), False),
+        (_compact_text("sqrt", 2, [[1, 1, 1, 1, 2], [2, 2, -1, 3, 4]]), True),
+        (_compact_text("sqrt", 2, [[1, 1, 0, 0, 2], [2, 2, -1, -3, -4]]), True),
+        (_compact_text("sqrt", 2, [[1, 1, 1, 1, 2, 0]]), False),
+    ])
+    def test_texts_against_the_json_route(self, text, fast):
+        assert _same_outcome(text) is fast
+
+    @pytest.mark.parametrize("kind, rows, message", [
+        ("rational", [[1, 1, 1, 0]], "rational terms need integer num/den"),
+        ("rational", [[1, 1, 1, 2], [1, 1, 3, 4]], "duplicate term at (1,1)"),
+        ("rational", [[3, 1, 1, 2]], "indices (3,1) outside 1..2"),
+        ("rational", [[1, 0, 1, 2]], "indices (1,0) outside 1..2"),
+        ("rational", [[1, 1, 1, 2], [2, 2, 5, 0]], "rational terms need"),
+        ("sqrt", [[1, 1, 2, 1, 2]], "sqrt terms need sign in {-1,0,1}"),
+        ("sqrt", [[2, 1, 0, 5, 1]], "sqrt term at (2,1): sign 0 disagrees"),
+        ("sqrt", [[1, 1, 1, -2, 1]], "sqrt terms need sign in {-1,0,1}"),
+    ])
+    def test_column_faults_name_the_row_as_json_loads_does(self, kind, rows,
+                                                           message):
+        text = _compact_text(kind, 2, rows)
+        with pytest.raises(DomainError) as exc:
+            matrix_from_json(text)
+        assert str(exc.value).startswith(message)
+        assert _outcome(_json_route, text) == (DomainError, str(exc.value))
+
+    def test_order_cap_after_the_text_is_checked(self, monkeypatch):
+        monkeypatch.setenv("KRONX_MAX_DIM", "8")
+        text = _compact_text("rational", 9, [[1, 1, 1, 2]])
+        with pytest.raises(ResourceError, match="order 9 exceeds"):
+            matrix_from_json(text)
+        # a text that is not JSON says so first, as json.loads does
+        with pytest.raises(DomainError, match="not valid JSON"):
+            matrix_from_json(text.replace(",2]", ",02]"))
+        assert _same_outcome(text) and not _same_outcome(
+            text.replace(",2]", ",02]"))
+
+    def test_compact_files_do_not_reach_json_loads(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("json.loads called")
+
+        x = XSum(3, {(1, 2): Fraction(-7, 3), (3, 3): SqrtRational.sqrt(2)})
+        compact = matrix_to_json(x) + "\n"
+        pretty = json.dumps(json.loads(compact), indent=2, sort_keys=True)
+        monkeypatch.setattr(serialize_module.json, "loads", refuse)
+        assert matrix_from_json(compact) == x
+        with pytest.raises(AssertionError, match="json.loads called"):
+            matrix_from_json(pretty)
+
+    @pytest.mark.parametrize("per_pass", [1, 7, 16, 40])
+    def test_passes_of_rows_read_as_one(self, per_pass, monkeypatch):
+        x = kron(casimir(3), casimir(2))
+        text = matrix_to_json(x)
+        one_pass = matrix_from_json(text)
+        monkeypatch.setattr(serialize_module, "_BYTES_PER_PASS", per_pass)
+        got = matrix_from_json(text)
+        assert _listed(got) == _listed(one_pass) and got == x
+        # a fault in any pass sends the whole text to json.loads
+        for fault in ("-0,", "01,", "1,,"):
+            where = text.rindex("],[", 0, len(text) // 2) + 3
+            bad = text[:where] + fault + text[where:]
+            assert not _same_outcome(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["rational", "sqrt"]), st.integers(1, 4),
+           st.sampled_from([1, 5, 1 << 20]), st.data())
+    def test_compact_texts_read_as_json_loads_reads_them(self, kind, order,
+                                                         per_pass, data):
+        width = _WIDTH[kind]
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, order + 1), st.integers(0, order + 1)),
+            max_size=6))
+        rows = [[i, j, *data.draw(st.lists(_FIELDS, min_size=width - 2,
+                                           max_size=width - 2))]
+                for i, j in cells]
+        if data.draw(st.booleans()) and rows:
+            rows[-1] = rows[-1][:-1] if data.draw(st.booleans()) else rows[-1] + [1]
+        text = _compact_text(kind, order, rows)
+        text = text + data.draw(st.sampled_from(["", "\n", " \r\n\t"]))
+        with mock.patch.object(serialize_module, "_BYTES_PER_PASS", per_pass):
+            _same_outcome(text)
+
+    def test_seeded_fuzz_of_planted_faults(self):
+        rng = random.Random(20261021)
+        fast = 0
+        for _ in range(2000):
+            fast += _same_outcome(_fuzzed_text(rng))
+        assert 200 < fast < 1800  # both routes are exercised
+
+
+# fields past int64, at the 18/19-digit edge and small, signed
+_FIELDS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**18), 10**18),
+    st.sampled_from([10**18 - 1, -(10**18 - 1), 10**18, _BIG, -_BIG,
+                     -(2**63), 2**63, 10**19, 10**20]))
+_SNIPPETS = ["0", "00", "-", "--", "+", " ", ",", "[", "]", "1", "-0", "9" * 19,
+             "true", "1.5", "\n", "é", "\\u0031", "e5", "}", '"']
+
+
+def _fuzzed_text(rng):
+    """A compact exact file, often with one to three edits planted."""
+    kind = rng.choice(["rational", "sqrt"])
+    order = rng.randint(1, 4)
+    width = _WIDTH[kind]
+    rows = []
+    cells = [(i, j) for i in range(1, order + 1) for j in range(1, order + 1)]
+    for i, j in rng.sample(cells, rng.randint(0, min(5, len(cells)))):
+        if kind == "rational":
+            rows.append([i, j, rng.randint(-9, 9), rng.choice([1, 2, 3, -7])])
+        else:
+            sign = rng.choice([-1, 0, 1])
+            num = rng.randint(1, 99) if sign else 0
+            rows.append([i, j, sign, num, rng.choice([1, 2, 5, -3])])
+            if sign and rows[-1][-1] < 0:
+                rows[-1][-2] *= -1
+        if rng.random() < 0.05:
+            rows[-1][rng.randrange(width)] = rng.choice([10**18, -(10**18) + 1, _BIG])
+    text = _compact_text(kind, order, rows) + rng.choice(["", "", "\n", " \n"])
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        at = rng.randrange(len(text) + 1)
+        cut = rng.choice([0, 0, 1])
+        text = text[:at] + rng.choice(_SNIPPETS) + text[at + cut:]
+    return text
