@@ -375,22 +375,13 @@ class CGMatrix:
     _table: "tuple | None" = field(
         default=None, init=False, repr=False, compare=False
     )
-    # the stored entries looked up so far, by (p, q): a repeated lookup is
-    # one dict read, and the dict holds at most S's terms
-    _hot: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def is_exact(self) -> bool:
         return self.matrix.is_exact()
 
     def entry(self, p: int, q: int):
         """S's entry (p, q).  With sorted cell keys it is one binary search
-        and one term's scalar, so a lookup builds no term dict; the scalar
-        is kept for the next lookup of (p, q)."""
-        value = self._hot.get((p, q))
-        if value is not None:
-            return value
+        and one term's scalar, so a lookup builds no term dict."""
         cells = self._cells
         if cells is None:
             return self.matrix.coeff(p, q)
@@ -398,8 +389,7 @@ class CGMatrix:
         i = int(cells.searchsorted(key))
         if i == len(cells) or cells[i] != key:
             return 0
-        value = self._hot[p, q] = self.matrix.columns().scalar(i)
-        return value
+        return self.matrix.columns().scalar(i)
 
     @property
     def report(self) -> "IntertwiningReport":

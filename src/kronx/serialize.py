@@ -82,9 +82,9 @@ def _int_rows(table: np.ndarray) -> str:
 
     Every row is laid out in one uint8 line: per column a separator slot,
     a sign slot and one slot per digit of the column's largest magnitude,
-    then "],".  Digits are right-aligned, a '-' sits just before the first
-    digit of a negative entry, and one bytes.translate drops the spaces
-    that pad the rest."""
+    then "],".  Digits are right-aligned and a negative entry's '-' sits in
+    the sign slot; one bytes.translate drops the spaces that pad between
+    them, so the '-' meets the first digit."""
     n, width = table.shape
     if n == 0:
         return ""
@@ -96,24 +96,16 @@ def _int_rows(table: np.ndarray) -> str:
     start = 0
     for k, (col, q, d) in enumerate(zip(table.T, mags, digits)):
         text[:, start] = ord("[" if k == 0 else ",")
+        np.copyto(text[:, start + 1], np.uint8(ord("-")), where=col < 0)
         end = start + d + 1
-        # what the slot left of the leading digit gets: '-' or padding;
-        # a column without a negative entry keeps the padding there
-        lead = None
-        if col.min() < 0:
-            lead = np.where(col < 0, np.uint8(ord("-")), space)
-        for pos in range(end, start, -1):
+        for pos in range(end, start + 1, -1):  # the digit slots
             # q // 10 divides by a constant; np.divmod is many times slower
             rest = q // ten
             digit = (q - rest * ten).astype(np.uint8) + zero
             if pos == end:  # the last digit, written for a zero entry too
                 text[:, pos] = digit
-            elif lead is None:
-                np.copyto(text[:, pos], digit, where=q > 0)
             else:
-                live = q > 0
-                text[:, pos] = np.where(live, digit, lead)
-                lead = np.where(live, lead, space)
+                np.copyto(text[:, pos], digit, where=q > 0)
             q = rest
         start = end + 1
     text[:, start] = ord("]")

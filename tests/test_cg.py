@@ -770,29 +770,6 @@ def test_cold_lookup_builds_no_term_dict(monkeypatch):
     assert typed(cold) == typed(listed.get((a[4], a[1], a[3]), 0) for a in args)
 
 
-def test_hot_lookup_reads_the_entry_it_kept(monkeypatch):
-    def refuse(self, i):
-        raise AssertionError("scalar built again")
-
-    two_j1, two_j2 = 4, 3
-    s = build_S(two_j1, two_j2)
-    n = s.layout.total
-    cells = [(p, q) for q in range(1, n + 1) for p in range(1, n + 1)]
-    first = [s.entry(p, q) for p, q in cells]
-    with monkeypatch.context() as m:
-        m.setattr(Columns, "scalar", refuse)
-        again = [s.entry(p, q) for p, q in cells]
-    assert all(a is b for a, b in zip(first, again))
-    terms = s.matrix.term_map()
-    want = [terms.get(cell, 0) for cell in cells]
-    assert [(type(c), repr(c)) for c in again] == [
-        (type(c), repr(c)) for c in want]
-    assert 0 in again and all(type(c) is int for c in again if not c)
-    # the dict keeps the stored entries alone, and each S keeps its own
-    assert len(s._hot) == s.matrix.nnz()
-    assert build_S(two_j1, two_j2)._hot == {}
-
-
 def test_cg_table_returns_a_new_list_each_call():
     first = cg_table(3, 2)
     second = cg_table(3, 2)

@@ -465,12 +465,13 @@ class TestTextWriter:
         ({(2, 2): SqrtRational(-1, Fraction(_INT64_MAX, 3))}, np.int64),
         ({(1, 2): SqrtRational(1, Fraction(5)), (2, 1): Fraction(-1, 2),
           (2, 2): -3}, np.int64),
+        ({(1, 1): -1, (2, 2): -_INT64_MAX, (1, 2): 10**17}, np.int64),
         ({(1, 1): 2**63, (2, 2): -1}, object),
         ({(1, 1): Fraction(-(3**50), 2**70)}, object),
         ({(1, 2): SqrtRational(-1, Fraction(1, 2**63))}, object),
     ], ids=["empty", "one term", "int64 max", "int64 max fraction",
-            "int64 max surd", "mixed", "past int64", "past int64 fraction",
-            "past int64 surd"])
+            "int64 max surd", "mixed", "padded negatives", "past int64",
+            "past int64 fraction", "past int64 surd"])
     def test_edge_tables(self, terms, route):
         for x in (XSum(2, terms), matrix_from_json(_per_term_json(XSum(2, terms)))):
             assert Columns.table_of(x).dtype == route
