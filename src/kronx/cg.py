@@ -46,8 +46,8 @@ from .exactnum import (
     coprime_fraction,
     pochhammer,
 )
-from .hubbard import (SURD, Columns, XSum, _product, check_order, int_column,
-                      magnitude)
+from .hubbard import (SURD, Columns, XSum, _product, _ragged, check_order,
+                      int_column, magnitude)
 
 _ZERO = SqrtRational(0, Fraction(0))
 
@@ -297,12 +297,6 @@ def _arguments(two_j1: int, two_j2: int) -> np.ndarray:
         [j + 2, -2, 0, 0, 0],  # (2j-2k+2)!
         [j + 2, -1, 0, 0, 0],  # (2j-k+2)!
     ])
-
-
-def _ragged(first, count):
-    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for each i, in
-    one array."""
-    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
 
 
 def _pass_parts(args, cells, lo, count, primes, log2p, table):

@@ -37,7 +37,7 @@ def fourier_matrix(n: int) -> XSum:
     """The (unnormalized) n-point Fourier matrix; F F^dagger = n I."""
     check_order(n)
     cells = product(range(1, n + 1), repeat=2)
-    return XSum._trusted(n, dict(zip(cells, _dft(n).ravel().tolist())))
+    return XSum._of_pairs(n, zip(cells, _dft(n).ravel().tolist()))
 
 
 def omega_diag(k: int, n: int | None = None) -> XSum:
@@ -47,6 +47,8 @@ def omega_diag(k: int, n: int | None = None) -> XSum:
         raise ValueError("k must be at least 1")
     if n is None:
         n = 2 * k
+    if n < 1:
+        raise ValueError("n must be at least 1")
     w = cmath.exp(2j * cmath.pi / n)
     return XSum(k, (((i, i), w ** (i - 1)) for i in range(1, k + 1)))
 

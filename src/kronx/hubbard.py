@@ -4,16 +4,19 @@ X_n^(i,j) is the n x n matrix with a lone 1 at row i, column j.  Every
 matrix here is an XSum: a weighted sum of such terms, stored as a map from
 1-based (row, col) pairs to scalar coefficients.  Products contract by the
 delta rule X^(i,j) X^(k,l) = delta_jk X^(i,l), so the whole algebra runs on
-subscripts without ever materializing dense arrays.  Terms that land on one
-cell add by one rule, _summed: exact values add exactly, a float makes the
-cell complex, and a cell whose sum cancels is dropped.
+subscripts without ever materializing dense arrays.
 
-Every XSum can also hold its terms as Columns: the integer parts of one
-exact kind, or one object array of any other scalars.  The JSON reader,
-kron, perm_matrix, dagger, cg.build_S and xsum_mul (where no two products
-share a cell) build that form directly, the writer, trace and the float
-conversion read it, and the term dict is made from it only when a term is
-first read one by one.  No product runs term by term.
+An XSum is built in one of two ways.  From ((i, j), c) pairs, which add
+by one rule, _summed: exact values add exactly, a float makes the cell
+complex, and a cell whose sum cancels is dropped.  Or from Columns: the
+integer parts of one exact kind, or one object array of any other
+scalars.  The JSON reader, kron, perm_matrix, dagger, cg.build_S and
+xsum_mul (where no two products share a cell) build columns directly;
+every route that can put two terms on one cell passes pairs.  The writer,
+trace and the float conversion read the columns, and items() is the one
+sorted way out, the columns in (row, col) order.  The term dict is made
+from the columns only when a term is first read one by one, and no
+product runs term by term.
 This module alone knows the exact value format: the table of kinds and
 their integer parts, promotion, the value products and fraction reduction.
 """
@@ -106,6 +109,12 @@ def _summed(pairs: Iterable) -> dict:
                 continue
         store[key] = c
     return store
+
+
+def _ragged(first, count):
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for each i, in
+    one array."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
 
 
 def magnitude(col: np.ndarray) -> int:
@@ -309,17 +318,14 @@ class Columns:
         first = np.cumsum(per_row) - per_row
         counts = per_row[self.cols]
         ia = np.repeat(np.arange(len(self)), counts)
-        # the products of term s, column j, are numbered from
-        # t0 = ends[s] - counts[s]; product t takes by_row[first[j] + t - t0]
-        ends = np.cumsum(counts)
-        start = first[self.cols] - ends + counts
-        ib = by_row[np.repeat(start, counts) + np.arange(len(ia))]
+        # term s, column j, meets by_row[first[j]:first[j] + counts[s]]
+        ib = by_row[_ragged(first[self.cols], counts)]
         a, b = self.take(ia), other.take(ib)
         products = a.times(b, a.rows, b.cols)
         cells = np.sort((a.rows - 1) * order + b.cols)
         if np.any(cells[1:] == cells[:-1]):
             # subscripts come from the operands; only the sums need the rule
-            return XSum._trusted(order, _summed(products.pairs()))
+            return XSum._of_pairs(order, products.pairs())
         return XSum._from_columns(order, products)
 
     def floats(self) -> np.ndarray:
@@ -345,18 +351,19 @@ class Columns:
 class XSum:
     """A square matrix as a weighted sum of Hubbard operators.
 
-    Immutable once built.  The constructor checks the order before it
-    reads a term, so a builder that passes a lazy iterable allocates
-    nothing for a refused order; then it checks every subscript and sums
-    the terms in the order given by _summed, so zero coefficients and
-    cancelled cells are pruned eagerly.  Tiny nonzero float/complex
-    coefficients are kept, never dropped implicitly.
+    Immutable once built.  Terms come in two ways: as ((i, j), c) pairs,
+    which the constructor (and _of_pairs, for subscripts in range by
+    construction) sums in the order given by _summed, so zero
+    coefficients and cancelled cells are pruned eagerly; or as Columns
+    that _from_columns adopts.  The order is checked before a term is
+    read, so a builder that passes a lazy iterable allocates nothing for
+    a refused order.  Tiny nonzero float/complex coefficients are kept,
+    never dropped implicitly.
 
     The terms live in a dict, in Columns, or in both: _terms builds the
     dict from the columns on first use, and columns() builds the columns
-    from the dict.  Each form, once built, is kept.  Every sum has a
-    column form, so the products, dagger, trace and triplets each read
-    columns() alone.
+    from the dict.  Each form, once built, is kept.  The products, dagger,
+    trace, triplets and items(), the one sorted way out, read columns().
     """
 
     __slots__ = ("order", "_store", "_cols")
@@ -367,37 +374,30 @@ class XSum:
         terms: Mapping[Tuple[int, int], Scalar] | Iterable | None = None,
     ) -> None:
         check_order(order)
-        object.__setattr__(self, "order", order)
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        object.__setattr__(self, "_store", _summed(_checked(order, items)))
-        object.__setattr__(self, "_cols", None)
+        self._hold(order, _summed(_checked(order, items)), None)
 
     @classmethod
-    def _trusted(cls, order: int, store: dict) -> "XSum":
-        """Wrap an already normalised term dict without copying it.
-
-        Only the order is checked.  The caller guarantees the invariants
-        __init__ would establish: every key (i, j) lies in [1, order]^2, no
-        coefficient is zero, and no one else keeps a reference to store.
-        """
+    def _of_pairs(cls, order: int, pairs: Iterable) -> "XSum":
+        """The sum of ((i, j), c) pairs as __init__ makes it, but with no
+        subscript checked: the caller guarantees every (i, j) lies in
+        [1, order]^2."""
         check_order(order)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "_store", store)
-        object.__setattr__(obj, "_cols", None)
-        return obj
+        return object.__new__(cls)._hold(order, _summed(pairs), None)
 
     @classmethod
     def _from_columns(cls, order: int, cols: Columns) -> "XSum":
-        """Wrap columns without building the term dict.  As for _trusted,
-        the caller guarantees every subscript lies in [1, order] and no two
-        terms share one."""
+        """Wrap columns without building the term dict.  The caller
+        guarantees every subscript lies in [1, order], no two terms share
+        one and no value is zero."""
         check_order(order)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "_store", None)
-        object.__setattr__(obj, "_cols", cols)
-        return obj
+        return object.__new__(cls)._hold(order, None, cols)
+
+    def _hold(self, order: int, store: dict | None, cols: Columns | None) -> "XSum":
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "_cols", cols)
+        return self
 
     @property
     def _terms(self) -> dict:
@@ -424,10 +424,7 @@ class XSum:
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Scalar]]:
         """Terms in (row, col) lexicographic order."""
-        store = self._store
-        if store is None:
-            return self._cols.row_major(self.order).pairs()
-        return ((key, store[key]) for key in sorted(store))
+        return self.columns().row_major(self.order).pairs()
 
     def values(self) -> Iterator[Scalar]:
         """Coefficients in storage order, without sorting."""
@@ -569,7 +566,7 @@ def xsum_linear(op: str, a: XSum, other) -> XSum:
     else:
         raise ValueError(f"unknown linear op {op!r}")
     # subscripts come from the operands
-    return XSum._trusted(a.order, _summed(terms))
+    return XSum._of_pairs(a.order, terms)
 
 
 def bracket(a: XSum, b: XSum, sign: str = "commutator") -> XSum:

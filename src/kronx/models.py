@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from .exactnum import DomainError, scalar_mul
-from .hubbard import XSum, _summed, check_order, from_dense, x_op, xsum_mul
+from .hubbard import XSum, check_order, from_dense, x_op, xsum_mul
 from .kron import kron
 from .perm import _digit_table
 from .su2 import pauli
@@ -254,7 +254,7 @@ def _site_sum(n: int, d: int, terms) -> XSum:
         steps = []
         for site, op in reversed(factors):
             col = {c: ((r - c) * d ** (n - site), scalar_mul(1, v))
-                   for (r, c), v in op.items()}
+                   for (r, c), v in op.term_map().items()}
             if op.order != d or len(col) < op.nnz():
                 raise ValueError(f"local ops are {d}x{d}, one entry per column")
             steps.append((site - 1, col))
@@ -275,7 +275,7 @@ def _site_sum(n: int, d: int, terms) -> XSum:
                 else:  # a term with no factors is coef times I
                     yield (p, q), scalar_mul(coef, 1 if amp is None else amp)
 
-    return XSum._trusted(order, _summed(contributions()))
+    return XSum._of_pairs(order, contributions())
 
 
 @dataclass(frozen=True)

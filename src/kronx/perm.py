@@ -13,27 +13,33 @@ definition, the average over all p! rearrangements, as the reference.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .exactnum import ceil_ratio
-from .hubbard import FRACTION, INT, Columns, DimensionError, XSum, check_order
+from .hubbard import (FRACTION, INT, Columns, DimensionError, XSum, _ragged,
+                      check_order)
 
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on {1..n}, stored as the image tuple (pi(1), ..., pi(n))."""
+    """Bijection on {1..n}, stored as the image tuple (pi(1), ..., pi(n)).
+    Each image is read by operator.index, so numpy integers are stored as
+    ints and a float or a bool is refused."""
 
     images: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
-        if n < 1:
+        images = tuple(self.images)
+        if bool in map(type, images):
+            raise TypeError(f"images {images} are not integers")
+        object.__setattr__(self, "images", tuple(map(operator.index, images)))
+        if not images:
             raise ValueError("degree must be at least 1")
-        if sorted(self.images) != list(range(1, n + 1)):
+        if sorted(self.images) != list(range(1, len(images) + 1)):
             raise ValueError(f"images {self.images} are not a bijection")
 
     @classmethod
@@ -188,7 +194,7 @@ def _orbit_sum(p: int, n: int, signed: bool) -> XSum:
     _, first, size = np.unique(key[by_orbit], return_index=True, return_counts=True)
     pairs = size * size
     g, start = np.repeat(size, pairs), np.repeat(first, pairs)
-    t = np.arange(len(g)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    t = _ragged(0, pairs)
     a, b = by_orbit[start + t // g], by_orbit[start + t % g]
     cols = Columns(FRACTION, states[a] + 1, states[b] + 1, (sign[a] * sign[b], g))
     return XSum._from_columns(n**p, cols)

@@ -146,8 +146,7 @@ def matrix_from_obj(obj: object) -> XSum:
         cols = _exact_columns(rows, kind, order)
         if cols is not None:
             return XSum._from_columns(order, cols)
-    terms = _parse_rows(rows, kind, order)
-    return XSum._trusted(order, {key: c for key, c in terms.items() if c})
+    return XSum._of_pairs(order, _parse_rows(rows, kind, order).items())
 
 
 def _exact_columns(rows: list, kind: str, order: int) -> Columns | None:

@@ -21,7 +21,6 @@ from kronx.hubbard import (
     Columns,
     DimensionError,
     XSum,
-    _summed,
     check_order,
     dagger,
     from_dense,
@@ -168,7 +167,7 @@ def dagger_by_dict(a: XSum, mode: str) -> XSum:
     for (i, j), c in a.term_map().items():
         key = (j, i) if mode in ("transpose", "adjoint") else (i, j)
         out[key] = scalar_conj(c) if mode in ("conjugate", "adjoint") else c
-    return XSum._trusted(a.order, out)
+    return XSum(a.order, out)
 
 
 def trace_by_dict(a: XSum):
@@ -204,7 +203,7 @@ def per_term_product(a: XSum, b: XSum) -> XSum:
                 del acc[key]
                 continue
         acc[key] = c
-    return XSum._trusted(a.order, acc)
+    return XSum(a.order, acc)
 
 
 # --- term sums as they were written before hubbard._summed -------------------
@@ -228,7 +227,7 @@ def product_by_hand(a: XSum, b: XSum) -> XSum:
                 c = scalar_add(acc[key], c)
             acc[key] = c
     # subscripts come from the operands; only the sums can be zero
-    return XSum._trusted(a.order, {key: c for key, c in acc.items() if c})
+    return XSum(a.order, {key: c for key, c in acc.items() if c})
 
 
 def linear_by_hand(op: str, a: XSum, other) -> XSum:
@@ -655,7 +654,7 @@ def site_sum_by_parity_rule(n: int, d: int, terms, parity=None) -> XSum:
                 else:
                     yield (p, q), scalar_mul(coef, amp)
 
-    return XSum._trusted(order, _summed(contributions()))
+    return XSum(order, contributions())
 
 
 def hubbard_by_parity_rule(params) -> XSum:

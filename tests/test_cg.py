@@ -330,8 +330,10 @@ def test_build_S_over_order_cap_fails_before_any_entry(monkeypatch):
         raise AssertionError("entry computed")
 
     monkeypatch.setenv("KRONX_MAX_DIM", "24")
-    # the per-entry kernels of the lemmas, one per closed form
-    for name in ("_first_block_parts", "_rone_parts", "_general_parts"):
+    # the per-entry kernels of the lemmas, one per closed form, and the
+    # array kernel build_S itself assembles S with
+    for name in ("_first_block_parts", "_rone_parts", "_general_parts",
+                 "_assembled"):
         monkeypatch.setattr(kronx.cg, name, refuse)
     with pytest.raises(ResourceError):
         build_S(4, 4)  # order 25

@@ -77,6 +77,12 @@ def test_omega_diag_uses_double_order_root_by_default():
         assert abs(om8.coeff(i, i) - w ** (i - 1)) < 1e-12
 
 
+@pytest.mark.parametrize("k, n", [(1, 0), (2, 0), (2, -4), (3, -1)])
+def test_omega_diag_refuses_a_root_order_below_one(k, n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        omega_diag(k, n)
+
+
 def test_butterfly_two_point_is_sign_matrix():
     assert allclose(butterfly(2), fourier_matrix(2), tol=1e-12)
 

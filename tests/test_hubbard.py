@@ -19,13 +19,15 @@ from _oracles import (
     as_listed,
     column_copy,
     dagger_by_dict,
+    delta_products,
     det_dense,
     dict_copy,
     per_term_product,
     trace_by_dict,
     triplets_by_dict,
 )
-from kronx.exactnum import ClosureError, DomainError, SqrtRational, scalar_mul
+from kronx.exactnum import (ClosureError, DomainError, SqrtRational, scalar_add,
+                            scalar_mul)
 from kronx.hubbard import (
     OBJECT,
     Columns,
@@ -667,3 +669,67 @@ def test_a_sum_builds_its_columns_once(monkeypatch):
         xsum_mul(z, z)
     assert len(calls) == 1
     assert z.nnz() == 2 and not z.is_exact()
+
+
+# --- the pairs constructor and the one sorted way out ------------------------
+
+def test_pairs_constructor_skips_a_zero_value():
+    x = XSum._of_pairs(3, [((1, 1), 0), ((2, 2), 0.0), ((1, 2), Fraction(1, 2)),
+                           ((3, 3), 0j), ((2, 1), Fraction(0))])
+    assert as_listed(x) == [((1, 2), Fraction, "Fraction(1, 2)")]
+
+
+def test_pairs_constructor_adds_collisions_in_the_given_order():
+    # _RESTART's square: cell (1, 1) collects 1, -1 and 5/2, so it cancels
+    # and starts again behind (1, 2) and (1, 3)
+    a = XSum(3, _RESTART)
+    got = XSum._of_pairs(3, delta_products(a, a))
+    assert list(got.term_map())[:3] == [(1, 2), (1, 3), (1, 1)]
+    assert got.coeff(1, 1) == Fraction(5, 2)
+    assert as_listed(got) == as_listed(per_term_product(a, a))
+    # float sums keep their order: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    for values in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+        want = scalar_add(scalar_add(values[0], values[1]), values[2])
+        got = XSum._of_pairs(1, [((1, 1), v) for v in values])
+        assert as_listed(got) == [((1, 1), type(want), repr(want))]
+
+
+def test_pairs_constructor_reads_no_pair_for_a_refused_order(monkeypatch):
+    def pairs():
+        raise AssertionError("read a pair before checking the order")
+        yield
+
+    monkeypatch.setenv("KRONX_MAX_DIM", "4")
+    with pytest.raises(ValueError):
+        XSum._of_pairs(0, pairs())
+    with pytest.raises(ResourceError):
+        XSum._of_pairs(5, pairs())
+
+
+def test_pairs_constructor_keeps_no_reference_to_its_source():
+    source = {(1, 1): Fraction(1, 2), (2, 1): 3}
+    x = XSum._of_pairs(2, source.items())
+    source[(1, 1)] = 7
+    source[(2, 2)] = 1
+    del source[(2, 1)]
+    assert as_listed(x) == [((1, 1), Fraction, "Fraction(1, 2)"), ((2, 1), int, "3")]
+
+
+_ITEMS_SUMS = dict(_OBJECT_SUMS, **{
+    "int": {(3, 1): 2, (1, 2): -5, (1, 1): 10**30, (2, 3): 1},
+    "fraction": {(2, 2): Fraction(-1, 3), (1, 3): Fraction(7, 2),
+                 (2, 1): Fraction(4)},
+    "surd": {(3, 3): SqrtRational(1, Fraction(2)),
+             (1, 1): SqrtRational(-1, Fraction(9, 4)),
+             (2, 1): SqrtRational(1, Fraction(10**40, 3))},
+    "empty": {},
+})
+
+
+@pytest.mark.parametrize("kind", sorted(_ITEMS_SUMS))
+def test_items_reads_dict_and_column_sums_alike(kind):
+    terms = _ITEMS_SUMS[kind]
+    want = [(key, type(c), repr(c)) for key, c in sorted(terms.items())]
+    x = XSum(3, terms)
+    for y in (dict_copy(x), column_copy(x)):
+        assert [(key, type(c), repr(c)) for key, c in y.items()] == want

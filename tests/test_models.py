@@ -272,8 +272,8 @@ class TestDiagonalize:
             return wrapper
 
         monkeypatch.setattr(XSum, "__init__", counted("init", XSum.__init__))
-        monkeypatch.setattr(XSum, "_trusted", classmethod(
-            counted("trusted", XSum._trusted.__func__)))
+        monkeypatch.setattr(XSum, "_of_pairs", classmethod(
+            counted("of_pairs", XSum._of_pairs.__func__)))
         for name in ("xsum_mul", "givens_unitary"):
             monkeypatch.setattr(kronx.models, name, counted(
                 name, getattr(kronx.models, name)))

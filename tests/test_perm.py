@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from _oracles import (
@@ -52,6 +53,23 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation(())
     assert Permutation.identity(3).images == (1, 2, 3)
+
+
+@pytest.mark.parametrize("images", [(2.0, 1.0), (True, 2), (1, 2.5),
+                                    (np.float64(1),), (np.bool_(True),),
+                                    ("1",)])
+def test_permutation_refuses_images_that_are_not_integers(images):
+    with pytest.raises(TypeError):
+        Permutation(images)
+
+
+def test_permutation_stores_numpy_images_as_ints():
+    pi = Permutation((np.int64(2), np.int32(3), np.uint8(1)))
+    assert pi.images == (2, 3, 1)
+    assert set(map(type, pi.images)) == {int}
+    assert pi.inverse().images == (3, 1, 2)
+    assert factor_perm(pi, 2) == factor_perm(Permutation((2, 3, 1)), 2)
+    assert Permutation(x for x in (2, 1)).images == (2, 1)
 
 
 def test_parity_by_cycles():

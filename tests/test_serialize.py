@@ -405,6 +405,36 @@ def _per_term_json(x):
                       separators=(",", ":"))
 
 
+class TestRowReader:
+    """The row-by-row reader: complex files, and exact files the column
+    reader refuses."""
+
+    COMPLEX = {"kind": "complex", "order": 3, "terms": [
+        [1, 1, 1.5, 0], [1, 2, 0.25, -0.5], [2, 1, 0.25, 0.5], [2, 2, -1, 0],
+        [3, 3, 0, 0]]}
+    RATIONAL = {"kind": "rational", "order": 3, "terms": [
+        [2, 3, 1, 2], [1, 1, 0, 1], [3, 1, -4, 6], [1, 2, 5, 1]]}
+
+    def test_complex_zero_rows_are_dropped_in_file_order(self):
+        got = matrix_from_json(json.dumps(self.COMPLEX))
+        assert _listed(got) == [((1, 1), complex, "(1.5+0j)"),
+                                ((1, 2), complex, "(0.25-0.5j)"),
+                                ((2, 1), complex, "(0.25+0.5j)"),
+                                ((2, 2), complex, "(-1+0j)")]
+
+    @pytest.mark.parametrize("by_rows", [False, True], ids=["columns", "rows"])
+    def test_pretty_rational_zero_rows_are_dropped_in_file_order(
+            self, by_rows, monkeypatch):
+        if by_rows:
+            monkeypatch.setattr(serialize_module, "_exact_columns",
+                                lambda *args: None)
+        got = matrix_from_json(json.dumps(self.RATIONAL, indent=2))
+        assert (got._cols is None) == by_rows
+        assert _listed(got) == [((2, 3), Fraction, "Fraction(1, 2)"),
+                                ((3, 1), Fraction, "Fraction(-2, 3)"),
+                                ((1, 2), Fraction, "Fraction(5, 1)")]
+
+
 class TestExactWriter:
     """The column writer, against the exact sum written term by term."""
 
